@@ -14,16 +14,16 @@ from .metrics import (ConfusionMatrix, MetricsReport, compute_metrics,
                       confusion, nn_classify)
 from .model import (FitReport, ProjectionStack, finetune_projection,
                     fit_readout, fit_stack, layer_objective, objective_value,
-                    transform, update_features_supervised)
+                    transform)
 from .pretrain import (AdmmState, PretrainReport, pretrain_layer, prox_nonneg,
                        prox_unit_ball, update_decoder, update_duals,
-                       update_features, update_nonneg, update_normed,
-                       update_projection)
+                       update_features, update_features_supervised,
+                       update_nonneg, update_normed, update_projection)
 from .superpixels import (Segmentation, segment_count, slic_segment,
-                          stream_labels, superpixel_stream)
+                          superpixel_stream)
 from .synthetic import SyntheticSpec, generate_synthetic
 from .types import (AdmmConfig, FeatureMatrix, HyperParams, OneHotLabels,
-                    SampleSplit, one_hot_encode, two_stream_concat)
+                    SampleSplit, one_hot_encode)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "laplacian", "layer_objective", "lpp_fit", "nn_classify",
     "objective_value", "one_hot_encode", "pca_fit", "pretrain_layer",
     "prox_nonneg", "prox_unit_ball", "segment_count", "slic_segment",
-    "stream_labels", "superpixel_stream", "transform", "two_stream_concat",
+    "superpixel_stream", "transform",
     "update_decoder", "update_duals", "update_features",
     "update_features_supervised", "update_nonneg", "update_normed",
     "update_projection",

@@ -9,13 +9,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import formats
 from .errors import FormatError, InputError, NumericalError, PipelineError
-from .harness import (layer_sweep, grid_search_cv, load_config,
-                      prepare_data, run_experiment)
-from .metrics import nn_classify
+from .harness import (class_map_ppm, layer_sweep, grid_search_cv, load_config,
+                      metrics_csv, prepare_data, run_experiment,
+                      score_embedding, write_files)
 from .model import transform as stack_transform
 
 
@@ -138,28 +136,10 @@ def _cmd_evaluate(args):
     out = _require_out(args, "evaluate")
     stack = formats.load_model(args.model)
     data = prepare_data(config)
-    train_idx = np.asarray(data.split.train_indices, dtype=np.int64)
-    test_idx = np.asarray(data.split.test_indices, dtype=np.int64)
-    train_emb = stack_transform(stack, data.cube.values[:, train_idx]).values
-    test_emb = stack_transform(stack, data.cube.values[:, test_idx]).values
-    all_emb = stack_transform(stack, data.cube).values
-    train_labels = [data.labels[i] for i in train_idx]
-    preds = nn_classify(train_emb, train_labels, test_emb)
-    preds_all = nn_classify(train_emb, train_labels, all_emb)
-    from .metrics import compute_metrics, confusion
-
-    cm = confusion([data.labels[i] for i in test_idx], preds,
-                   n_classes=data.n_classes)
-    metrics = compute_metrics(cm)
-    header = "oa,aa,kappa," + ",".join(
-        f"class_{i + 1}" for i in range(len(metrics.per_class)))
-    with open(os.path.join(out, "metrics.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(header + "\n" + metrics.csv_row() + "\n")
-    palette = formats.default_palette(max(data.n_classes, 1))
-    with open(os.path.join(out, "map.ppm"), "wb") as fh:
-        fh.write(formats.render_class_map([int(p) for p in preds_all],
-                                          data.width, data.height, palette))
+    metrics, preds_all = score_embedding(
+        data, lambda v: stack_transform(stack, v).values)
+    write_files(out, {"metrics.csv": metrics_csv(metrics),
+                      "map.ppm": class_map_ppm(data, preds_all)})
     print(f"evaluate: oa={metrics.oa:.4f} aa={metrics.aa:.4f} "
           f"kappa={metrics.kappa:.4f}")
     return 0

@@ -12,6 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import InputError
+from .graphs import compute_graph_gram
 from .types import matrix_values
 
 _LPP_RIDGE = 1e-8
@@ -97,8 +98,7 @@ def lpp_fit(x, lap, deg, d_out):
             f"d_out={d_out} exceeds the data's numerical rank; achievable "
             f"rank is {rank}"
         )
-    a = values @ (lap @ values.T)
-    a = (a + a.T) / 2.0
+    a = compute_graph_gram(values, lap)
     b = (values * degrees[None, :]) @ values.T
     b = (b + b.T) / 2.0 + _LPP_RIDGE * np.eye(d)
     vals, vecs = scipy.linalg.eigh(a, b)

@@ -76,6 +76,15 @@ def alignment_graph(segment_ids):
     return w.tocsr()
 
 
+def compute_graph_gram(x, lap):
+    """X L X' with a sparse or dense Laplacian, symmetrized."""
+    if sp.issparse(lap):
+        gram = x @ (lap @ x.T)
+    else:
+        gram = x @ np.asarray(lap) @ x.T
+    return (gram + gram.T) / 2.0
+
+
 def laplacian(w):
     """Combinatorial Laplacian L = D - W with D the diagonal of row sums."""
     w = sp.csr_matrix(w)

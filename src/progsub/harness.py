@@ -4,7 +4,7 @@ Configs are flat ``key=value`` text with dotted namespaces. A run executes
 segment -> streams -> graphs -> fit -> transform -> classify -> metrics and
 writes a deterministic artifact set (config echo, metrics CSV, convergence
 CSV, class-map PPM, model file). The same config and seed reproduce every
-output byte.
+output byte with the same numpy, scipy and BLAS builds and BLAS thread count.
 """
 
 import itertools
@@ -350,20 +350,15 @@ def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
     return (lambda v: transform(stack, v).values), stack, report
 
 
-def run_experiment(config):
-    """End-to-end run; returns (MetricsReport, artifacts dict)."""
-    data = prepare_data(config)
-    split = data.split
-    train_idx = np.asarray(split.train_indices, dtype=np.int64)
-    test_idx = np.asarray(split.test_indices, dtype=np.int64)
-    if test_idx.size == 0:
-        raise PipelineError("split", InputError("split produced no test samples"))
+def score_embedding(data, embed):
+    """Transform -> classify -> metrics on the data's split.
 
-    with _stage("fit"):
-        embed, stack, report = _fit_method(
-            config, data, train_idx, list(split.unlabeled_indices), config.hyper
-        )
-
+    `embed` maps raw pixel columns to the learned feature space. Test pixels
+    are scored against the nearest training pixel; returns (MetricsReport,
+    predicted class of every pixel).
+    """
+    train_idx = np.asarray(data.split.train_indices, dtype=np.int64)
+    test_idx = np.asarray(data.split.test_indices, dtype=np.int64)
     with _stage("transform"):
         train_emb = embed(data.cube.values[:, train_idx])
         test_emb = embed(data.cube.values[:, test_idx])
@@ -378,7 +373,55 @@ def run_experiment(config):
         truth = [data.labels[i] for i in test_idx]
         cm = confusion(truth, preds_test, n_classes=data.n_classes)
         metrics = compute_metrics(cm)
+    return metrics, preds_all
 
+
+def metrics_csv(metrics):
+    """metrics.csv text: the column header and the report's row."""
+    header = "oa,aa,kappa," + ",".join(
+        f"class_{i + 1}" for i in range(len(metrics.per_class))
+    )
+    return header + "\n" + metrics.csv_row() + "\n"
+
+
+def class_map_ppm(data, preds_all):
+    """PPM class map of one prediction per pixel."""
+    palette = formats.default_palette(max(data.n_classes, 1))
+    return formats.render_class_map([int(p) for p in preds_all], data.width,
+                                    data.height, palette)
+
+
+def write_files(out_dir, files):
+    """Write {name: text or bytes} into out_dir in order; returns
+    {name: path}."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        if isinstance(content, str):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(content)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(content)
+        paths[name] = path
+    return paths
+
+
+def run_experiment(config):
+    """End-to-end run; returns (MetricsReport, artifacts dict)."""
+    data = prepare_data(config)
+    split = data.split
+    train_idx = np.asarray(split.train_indices, dtype=np.int64)
+    if not split.test_indices:
+        raise PipelineError("split", InputError("split produced no test samples"))
+
+    with _stage("fit"):
+        embed, stack, report = _fit_method(
+            config, data, train_idx, list(split.unlabeled_indices), config.hyper
+        )
+
+    metrics, preds_all = score_embedding(data, embed)
     artifacts = {}
     if config.out_dir is not None:
         with _stage("write"):
@@ -397,54 +440,24 @@ def _echo_lines(config):
 
 
 def _write_artifacts(config, data, metrics, stack, report, preds_all):
-    out = config.out_dir
-    os.makedirs(out, exist_ok=True)
-    artifacts = {}
-
-    def put(name, text=None, blob=None):
-        path = os.path.join(out, name)
-        if text is not None:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            with open(path, "wb") as fh:
-                fh.write(blob)
-        artifacts[name] = path
-
-    put("config.echo.txt", text=_echo_lines(config))
-    header = "oa,aa,kappa," + ",".join(
-        f"class_{i + 1}" for i in range(len(metrics.per_class))
-    )
-    put("metrics.csv", text=header + "\n" + metrics.csv_row() + "\n")
+    files = {"config.echo.txt": _echo_lines(config),
+             "metrics.csv": metrics_csv(metrics)}
     if report is not None:
-        put("convergence.csv", text=report.convergence_csv())
+        files["convergence.csv"] = report.convergence_csv()
         for l, rep in enumerate(report.pretrain_reports, start=1):
-            put(f"pretrain_layer{l}.csv", text=rep.to_csv())
+            files[f"pretrain_layer{l}.csv"] = rep.to_csv()
     else:
-        put("convergence.csv", text="outer_iter,objective\n")
+        files["convergence.csv"] = "outer_iter,objective\n"
     if stack is not None:
-        put("model.bin", blob=formats.dump_model_bytes(stack))
-    palette = formats.default_palette(max(data.n_classes, 1))
-    put("map.ppm", blob=formats.render_class_map(
-        [int(p) for p in preds_all], data.width, data.height, palette
-    ))
-    put("predictions.txt",
-        text="".join(f"{int(p)}\n" for p in preds_all))
-    if config.dump_graphs and config.method == "progsub":
-        from .graphs import alignment_graph, assemble_fused
-
-        train_idx = np.asarray(data.split.train_indices, dtype=np.int64)
-        wp = knn_heat_graph(data.cube.values[:, train_idx], config.hyper.knn_k,
-                            config.hyper.sigma)
-        wsp = knn_heat_graph(data.stream.values[:, train_idx],
-                             config.hyper.knn_k, config.hyper.sigma)
-        wa = alignment_graph(data.seg.labels[train_idx])
-        bundle = assemble_fused(wp, wsp, wa)
-        put("graph_wp.txt", text=coordinate_dump(bundle.wp))
-        put("graph_wsp.txt", text=coordinate_dump(bundle.wsp))
-        put("graph_wa.txt", text=coordinate_dump(bundle.wa))
-        put("graph_wf.txt", text=coordinate_dump(bundle.wf))
-    return artifacts
+        files["model.bin"] = formats.dump_model_bytes(stack)
+    files["map.ppm"] = class_map_ppm(data, preds_all)
+    files["predictions.txt"] = "".join(f"{int(p)}\n" for p in preds_all)
+    if config.dump_graphs and report is not None:
+        # the graphs the fit was trained on, unlabeled columns included
+        for name in ("wp", "wsp", "wa", "wf"):
+            files[f"graph_{name}.txt"] = coordinate_dump(
+                getattr(report.graphs, name))
+    return write_files(config.out_dir, files)
 
 
 def _stratified_folds(labels, train_idx, n_folds, rng):
@@ -467,19 +480,14 @@ _GRID_FIELDS = ("alpha", "beta", "gamma", "eta", "sigma", "knn_k", "dims",
 
 
 def _apply_cell(hyper, cell):
-    updates = {}
-    for key, value in cell.items():
-        if key == "dims":
-            d = int(value)
-            updates["dims"] = tuple([d] * hyper.layers)
-        elif key == "layers":
-            m = int(value)
-            updates["layers"] = m
-            updates["dims"] = tuple([hyper.dims[-1]] * m)
-        elif key == "knn_k":
-            updates["knn_k"] = int(value)
-        else:
-            updates[key] = float(value)
+    """HyperParams with one grid cell's values; a cell that sets dims or
+    layers gets `layers` copies of its (or the last current) dimension."""
+    updates = {key: int(value) if key == "knn_k" else float(value)
+               for key, value in cell.items() if key not in ("dims", "layers")}
+    if "dims" in cell or "layers" in cell:
+        m = int(cell.get("layers", hyper.layers))
+        d = int(cell.get("dims", hyper.dims[-1]))
+        updates.update(layers=m, dims=(d,) * m)
     return replace(hyper, **updates)
 
 
@@ -561,19 +569,13 @@ def grid_search_cv(config):
 
     best_hyper = _apply_cell(config.hyper, best[0])
     if config.out_dir is not None:
-        os.makedirs(config.out_dir, exist_ok=True)
-        header = ",".join(names) + ",mean_oa"
-        lines = [header]
+        lines = [",".join(names) + ",mean_oa"]
         for cell, score in rows:
             lines.append(",".join(cell[k] for k in names) + f",{score!r}")
-        with open(os.path.join(config.out_dir, "grid.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with open(os.path.join(config.out_dir, "best.txt"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            for k in names:
-                fh.write(f"{k}={best[0][k]}\n")
-            fh.write(f"mean_oa={best[1]!r}\n")
+        best_lines = [f"{k}={best[0][k]}" for k in names]
+        best_lines.append(f"mean_oa={best[1]!r}")
+        write_files(config.out_dir, {"grid.csv": "\n".join(lines) + "\n",
+                                     "best.txt": "\n".join(best_lines) + "\n"})
     return best_hyper, rows
 
 
@@ -584,17 +586,14 @@ def layer_sweep(config, m_list=None):
         raise InputError("layer sweep needs at least one layer count")
     rows = []
     for m in m_list:
-        hyper = replace(config.hyper, layers=int(m),
-                        dims=tuple([config.hyper.dims[-1]] * int(m)))
+        hyper = _apply_cell(config.hyper, {"layers": m})
         sub = replace(config, hyper=hyper, out_dir=None)
         metrics, _ = run_experiment(sub)
         rows.append((int(m), metrics.oa, metrics.aa, metrics.kappa))
     if config.out_dir is not None:
-        os.makedirs(config.out_dir, exist_ok=True)
         lines = ["m,oa,aa,kappa"]
         for m, oa, aa, kappa in rows:
             lines.append(f"{m},{oa!r},{aa!r},{kappa!r}")
-        with open(os.path.join(config.out_dir, "layer_sweep.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_files(config.out_dir,
+                    {"layer_sweep.csv": "\n".join(lines) + "\n"})
     return rows

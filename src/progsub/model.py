@@ -18,15 +18,14 @@ in the unit ball. Unlabeled columns simply drop out of the prediction term.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .embedding import lpp_fit
 from .errors import InputError, NumericalError
-from .graphs import alignment_graph, assemble_fused, knn_heat_graph
-from .pretrain import (RIDGE, compute_graph_gram, pretrain_layer, run_admm)
-from .superpixels import Segmentation
-from .types import (AdmmConfig, FeatureMatrix, matrix_values, one_hot_encode,
-                    two_stream_concat)
+from .graphs import (GraphBundle, alignment_graph, assemble_fused,
+                     compute_graph_gram, knn_heat_graph)
+from .pretrain import (RIDGE, layer_terms, prediction_term, pretrain_layer,
+                       reconstruction_objective, run_admm, solve_spd)
+from .types import AdmmConfig, FeatureMatrix, matrix_values, one_hot_encode
 
 
 @dataclass(frozen=True)
@@ -71,10 +70,6 @@ class ProjectionStack:
     def input_dim(self):
         return self.projections[0].shape[1]
 
-    @property
-    def output_dim(self):
-        return self.projections[-1].shape[0]
-
 
 def chain_apply(projections, values):
     out = values
@@ -95,35 +90,31 @@ def transform(stack, x_new):
     return FeatureMatrix(out, kind)
 
 
-def _mask_columns(values, labeled_cols):
-    if labeled_cols is None:
-        return values
-    return values[:, labeled_cols]
+def _graph_gram(x, lf, beta):
+    """X L X' when the graph term is active, else None."""
+    if beta == 0.0 or lf is None:
+        return None
+    return compute_graph_gram(x, lf)
 
 
 def objective_value(stack, xt, yt, lf, hp, labeled_cols=None):
     """Full training objective at the current stack (readout required)."""
     if stack.readout is None:
         raise InputError("objective needs a fitted readout")
-    x = matrix_values(xt)
-    y = np.asarray(yt, dtype=np.float64)
     recon = 0.0
     graph = 0.0
-    cur = x
+    cur = matrix_values(xt)
     for proj in stack.projections:
-        emb = proj @ cur
-        resid = cur - proj.T @ emb
-        recon += float(np.sum(resid * resid))
-        if hp.beta != 0.0 and lf is not None:
-            gram = compute_graph_gram(cur, lf)
-            graph += float(np.sum((proj @ gram) * proj))
-        cur = emb
-    pred = _mask_columns(stack.readout @ cur, labeled_cols) - _mask_columns(
-        y, labeled_cols
-    )
-    predict = float(np.sum(pred * pred))
+        layer_recon, layer_graph, cur = layer_terms(
+            proj, cur, _graph_gram(cur, lf, hp.beta)
+        )
+        recon += layer_recon
+        graph += layer_graph
+    predict = prediction_term(
+        (stack.readout, np.asarray(yt, dtype=np.float64), hp.alpha,
+         labeled_cols), cur)
     ridge = float(np.sum(stack.readout * stack.readout))
-    return (0.5 * recon + 0.5 * hp.alpha * predict + 0.5 * hp.beta * graph
+    return (0.5 * recon + predict + 0.5 * hp.beta * graph
             + 0.5 * hp.gamma * ridge)
 
 
@@ -133,68 +124,24 @@ def fit_readout(projections, xt, yt, alpha, gamma, labeled_cols=None):
     P = (alpha * Y V') (alpha * V V' + gamma I)^{-1} with V the top-layer
     features of the (labeled) training columns.
     """
-    v = _mask_columns(chain_apply(projections, matrix_values(xt)), labeled_cols)
-    y = _mask_columns(np.asarray(yt, dtype=np.float64), labeled_cols)
+    v = chain_apply(projections, matrix_values(xt))
+    y = np.asarray(yt, dtype=np.float64)
+    if labeled_cols is not None:
+        v, y = v[:, labeled_cols], y[:, labeled_cols]
     d = v.shape[0]
     lhs = alpha * (v @ v.T) + (gamma + RIDGE) * np.eye(d)
     rhs = alpha * (y @ v.T)
-    try:
-        return scipy.linalg.solve(lhs, rhs.T, assume_a="pos").T
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("singular readout system") from exc
-
-
-def update_features_supervised(state, x, readout_chain, yt, alpha,
-                               labeled_cols=None):
-    """Reconstruction-features update with the prediction term added.
-
-    For labeled columns:
-        (alpha R'R + GG' + mu I)^{-1} (alpha R'Y + GX + mu TX - D1)
-    with R the composed downstream readout; unlabeled columns drop the
-    alpha terms.
-    """
-    mu = state.penalty
-    g = state.decoder
-    r = readout_chain
-    y = np.asarray(yt, dtype=np.float64)
-    base_lhs = g @ g.T + (mu + RIDGE) * np.eye(g.shape[0])
-    base_rhs = g @ x + mu * (state.proj @ x) - state.dual_feats
-    sup_lhs = base_lhs + alpha * (r.T @ r)
-    if labeled_cols is None:
-        return _solve(sup_lhs, base_rhs + alpha * (r.T @ y))
-    labeled_cols = np.asarray(labeled_cols, dtype=bool)
-    out = np.empty_like(base_rhs)
-    out[:, labeled_cols] = _solve(
-        sup_lhs,
-        base_rhs[:, labeled_cols] + alpha * (r.T @ y[:, labeled_cols]),
-    )
-    if not labeled_cols.all():
-        out[:, ~labeled_cols] = _solve(base_lhs, base_rhs[:, ~labeled_cols])
-    return out
-
-
-def _solve(lhs, rhs):
-    try:
-        return scipy.linalg.solve(lhs, rhs, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("singular system in feature update") from exc
+    return solve_spd(lhs, rhs.T).T
 
 
 def layer_objective(proj, x_prev, readout_chain, yt, lf, alpha, beta,
                     labeled_cols=None):
     """One layer's fine-tuning objective with other layers held fixed."""
     x = matrix_values(x_prev)
-    emb = proj @ x
-    resid = x - proj.T @ emb
-    value = 0.5 * float(np.sum(resid * resid))
-    pred = _mask_columns(readout_chain @ emb, labeled_cols) - _mask_columns(
-        np.asarray(yt, dtype=np.float64), labeled_cols
-    )
-    value += 0.5 * alpha * float(np.sum(pred * pred))
-    if beta != 0.0 and lf is not None:
-        gram = compute_graph_gram(x, lf)
-        value += 0.5 * beta * float(np.sum((proj @ gram) * proj))
-    return value
+    supervision = (readout_chain, np.asarray(yt, dtype=np.float64), alpha,
+                   labeled_cols)
+    return reconstruction_objective(proj, x, _graph_gram(x, lf, beta), beta,
+                                    supervision)
 
 
 def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
@@ -221,21 +168,10 @@ def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
     for j in range(stack.depth - 1, idx, -1):
         readout_chain = readout_chain @ stack.projections[j]
     y = np.asarray(yt, dtype=np.float64)
-
-    def features_update(state, xp):
-        return update_features_supervised(
-            state, xp, readout_chain, y, hp.alpha, labeled_cols
-        )
-
-    def extra_objective(proj):
-        pred = _mask_columns(readout_chain @ (proj @ x_prev), labeled_cols)
-        diff = pred - _mask_columns(y, labeled_cols)
-        return 0.5 * hp.alpha * float(np.sum(diff * diff))
-
     entry = stack.projections[idx]
     candidate, report = run_admm(
         x_prev, lf, entry, hp.beta, cfg,
-        features_update=features_update, extra_objective=extra_objective,
+        supervision=(readout_chain, y, hp.alpha, labeled_cols),
     )
     entry_val = layer_objective(entry, x_prev, readout_chain, y, lf,
                                 hp.alpha, hp.beta, labeled_cols)
@@ -255,6 +191,7 @@ class FitReport:
     termination: str                      # "converged" | "max_outer_iters"
     pretrain_reports: list = field(repr=False, default_factory=list)
     finetune_reports: list = field(repr=False, default_factory=list)
+    graphs: GraphBundle = field(repr=False, default=None)  # the fit's graphs
 
     @property
     def converged(self):
@@ -265,10 +202,6 @@ class FitReport:
         for t, obj in enumerate(self.objective_trace):
             lines.append(f"{t},{obj!r}")
         return "\n".join(lines) + "\n"
-
-
-def _segment_ids(seg):
-    return seg.labels if isinstance(seg, Segmentation) else np.asarray(seg)
 
 
 def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
@@ -295,16 +228,14 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
         raise InputError("no labeled training samples")
     if n_classes is None:
         n_classes = max(labels)
-    ids = np.asarray(_segment_ids(seg))
+    ids = np.asarray(getattr(seg, "labels", seg))
     if ids.size != n:
         raise InputError(
             f"{ids.size} segment ids for {n} training columns; pass ids "
             "restricted to the same columns as the features"
         )
 
-    xt = two_stream_concat(
-        FeatureMatrix(x, "pixel"), FeatureMatrix(xsp, "superpixel_stream")
-    ).values
+    xt = FeatureMatrix(np.hstack([x, xsp])).values  # checks finiteness
     wp = knn_heat_graph(x, hp.knn_k, hp.sigma)
     wsp = knn_heat_graph(xsp, hp.knn_k, hp.sigma)
     wa = alignment_graph(ids)
@@ -350,22 +281,16 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
                 x_prev=xs[l - 1],
             )
             sweep_reports.append(rep)
-            previous = projections[l - 1]
-            projections[l - 1] = proj
-            for j in range(l, hp.layers + 1):
-                xs[j] = projections[j - 1] @ xs[j - 1]
-            stack = ProjectionStack(tuple(projections), readout)
-            candidate = objective_value(stack, xt, yt, lf, hp, mask)
-            if candidate > current:
-                # a layer step may lower its own objective yet raise the
-                # downstream reconstruction terms; block descent keeps the
-                # previous projection in that case
-                projections[l - 1] = previous
+            trial = projections[:l - 1] + [proj] + projections[l:]
+            trial_stack = ProjectionStack(tuple(trial), readout)
+            candidate = objective_value(trial_stack, xt, yt, lf, hp, mask)
+            # a layer step may lower its own objective yet raise the
+            # downstream reconstruction terms; block descent keeps the
+            # previous projection in that case
+            if not candidate > current:
+                projections, stack, current = trial, trial_stack, candidate
                 for j in range(l, hp.layers + 1):
                     xs[j] = projections[j - 1] @ xs[j - 1]
-                stack = ProjectionStack(tuple(projections), readout)
-            else:
-                current = candidate
         finetune_reports.append(sweep_reports)
         obj = current
         if not np.isfinite(obj):
@@ -382,5 +307,6 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
         termination=termination,
         pretrain_reports=pretrain_reports,
         finetune_reports=finetune_reports,
+        graphs=bundle,
     )
     return stack, report

@@ -9,16 +9,17 @@ subject to the embedded features TX being elementwise nonnegative with
 columns inside the unit ball. The solver splits TX into three auxiliary
 copies (reconstruction features, nonnegative copy, norm-bounded copy) plus
 a decoder copy of T itself, and alternates closed-form block updates with
-dual ascent under a geometrically growing penalty.
+dual ascent under a geometrically growing penalty. Fine-tuning runs the same
+loop with the label-prediction term added (see run_admm).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
+from .graphs import compute_graph_gram
 from .types import AdmmConfig, matrix_values
 
 # numerical insurance on every solved system; the penalty term already
@@ -79,7 +80,8 @@ class AdmmState:
         )
 
 
-def _solve_pos(lhs, rhs):
+def solve_spd(lhs, rhs):
+    """Solve lhs @ out = rhs for a symmetric positive-definite lhs."""
     try:
         return scipy.linalg.solve(lhs, rhs, assume_a="pos")
     except scipy.linalg.LinAlgError as exc:
@@ -112,25 +114,47 @@ def update_projection(state, x, lap, graph_weight, data_gram=None,
         + 3.0 * mu * data_gram
         + (mu + RIDGE) * np.eye(d_in)
     )
-    return _solve_pos(denom, num.T).T
+    return solve_spd(denom, num.T).T
 
 
-def compute_graph_gram(x, lap):
-    """X L X' with a sparse or dense Laplacian, symmetrized."""
-    if sp.issparse(lap):
-        gram = x @ (lap @ x.T)
-    else:
-        gram = x @ np.asarray(lap) @ x.T
-    return (gram + gram.T) / 2.0
-
-
-def update_features(state, x):
-    """Reconstruction-features update: (GG' + mu I)^{-1}(GX + mu TX - D1)."""
+def _features_system(state, x):
+    """Normal equations (GG' + mu I) F = GX + mu TX - D1 of the plain
+    features update, as (lhs, rhs)."""
     mu = state.penalty
     g = state.decoder
     lhs = g @ g.T + (mu + RIDGE) * np.eye(g.shape[0])
     rhs = g @ x + mu * (state.proj @ x) - state.dual_feats
-    return _solve_pos(lhs, rhs)
+    return lhs, rhs
+
+
+def update_features(state, x):
+    """Reconstruction-features update: (GG' + mu I)^{-1}(GX + mu TX - D1)."""
+    return solve_spd(*_features_system(state, x))
+
+
+def update_features_supervised(state, x, readout_chain, yt, alpha,
+                               labeled_cols=None):
+    """Reconstruction-features update with the prediction term added.
+
+    For labeled columns:
+        (alpha R'R + GG' + mu I)^{-1} (alpha R'Y + GX + mu TX - D1)
+    with R the composed downstream readout; unlabeled columns (False in the
+    boolean mask `labeled_cols`) drop the alpha terms.
+    """
+    lhs, rhs = _features_system(state, x)
+    r = readout_chain
+    y = np.asarray(yt, dtype=np.float64)
+    sup_lhs = lhs + alpha * (r.T @ r)
+    if labeled_cols is None:
+        return solve_spd(sup_lhs, rhs + alpha * (r.T @ y))
+    labeled_cols = np.asarray(labeled_cols, dtype=bool)
+    out = np.empty_like(rhs)
+    out[:, labeled_cols] = solve_spd(
+        sup_lhs, rhs[:, labeled_cols] + alpha * (r.T @ y[:, labeled_cols])
+    )
+    if not labeled_cols.all():
+        out[:, ~labeled_cols] = solve_spd(lhs, rhs[:, ~labeled_cols])
+    return out
 
 
 def update_decoder(state, x):
@@ -144,7 +168,7 @@ def update_decoder(state, x):
     f = state.feats
     lhs = f @ f.T + (mu + RIDGE) * np.eye(f.shape[0])
     rhs = f @ x.T + mu * state.proj - state.dual_decoder
-    return _solve_pos(lhs, rhs)
+    return solve_spd(lhs, rhs)
 
 
 def update_nonneg(state, x):
@@ -194,22 +218,55 @@ class PretrainReport:
         return "\n".join(lines) + "\n"
 
 
-def reconstruction_objective(proj, x, graph_gram, graph_weight):
-    """The layer objective with the embedded features substituted by TX."""
-    recon = x - proj.T @ (proj @ x)
-    value = 0.5 * float(np.sum(recon * recon))
-    if graph_weight != 0.0:
-        value += 0.5 * graph_weight * float(np.sum((proj @ graph_gram) * proj))
+def layer_terms(proj, x, graph_gram=None):
+    """Unweighted terms of one layer: (||X - T'TX||^2, tr(T XLX' T'), TX).
+
+    The graph term is 0 when no Gram matrix XLX' is given.
+    """
+    emb = proj @ x
+    resid = x - proj.T @ emb
+    graph = 0.0
+    if graph_gram is not None:
+        graph = float(np.sum((proj @ graph_gram) * proj))
+    return float(np.sum(resid * resid)), graph, emb
+
+
+def prediction_term(supervision, emb):
+    """alpha/2 ||Y - R emb||^2 over the labeled columns of `supervision`."""
+    readout_chain, y, alpha, labeled_cols = supervision
+    diff = readout_chain @ emb - y
+    if labeled_cols is not None:
+        diff = diff[:, labeled_cols]
+    return 0.5 * alpha * float(np.sum(diff * diff))
+
+
+def reconstruction_objective(proj, x, graph_gram, graph_weight,
+                             supervision=None):
+    """The layer objective with the embedded features substituted by TX:
+
+        1/2 ||X - T'TX||^2 + alpha/2 ||Y - R T X||^2 + w/2 tr(T XLX' T')
+
+    The prediction term needs `supervision` (see run_admm); the graph term
+    is dropped when w is 0 or `graph_gram` is None.
+    """
+    if graph_weight == 0.0:
+        graph_gram = None
+    recon, graph, emb = layer_terms(proj, x, graph_gram)
+    value = 0.5 * recon
+    if supervision is not None:
+        value += prediction_term(supervision, emb)
+    if graph_gram is not None:
+        value += 0.5 * graph_weight * graph
     return value
 
 
-def run_admm(x, lap, proj0, graph_weight, cfg, features_update=None,
-             extra_objective=None, state0=None):
+def run_admm(x, lap, proj0, graph_weight, cfg, supervision=None):
     """Shared ADMM engine; returns (projection, PretrainReport).
 
-    `features_update(state, x)` may replace the plain reconstruction-features
-    update (the fine-tuning phase adds a prediction term there).
-    `extra_objective(proj)` is added to the traced objective only.
+    `supervision=(readout_chain, y, alpha, labeled_cols)` adds the prediction
+    term alpha/2 ||Y - R T X||^2 over the labeled columns (boolean mask, or
+    None for all) to the features update and the traced objective; the
+    fine-tuning phase passes it, pre-training does not.
     """
     x = matrix_values(x)
     if proj0.shape[1] != x.shape[0]:
@@ -217,15 +274,11 @@ def run_admm(x, lap, proj0, graph_weight, cfg, features_update=None,
             f"initial projection expects {proj0.shape[1]} input rows, data "
             f"has {x.shape[0]}"
         )
-    if features_update is None:
-        features_update = update_features
     data_gram = x @ x.T
     graph_gram = compute_graph_gram(x, lap) if lap is not None else np.zeros(
         (x.shape[0], x.shape[0])
     )
-    state = state0 if state0 is not None else AdmmState.initial(
-        proj0, x, cfg.mu0
-    )
+    state = AdmmState.initial(proj0, x, cfg.mu0)
 
     trace = []
     residuals = (np.inf,) * 4
@@ -238,7 +291,11 @@ def run_admm(x, lap, proj0, graph_weight, cfg, features_update=None,
                 state, x, lap, graph_weight, data_gram=data_gram,
                 graph_gram=graph_gram,
             )
-            state.feats = features_update(state, x)
+            if supervision is None:
+                state.feats = update_features(state, x)
+            else:
+                state.feats = update_features_supervised(state, x,
+                                                         *supervision)
             state.decoder = update_decoder(state, x)
             state.nonneg = update_nonneg(state, x)
             state.normed = update_normed(state, x)
@@ -257,9 +314,8 @@ def run_admm(x, lap, proj0, graph_weight, cfg, features_update=None,
             float(np.linalg.norm(state.nonneg - px)),
             float(np.linalg.norm(state.normed - px)),
         )
-        obj = reconstruction_objective(state.proj, x, graph_gram, graph_weight)
-        if extra_objective is not None:
-            obj += extra_objective(state.proj)
+        obj = reconstruction_objective(state.proj, x, graph_gram,
+                                       graph_weight, supervision)
         if not np.isfinite(obj) or not all(np.isfinite(r) for r in residuals):
             raise NumericalError(f"non-finite value at ADMM iteration {t}")
         trace.append((t, *residuals, mu_used, obj))
@@ -288,5 +344,5 @@ def pretrain_layer(x, lap, proj0, eta, cfg=None):
     the initial projection (d_out x d_in).
     """
     cfg = cfg if cfg is not None else AdmmConfig()
-    return run_admm(matrix_values(x), lap, np.asarray(proj0, dtype=np.float64),
-                    float(eta), cfg)
+    return run_admm(x, lap, np.asarray(proj0, dtype=np.float64), float(eta),
+                    cfg)

@@ -174,14 +174,3 @@ def superpixel_stream(cube, seg):
         sums[j] = np.bincount(labels, weights=values[j], minlength=k)
     means = sums / counts
     return FeatureMatrix(means[:, labels], SUPERPIXEL_STREAM)
-
-
-def stream_labels(labels, seg):
-    """Class labels for the stream columns: each inherits its pixel's label."""
-    labels = list(labels)
-    seg_labels = seg.labels if isinstance(seg, Segmentation) else np.asarray(seg)
-    if len(labels) != seg_labels.size:
-        raise InputError(
-            f"{len(labels)} labels for {seg_labels.size} segmented pixels"
-        )
-    return list(labels)

@@ -13,9 +13,8 @@ from .errors import InputError
 
 PIXEL = "pixel"
 SUPERPIXEL_STREAM = "superpixel_stream"
-TWO_STREAM = "two_stream"
 
-_KINDS = (PIXEL, SUPERPIXEL_STREAM, TWO_STREAM)
+_KINDS = (PIXEL, SUPERPIXEL_STREAM)
 
 
 def _frozen_array(values, dtype=np.float64):
@@ -38,8 +37,7 @@ def matrix_values(x):
 class FeatureMatrix:
     """A d x n feature matrix with one column per sample.
 
-    kind 'two_stream' means the columns are a pixel block followed by a
-    same-width superpixel-stream block (so the column count is even).
+    kind 'superpixel_stream' marks per-pixel segment means, 'pixel' the rest.
     """
 
     values: np.ndarray
@@ -53,38 +51,11 @@ class FeatureMatrix:
             raise InputError("feature matrix contains non-finite entries")
         if self.kind not in _KINDS:
             raise InputError(f"unknown feature-matrix kind {self.kind!r}")
-        if self.kind == TWO_STREAM and arr.shape[1] % 2 != 0:
-            raise InputError(
-                f"two-stream matrix needs an even column count, got {arr.shape[1]}"
-            )
         object.__setattr__(self, "values", arr)
 
     @property
     def dim(self):
         return self.values.shape[0]
-
-    @property
-    def n_samples(self):
-        return self.values.shape[1]
-
-    @property
-    def n_pixels(self):
-        """Pixel count: half the columns for a two-stream matrix."""
-        if self.kind == TWO_STREAM:
-            return self.values.shape[1] // 2
-        return self.values.shape[1]
-
-    def pixel_block(self):
-        """First n columns of a two-stream matrix, as a pixel matrix."""
-        if self.kind != TWO_STREAM:
-            raise InputError("pixel_block is only defined for two-stream matrices")
-        return FeatureMatrix(self.values[:, : self.n_pixels], PIXEL)
-
-    def stream_block(self):
-        """Last n columns of a two-stream matrix, as a stream matrix."""
-        if self.kind != TWO_STREAM:
-            raise InputError("stream_block is only defined for two-stream matrices")
-        return FeatureMatrix(self.values[:, self.n_pixels :], SUPERPIXEL_STREAM)
 
 
 @dataclass(frozen=True)
@@ -113,14 +84,6 @@ class OneHotLabels:
             )
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "class_names", names)
-
-    @property
-    def n_classes(self):
-        return self.values.shape[0]
-
-    @property
-    def n_samples(self):
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -254,17 +217,3 @@ def one_hot_encode(labels, n_classes, class_names=()):
             )
         out[lab - 1, k] = 1.0
     return OneHotLabels(out, class_names)
-
-
-def two_stream_concat(x, xsp):
-    """Concatenate a pixel matrix and its superpixel stream column-wise."""
-    if not isinstance(x, FeatureMatrix) or x.kind != PIXEL:
-        raise InputError("first argument must be a pixel FeatureMatrix")
-    if not isinstance(xsp, FeatureMatrix) or xsp.kind != SUPERPIXEL_STREAM:
-        raise InputError("second argument must be a superpixel-stream FeatureMatrix")
-    if x.values.shape != xsp.values.shape:
-        raise InputError(
-            f"shape mismatch: pixel block {x.values.shape} vs stream block "
-            f"{xsp.values.shape}"
-        )
-    return FeatureMatrix(np.hstack([x.values, xsp.values]), TWO_STREAM)

@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bench_utils import benchmark_config
+from bench_utils import benchmark_config, small_hyper
 from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
-from progsub.harness import (DEFAULT_GRID, ExperimentConfig, grid_search_cv,
-                             layer_sweep, make_split, parse_config_text,
-                             prepare_data, run_experiment)
+from progsub.harness import (DEFAULT_GRID, ExperimentConfig, _apply_cell,
+                             grid_search_cv, layer_sweep, load_config,
+                             make_split, parse_config_text, prepare_data,
+                             run_experiment)
 
 
 def test_parse_config_text():
@@ -251,6 +252,15 @@ def test_grid_defaults_to_published_ranges_when_unset():
         assert cell["dims"] in DEFAULT_GRID["dims"].split(",")
 
 
+def test_grid_cell_setting_layers_keeps_its_dims():
+    hp = small_hyper(m=1, d=10)
+    assert _apply_cell(hp, {"dims": "30", "layers": "2"}).dims == (30, 30)
+    assert _apply_cell(hp, {"layers": "3"}).dims == (10, 10, 10)
+    assert _apply_cell(hp, {"dims": "7"}).dims == (7,)
+    cell = _apply_cell(hp, {"knn_k": "4", "alpha": "2"})
+    assert (cell.knn_k, cell.alpha, cell.dims) == (4, 2.0, (10,))
+
+
 # ----------------------------------------------------------------- sweep
 
 def _sweep_config(out_dir=None, method="progsub"):
@@ -319,8 +329,9 @@ def test_cli_fit_transform_evaluate_render(tmp_path):
     ev_out = tmp_path / "ev"
     assert cli_main(["evaluate", "--config", cfg, "--out", str(ev_out),
                      "--model", str(fit_out / "model.bin")]) == 0
-    assert (ev_out / "metrics.csv").exists()
-    assert (ev_out / "map.ppm").exists()
+    # same config and seed: evaluate re-scores exactly as fit did
+    for name in ("metrics.csv", "map.ppm"):
+        assert (ev_out / name).read_bytes() == (fit_out / name).read_bytes()
 
     rm_out = tmp_path / "rm"
     assert cli_main(["render-map", "--config", cfg, "--out", str(rm_out),
@@ -363,6 +374,22 @@ def test_cli_fit_dump_graphs_sorted(tmp_path):
         for ln in lines[:5]:
             i, j, w = ln.split()
             assert float(w) >= 0.0
+
+
+def test_cli_dump_graphs_is_the_fitted_graph(tmp_path):
+    cfg = _write_benchmark_config(
+        tmp_path / "cfg.txt", extra=["split.unlabeled_fraction=0.3"]
+    )
+    out = tmp_path / "semi"
+    assert cli_main(["fit", "--config", cfg, "--out", str(out),
+                     "--dump-graphs", "--include-unlabeled-in-graph"]) == 0
+    split = prepare_data(load_config(cfg)).split
+    n_fit = len(split.train_indices) + len(split.unlabeled_indices)
+    assert len(split.unlabeled_indices) > 0
+    for name, n in (("graph_wa.txt", n_fit), ("graph_wf.txt", 2 * n_fit)):
+        lines = (out / name).read_text().strip().split("\n")
+        rows = {int(ln.split()[0]) for ln in lines}
+        assert rows == set(range(n))
 
 
 def test_cli_include_unlabeled_flag(tmp_path):

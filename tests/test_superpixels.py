@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from progsub import (FeatureMatrix, InputError, segment_count, slic_segment,
-                     stream_labels, superpixel_stream)
+                     superpixel_stream)
 from progsub.superpixels import Segmentation
 
 
@@ -128,15 +128,6 @@ def test_stream_preserves_global_mean():
     out = superpixel_stream(cube, ids)
     assert np.allclose(out.values.mean(axis=1), cube.values.mean(axis=1),
                        atol=1e-12)
-
-
-def test_stream_labels_identity():
-    labels = [1, 0, 2, 2]
-    assert stream_labels(labels, np.array([0, 0, 1, 1])) == labels
-    assert stream_labels([0, 0], np.array([0, 1])) == [0, 0]
-    rng = np.random.default_rng(25)
-    rand = [int(v) for v in rng.integers(0, 4, size=20)]
-    assert stream_labels(rand, rng.integers(0, 5, size=20)) == rand
 
 
 def test_segmentation_requires_contiguous_ids():

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from progsub import (AdmmConfig, FeatureMatrix, HyperParams, InputError,
-                     SampleSplit, one_hot_encode, two_stream_concat)
-from progsub.types import PIXEL, SUPERPIXEL_STREAM, TWO_STREAM
+                     SampleSplit, one_hot_encode)
 
 
 def test_one_hot_single_label():
@@ -39,44 +38,6 @@ def test_one_hot_column_sums_property(labels):
     enc = one_hot_encode(labels, 6)
     assert np.all(enc.values.sum(axis=0) == 1.0)
     assert set(np.unique(enc.values)) <= {0.0, 1.0}
-
-
-def test_two_stream_concat_blocks():
-    x = FeatureMatrix(np.zeros((2, 3)), PIXEL)
-    xsp = FeatureMatrix(np.ones((2, 3)), SUPERPIXEL_STREAM)
-    both = two_stream_concat(x, xsp)
-    assert both.kind == TWO_STREAM
-    assert both.values.shape == (2, 6)
-    assert np.all(both.values[:, :3] == 0.0)
-    assert np.all(both.values[:, 3:] == 1.0)
-
-
-def test_two_stream_duplication_case():
-    vals = np.arange(6.0).reshape(2, 3)
-    both = two_stream_concat(
-        FeatureMatrix(vals, PIXEL), FeatureMatrix(vals, SUPERPIXEL_STREAM)
-    )
-    for i in range(3):
-        assert np.array_equal(both.values[:, i], both.values[:, 3 + i])
-
-
-def test_two_stream_round_trip_slicing():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((5, 8))
-    b = rng.standard_normal((5, 8))
-    both = two_stream_concat(
-        FeatureMatrix(a, PIXEL), FeatureMatrix(b, SUPERPIXEL_STREAM)
-    )
-    assert np.array_equal(both.pixel_block().values, a)
-    assert np.array_equal(both.stream_block().values, b)
-
-
-def test_two_stream_shape_mismatch():
-    with pytest.raises(InputError, match="mismatch"):
-        two_stream_concat(
-            FeatureMatrix(np.zeros((2, 3)), PIXEL),
-            FeatureMatrix(np.zeros((2, 4)), SUPERPIXEL_STREAM),
-        )
 
 
 def test_feature_matrix_rejects_nonfinite():
