@@ -13,8 +13,7 @@ from .graphs import (GraphBundle, alignment_graph, assemble_fused,
 from .metrics import (ConfusionMatrix, MetricsReport, compute_metrics,
                       confusion, nn_classify)
 from .model import (FitReport, ProjectionStack, finetune_projection,
-                    fit_readout, fit_stack, layer_objective, objective_value,
-                    transform)
+                    fit_readout, fit_stack, objective_value, transform)
 from .pretrain import (AdmmState, PretrainReport, pretrain_layer, prox_nonneg,
                        prox_unit_ball, update_decoder, update_duals,
                        update_features, update_features_supervised,
@@ -35,7 +34,7 @@ __all__ = [
     "SampleSplit", "Segmentation", "SyntheticSpec", "alignment_graph",
     "assemble_fused", "compute_metrics", "confusion", "finetune_projection",
     "fit_readout", "fit_stack", "generate_synthetic", "knn_heat_graph",
-    "laplacian", "layer_objective", "lpp_fit", "nn_classify",
+    "laplacian", "lpp_fit", "nn_classify",
     "objective_value", "one_hot_encode", "pca_fit", "pretrain_layer",
     "prox_nonneg", "prox_unit_ball", "segment_count", "slic_segment",
     "superpixel_stream", "transform",

@@ -12,8 +12,8 @@ import sys
 from . import formats
 from .errors import FormatError, InputError, NumericalError, PipelineError
 from .harness import (class_map_ppm, layer_sweep, grid_search_cv, load_config,
-                      metrics_csv, prepare_data, run_experiment,
-                      score_embedding, write_files)
+                      load_data, metrics_csv, prepare_data, run_experiment,
+                      score_embedding, segment_data, write_files)
 from .model import transform as stack_transform
 
 
@@ -98,12 +98,13 @@ def _cmd_generate(args):
 def _cmd_segment(args):
     config = _load(args)
     out = _require_out(args, "segment")
-    data = prepare_data(config, need_split=False)
+    data = load_data(config)
+    seg = segment_data(config, data)
     path = os.path.join(out, "segments.txt")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for v in data.seg.labels:
+        for v in seg.labels:
             fh.write(f"{int(v)}\n")
-    print(f"segment: {data.seg.n_segments} segments over "
+    print(f"segment: {seg.n_segments} segments over "
           f"{data.width}x{data.height} pixels -> {path}")
     return 0
 
@@ -122,7 +123,7 @@ def _cmd_transform(args):
     config = _load(args)
     out = _require_out(args, "transform")
     stack = formats.load_model(args.model)
-    data = prepare_data(config, need_split=False)
+    data = load_data(config)
     embedded = stack_transform(stack, data.cube)
     formats.save_cube(os.path.join(out, "embedded.json"),
                       os.path.join(out, "embedded.raw"),
@@ -171,7 +172,7 @@ def _cmd_sweep_layers(args):
 def _cmd_render_map(args):
     config = _load(args)
     out = _require_out(args, "render-map")
-    data = prepare_data(config, need_split=False)
+    data = load_data(config)
     preds = formats.load_labels(args.predictions, data.width * data.height)
     palette = formats.default_palette(max(max(preds), data.n_classes, 1))
     path = os.path.join(out, "map.ppm")

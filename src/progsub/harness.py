@@ -189,6 +189,14 @@ class ExperimentConfig:
         include = include_unlabeled if include_unlabeled is not None else _get(
             mapping, "run.include_unlabeled", _bool, False
         )
+        per_class = _get(mapping, "split.train_per_class", int, 10)
+        if per_class < 1:
+            raise InputError(f"config key split.train_per_class={per_class} "
+                             "must be >= 1")
+        hidden = _get(mapping, "split.unlabeled_fraction", float, 0.0)
+        if not 0.0 <= hidden <= 1.0:
+            raise InputError(f"config key split.unlabeled_fraction={hidden} "
+                             "must be in [0, 1]")
         return cls(
             raw=mapping,
             method=method,
@@ -198,10 +206,8 @@ class ExperimentConfig:
             cube_header=mapping.get("data.cube_header"),
             cube_payload=mapping.get("data.cube_payload"),
             labels_path=mapping.get("data.labels"),
-            train_per_class=_get(mapping, "split.train_per_class", int, 10),
-            unlabeled_fraction=_get(
-                mapping, "split.unlabeled_fraction", float, 0.0
-            ),
+            train_per_class=per_class,
+            unlabeled_fraction=hidden,
             include_unlabeled=include,
             hyper=hyper,
             admm=admm,
@@ -263,14 +269,13 @@ class PreparedData:
     width: int
     height: int
     n_classes: int
-    seg: object
-    stream: FeatureMatrix
-    split: SampleSplit
-    scale: float
+    seg: object = None        # the rest is set by prepare_data
+    stream: FeatureMatrix = None
+    split: SampleSplit = None
 
 
-def prepare_data(config, need_split=True):
-    """Load or generate the cube, normalize it, segment it, split it."""
+def load_data(config):
+    """The load stage alone: load or generate the cube and normalize it."""
     with _stage("load"):
         if config.cube_header is not None:
             cube, width, height = formats.load_cube(
@@ -288,26 +293,33 @@ def prepare_data(config, need_split=True):
         if scale == 0.0:
             scale = 1.0
         cube = FeatureMatrix(cube.values / scale, cube.kind)
+    return PreparedData(cube=cube, labels=labels, width=width, height=height,
+                        n_classes=n_classes)
 
+
+def segment_data(config, data):
+    """The segment stage: SLIC superpixels of the loaded cube."""
     with _stage("segment"):
-        n_segments = segment_count(width * height,
+        n_segments = segment_count(data.width * data.height,
                                    config.hyper.superpixel_fraction)
-        seg = slic_segment(cube, width, height, n_segments,
-                           compactness=config.slic_compactness,
-                           max_iters=config.slic_iters)
+        return slic_segment(data.cube, data.width, data.height, n_segments,
+                            compactness=config.slic_compactness,
+                            max_iters=config.slic_iters)
+
+
+def prepare_data(config):
+    """Load or generate the cube, normalize it, segment it, split it."""
+    data = load_data(config)
+    data.seg = segment_data(config, data)
 
     with _stage("stream"):
-        stream = superpixel_stream(cube, seg)
+        data.stream = superpixel_stream(data.cube, data.seg)
 
-    split = None
-    if need_split:
-        with _stage("split"):
-            rng = np.random.default_rng(config.seed)
-            split = make_split(labels, config.train_per_class,
-                               config.unlabeled_fraction, rng)
-    return PreparedData(cube=cube, labels=labels, width=width, height=height,
-                        n_classes=n_classes, seg=seg, stream=stream,
-                        split=split, scale=scale)
+    with _stage("split"):
+        rng = np.random.default_rng(config.seed)
+        data.split = make_split(data.labels, config.train_per_class,
+                                config.unlabeled_fraction, rng)
+    return data
 
 
 def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
@@ -526,9 +538,7 @@ def grid_search_cv(config):
     are (cell dict, mean OA). Ties keep the lexicographically-first cell in
     enumeration order.
     """
-    grid = {k: v for k, v in config.grid.items()}
-    if not grid:
-        grid = dict(DEFAULT_GRID)
+    grid = dict(config.grid or DEFAULT_GRID)
     for key in grid:
         if key not in _GRID_FIELDS:
             raise InputError(f"unknown grid parameter {key!r}; have {_GRID_FIELDS}")
@@ -541,6 +551,8 @@ def grid_search_cv(config):
         raise InputError("every grid parameter needs at least one candidate")
     cells = [dict(zip(names, combo))
              for combo in itertools.product(*candidates)]
+    if config.grid_budget is not None and config.grid_budget < 1:
+        raise InputError(f"grid budget must be >= 1, got {config.grid_budget}")
     if config.grid_budget is not None and config.grid_budget < len(cells):
         take = np.unique(
             np.round(np.linspace(0, len(cells) - 1, config.grid_budget))

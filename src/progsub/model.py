@@ -90,13 +90,6 @@ def transform(stack, x_new):
     return FeatureMatrix(out, kind)
 
 
-def _graph_gram(x, lf, beta):
-    """X L X' when the graph term is active, else None."""
-    if beta == 0.0 or lf is None:
-        return None
-    return compute_graph_gram(x, lf)
-
-
 def objective_value(stack, xt, yt, lf, hp, labeled_cols=None):
     """Full training objective at the current stack (readout required)."""
     if stack.readout is None:
@@ -105,9 +98,9 @@ def objective_value(stack, xt, yt, lf, hp, labeled_cols=None):
     graph = 0.0
     cur = matrix_values(xt)
     for proj in stack.projections:
-        layer_recon, layer_graph, cur = layer_terms(
-            proj, cur, _graph_gram(cur, lf, hp.beta)
-        )
+        gram = None if hp.beta == 0.0 or lf is None else compute_graph_gram(
+            cur, lf)
+        layer_recon, layer_graph, cur = layer_terms(proj, cur, gram)
         recon += layer_recon
         graph += layer_graph
     predict = prediction_term(
@@ -134,16 +127,6 @@ def fit_readout(projections, xt, yt, alpha, gamma, labeled_cols=None):
     return solve_spd(lhs, rhs.T).T
 
 
-def layer_objective(proj, x_prev, readout_chain, yt, lf, alpha, beta,
-                    labeled_cols=None):
-    """One layer's fine-tuning objective with other layers held fixed."""
-    x = matrix_values(x_prev)
-    supervision = (readout_chain, np.asarray(yt, dtype=np.float64), alpha,
-                   labeled_cols)
-    return reconstruction_objective(proj, x, _graph_gram(x, lf, beta), beta,
-                                    supervision)
-
-
 def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
                         labeled_cols=None, x_prev=None):
     """Re-solve one layer's projection with every other layer fixed.
@@ -152,8 +135,9 @@ def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
     into the features update and the graph weight set to beta. The candidate
     is accepted only if it does not raise the layer objective (the solver is
     a fixed-point method, not a descent method, so a restarted run can land
-    on a slightly worse stationary point); otherwise the entry projection is
-    kept. `layer` is 1-based. Returns (projection, report).
+    on a slightly worse stationary point); otherwise the entry projection
+    object itself is returned. `layer` is 1-based. Returns (projection,
+    report).
     """
     cfg = cfg if cfg is not None else AdmmConfig()
     idx = layer - 1
@@ -161,23 +145,23 @@ def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
         raise InputError(f"layer must be in 1..{stack.depth}, got {layer}")
     if stack.readout is None:
         raise InputError("fine-tuning needs a fitted readout")
-    x = matrix_values(xt)
     if x_prev is None:
-        x_prev = chain_apply(stack.projections[:idx], x)
+        x_prev = chain_apply(stack.projections[:idx], matrix_values(xt))
+    x_prev = matrix_values(x_prev)
     readout_chain = stack.readout
     for j in range(stack.depth - 1, idx, -1):
         readout_chain = readout_chain @ stack.projections[j]
-    y = np.asarray(yt, dtype=np.float64)
+    supervision = (readout_chain, np.asarray(yt, dtype=np.float64), hp.alpha,
+                   labeled_cols)
+    gram = None if hp.beta == 0.0 or lf is None else compute_graph_gram(
+        x_prev, lf)
     entry = stack.projections[idx]
-    candidate, report = run_admm(
-        x_prev, lf, entry, hp.beta, cfg,
-        supervision=(readout_chain, y, hp.alpha, labeled_cols),
-    )
-    entry_val = layer_objective(entry, x_prev, readout_chain, y, lf,
-                                hp.alpha, hp.beta, labeled_cols)
-    cand_val = layer_objective(candidate, x_prev, readout_chain, y, lf,
-                               hp.alpha, hp.beta, labeled_cols)
-    if cand_val > entry_val:
+    candidate, report = run_admm(x_prev, gram, entry, hp.beta, cfg,
+                                 supervision=supervision)
+    # the last traced objective is the layer objective at the candidate
+    entry_val = reconstruction_objective(entry, x_prev, gram, hp.beta,
+                                         supervision)
+    if report.objective_trace[-1] > entry_val:
         return entry, report
     return candidate, report
 
@@ -192,10 +176,6 @@ class FitReport:
     pretrain_reports: list = field(repr=False, default_factory=list)
     finetune_reports: list = field(repr=False, default_factory=list)
     graphs: GraphBundle = field(repr=False, default=None)  # the fit's graphs
-
-    @property
-    def converged(self):
-        return self.termination == "converged"
 
     def convergence_csv(self):
         lines = ["outer_iter,objective"]
@@ -245,9 +225,8 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
 
     y_small = np.zeros((n_classes, n))
     lab_idx = np.flatnonzero(labeled)
-    if lab_idx.size:
-        onehot = one_hot_encode([labels[i] for i in lab_idx], n_classes)
-        y_small[:, lab_idx] = onehot.values
+    onehot = one_hot_encode([labels[i] for i in lab_idx], n_classes)
+    y_small[:, lab_idx] = onehot.values
     yt = np.hstack([y_small, y_small])
     labeled2 = np.concatenate([labeled, labeled])
     mask = None if labeled2.all() else labeled2
@@ -263,17 +242,17 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
         pretrain_reports.append(rep)
         xs.append(proj @ xs[-1])
 
-    # alternating fine-tuning
-    readout = fit_readout(projections, xt, yt, hp.alpha, hp.gamma, mask)
-    stack = ProjectionStack(tuple(projections), readout)
-    trace = [objective_value(stack, xt, yt, lf, hp, mask)]
+    # alternating fine-tuning; trace[0] is the objective at the pre-trained
+    # projections, which is where the first sweep starts
+    trace = []
     finetune_reports = []
     termination = "max_outer_iters"
-    outer = 0
     for outer in range(1, hp.max_outer_iters + 1):
         readout = fit_readout(projections, xt, yt, hp.alpha, hp.gamma, mask)
         stack = ProjectionStack(tuple(projections), readout)
         current = objective_value(stack, xt, yt, lf, hp, mask)
+        if not trace:
+            trace.append(current)
         sweep_reports = []
         for l in range(1, hp.layers + 1):
             proj, rep = finetune_projection(
@@ -281,6 +260,8 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
                 x_prev=xs[l - 1],
             )
             sweep_reports.append(rep)
+            if proj is stack.projections[l - 1]:
+                continue  # step rejected: the stack is unchanged
             trial = projections[:l - 1] + [proj] + projections[l:]
             trial_stack = ProjectionStack(tuple(trial), readout)
             candidate = objective_value(trial_stack, xt, yt, lf, hp, mask)
@@ -292,12 +273,11 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
                 for j in range(l, hp.layers + 1):
                     xs[j] = projections[j - 1] @ xs[j - 1]
         finetune_reports.append(sweep_reports)
-        obj = current
-        if not np.isfinite(obj):
+        if not np.isfinite(current):
             raise NumericalError(f"non-finite objective at outer iteration {outer}")
-        trace.append(obj)
+        trace.append(current)
         prev = trace[-2]
-        if prev == 0.0 or abs(obj - prev) / abs(prev) < hp.zeta:
+        if prev == 0.0 or abs(current - prev) / abs(prev) < hp.zeta:
             termination = "converged"
             break
 

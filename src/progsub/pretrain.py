@@ -260,24 +260,28 @@ def reconstruction_objective(proj, x, graph_gram, graph_weight,
     return value
 
 
-def run_admm(x, lap, proj0, graph_weight, cfg, supervision=None):
+def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
     """Shared ADMM engine; returns (projection, PretrainReport).
 
-    `supervision=(readout_chain, y, alpha, labeled_cols)` adds the prediction
-    term alpha/2 ||Y - R T X||^2 over the labeled columns (boolean mask, or
-    None for all) to the features update and the traced objective; the
-    fine-tuning phase passes it, pre-training does not.
+    `graph_gram` is the layer's X L X' (d_in x d_in), or None for no graph
+    term. `supervision=(readout_chain, y, alpha, labeled_cols)` adds the
+    prediction term alpha/2 ||Y - R T X||^2 over the labeled columns
+    (boolean mask, or None for all) to the features update and the traced
+    objective; the fine-tuning phase passes it, pre-training does not.
     """
     x = matrix_values(x)
-    if proj0.shape[1] != x.shape[0]:
+    d_in = x.shape[0]
+    if proj0.shape[1] != d_in:
         raise InputError(
             f"initial projection expects {proj0.shape[1]} input rows, data "
-            f"has {x.shape[0]}"
+            f"has {d_in}"
         )
+    if graph_gram is None:
+        graph_gram = np.zeros((d_in, d_in))
+    if np.shape(graph_gram) != (d_in, d_in):
+        raise InputError(f"graph Gram matrix has shape {np.shape(graph_gram)}"
+                         f", expected {(d_in, d_in)}")
     data_gram = x @ x.T
-    graph_gram = compute_graph_gram(x, lap) if lap is not None else np.zeros(
-        (x.shape[0], x.shape[0])
-    )
     state = AdmmState.initial(proj0, x, cfg.mu0)
 
     trace = []
@@ -288,7 +292,7 @@ def run_admm(x, lap, proj0, graph_weight, cfg, supervision=None):
         mu_used = state.penalty
         try:
             state.proj = update_projection(
-                state, x, lap, graph_weight, data_gram=data_gram,
+                state, x, None, graph_weight, data_gram=data_gram,
                 graph_gram=graph_gram,
             )
             if supervision is None:
@@ -344,5 +348,7 @@ def pretrain_layer(x, lap, proj0, eta, cfg=None):
     the initial projection (d_out x d_in).
     """
     cfg = cfg if cfg is not None else AdmmConfig()
-    return run_admm(x, lap, np.asarray(proj0, dtype=np.float64), float(eta),
-                    cfg)
+    x = matrix_values(x)
+    graph_gram = None if lap is None else compute_graph_gram(x, lap)
+    return run_admm(x, graph_gram, np.asarray(proj0, dtype=np.float64),
+                    float(eta), cfg)

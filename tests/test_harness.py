@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import progsub.harness
 from bench_utils import benchmark_config, small_hyper
 from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
@@ -41,6 +42,19 @@ def test_config_rejects_unknown_preset_and_method():
         ExperimentConfig.from_mapping({"preset": "nope"})
     with pytest.raises(InputError, match="method"):
         ExperimentConfig.from_mapping({"method": "svm"})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("split.train_per_class", "-3"),
+    ("split.train_per_class", "0"),
+    ("split.unlabeled_fraction", "-0.5"),
+    ("split.unlabeled_fraction", "1.5"),
+    ("split.unlabeled_fraction", "nan"),
+])
+def test_config_rejects_out_of_range_split_settings(key, value):
+    with pytest.raises(InputError, match=key.replace(".", r"\.")):
+        ExperimentConfig.from_mapping({"preset": "synth-benchmark",
+                                       key: value})
 
 
 def test_config_eta_defaults_to_beta():
@@ -231,6 +245,19 @@ def test_grid_budget_caps_cells():
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("extra,flags", [
+    ([], ["--grid-budget", "0"]),
+    ([], ["--grid-budget", "-1"]),
+    (["grid.budget=0"], []),
+])
+def test_cli_grid_budget_below_one_is_stage_tagged(tmp_path, capsys, extra,
+                                                   flags):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="pca",
+                                  extra=["grid.dims=2,4"] + extra)
+    assert cli_main(["grid", "--config", cfg] + flags) == 1
+    assert capsys.readouterr().err.startswith("error[grid]: grid budget")
+
+
 def test_grid_explicitly_empty_candidates_rejected():
     cfg = benchmark_config(seed=7, method="pca", **{"grid.dims": ""})
     with pytest.raises(InputError, match="candidates"):
@@ -337,6 +364,26 @@ def test_cli_fit_transform_evaluate_render(tmp_path):
     assert cli_main(["render-map", "--config", cfg, "--out", str(rm_out),
                      "--predictions", str(fit_out / "predictions.txt")]) == 0
     assert (rm_out / "map.ppm").read_bytes().startswith(b"P6\n16 16\n255\n")
+
+
+def test_cli_transform_and_render_map_do_not_segment(tmp_path,
+                                                     monkeypatch):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt")
+    fit_out = tmp_path / "fit"
+    assert cli_main(["fit", "--config", cfg, "--out", str(fit_out)]) == 0
+
+    def no_slic(*args, **kwargs):
+        raise AssertionError("SLIC ran")
+
+    monkeypatch.setattr(progsub.harness, "slic_segment", no_slic)
+    assert cli_main(["transform", "--config", cfg, "--out",
+                     str(tmp_path / "tr"),
+                     "--model", str(fit_out / "model.bin")]) == 0
+    assert cli_main(["render-map", "--config", cfg, "--out",
+                     str(tmp_path / "rm"), "--predictions",
+                     str(fit_out / "predictions.txt")]) == 0
+    assert (tmp_path / "rm" / "map.ppm").read_bytes() == (
+        fit_out / "map.ppm").read_bytes()
 
 
 def test_cli_grid_and_sweep(tmp_path):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import progsub.model
+import progsub.pretrain
 from bench_utils import fast_admm, small_hyper, two_gaussians_fixture
 from oracle_utils import frob_rel_err, quadratic_minimizer, random_laplacian
 from progsub import (FeatureMatrix, InputError, ProjectionStack,
                      finetune_projection, fit_readout, fit_stack,
-                     layer_objective, objective_value, pretrain_layer,
-                     transform, update_features, update_features_supervised)
+                     objective_value, pretrain_layer, transform,
+                     update_features, update_features_supervised)
+from progsub.graphs import compute_graph_gram
+from progsub.pretrain import reconstruction_objective
 from test_pretrain import inner, random_state, sq
 
 
@@ -176,17 +180,47 @@ def _fitted_single_layer(seed=10):
     return proj, xt, yt, lf
 
 
+def _layer_objective(proj, x_prev, readout_chain, yt, lf, hp):
+    """One layer's fine-tuning objective with the other layers held fixed."""
+    return reconstruction_objective(proj, x_prev,
+                                    compute_graph_gram(x_prev, lf), hp.beta,
+                                    (readout_chain, yt, hp.alpha, None))
+
+
 def test_finetune_single_layer_objective_decreases():
     proj, xt, yt, lf = _fitted_single_layer()
     hp = small_hyper(m=1, d=3)
     readout = fit_readout([proj], xt, yt, hp.alpha, hp.gamma)
     stack = ProjectionStack((proj,), readout)
-    entry = layer_objective(proj, xt, readout, yt, lf, hp.alpha, hp.beta)
+    entry = _layer_objective(proj, xt, readout, yt, lf, hp)
     new_proj, report = finetune_projection(1, stack, xt, yt, lf, hp,
                                            fast_admm())
-    exit_val = layer_objective(new_proj, xt, readout, yt, lf, hp.alpha,
-                               hp.beta)
+    exit_val = _layer_objective(new_proj, xt, readout, yt, lf, hp)
     assert exit_val <= entry + 1e-10 * abs(entry)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_finetune_builds_graph_gram_once(monkeypatch):
+    proj, xt, yt, lf = _fitted_single_layer()
+    hp = small_hyper(m=1, d=3)
+    stack = ProjectionStack((proj,), fit_readout([proj], xt, yt, hp.alpha,
+                                                 hp.gamma))
+    calls = _counting(monkeypatch, progsub.model, "compute_graph_gram")
+    calls += _counting(monkeypatch, progsub.pretrain, "compute_graph_gram")
+    finetune_projection(1, stack, xt, yt, lf, hp, fast_admm())
+    assert len(calls) == 1
 
 
 def test_finetune_alpha_zero_reproduces_pretrain_path():
@@ -220,9 +254,9 @@ def test_finetune_middle_layer_objective_decreases():
     readout = fit_readout([t1, t2], xt, yt, hp.alpha, hp.gamma)
     stack = ProjectionStack((t1, t2), readout)
     chain = readout @ t2
-    entry = layer_objective(t1, xt, chain, yt, lf, hp.alpha, hp.beta)
+    entry = _layer_objective(t1, xt, chain, yt, lf, hp)
     new_t1, _ = finetune_projection(1, stack, xt, yt, lf, hp, cfg)
-    exit_val = layer_objective(new_t1, xt, chain, yt, lf, hp.alpha, hp.beta)
+    exit_val = _layer_objective(new_t1, xt, chain, yt, lf, hp)
     assert exit_val <= entry + 1e-10 * abs(entry)
 
 
@@ -297,6 +331,13 @@ def test_fit_stack_transform_consistency():
     for proj in stack.projections:
         full = proj @ full
     assert np.allclose(train_cols, full[:, : x.shape[1]], atol=1e-12, rtol=0)
+
+
+def test_fit_stack_fits_readout_once_per_sweep(monkeypatch):
+    calls = _counting(monkeypatch, progsub.model, "fit_readout")
+    (_, report), *_ = _fit_fixture(m=2)
+    assert report.outer_iterations >= 2
+    assert len(calls) == report.outer_iterations
 
 
 def test_fit_stack_deterministic():

@@ -6,10 +6,10 @@ from hypothesis.extra.numpy import arrays
 from oracle_utils import (ball_quadratic_minimizer, fd_gradient_norm,
                           frob_rel_err, nonneg_quadratic_minimizer,
                           quadratic_minimizer, random_laplacian)
-from progsub import (AdmmConfig, AdmmState, NumericalError, pretrain_layer,
-                     prox_nonneg, prox_unit_ball, update_decoder,
-                     update_duals, update_features, update_nonneg,
-                     update_normed, update_projection)
+from progsub import (AdmmConfig, AdmmState, InputError, NumericalError,
+                     pretrain_layer, prox_nonneg, prox_unit_ball,
+                     update_decoder, update_duals, update_features,
+                     update_nonneg, update_normed, update_projection)
 from progsub.pretrain import run_admm
 
 
@@ -388,5 +388,13 @@ def test_run_admm_raises_on_nonfinite():
     x = rng.standard_normal((3, 8)) * 1e200
     with np.errstate(all="ignore"), pytest.raises(NumericalError,
                                                   match="iteration"):
-        run_admm(x, np.zeros((8, 8)), rng.standard_normal((2, 3)) * 1e200,
-                 0.0, AdmmConfig(max_iters=5))
+        run_admm(x, None, rng.standard_normal((2, 3)) * 1e200, 0.0,
+                 AdmmConfig(max_iters=5))
+
+
+def test_run_admm_rejects_graph_gram_of_wrong_shape():
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((3, 8))
+    with pytest.raises(InputError, match="Gram"):
+        run_admm(x, np.zeros((8, 8)), rng.standard_normal((2, 3)), 0.1,
+                 AdmmConfig(max_iters=5))

@@ -1,0 +1,22 @@
+"""The benchmark tracer wraps progsub functions at named module attributes;
+a refactor that renames or moves one of them must fail here, not only in
+the benchmark's own self-test."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+
+
+def test_every_trace_wrap_point_is_a_callable_attribute(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert spans.WRAP_POINTS
+    for module_name, attr, _hook in spans.WRAP_POINTS:
+        module = importlib.import_module(f"progsub.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
