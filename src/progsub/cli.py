@@ -12,8 +12,8 @@ import sys
 from . import formats
 from .errors import FormatError, InputError, NumericalError, PipelineError
 from .harness import (class_map_ppm, layer_sweep, grid_search_cv, load_config,
-                      load_data, metrics_csv, prepare_data, run_experiment,
-                      score_embedding, segment_data, write_files)
+                      load_data, metrics_csv, run_experiment, score_embedding,
+                      segment_data, split_data, write_files)
 from .model import transform as stack_transform
 
 
@@ -101,9 +101,7 @@ def _cmd_segment(args):
     data = load_data(config)
     seg = segment_data(config, data)
     path = os.path.join(out, "segments.txt")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for v in seg.labels:
-            fh.write(f"{int(v)}\n")
+    formats.save_labels(path, seg.labels)
     print(f"segment: {seg.n_segments} segments over "
           f"{data.width}x{data.height} pixels -> {path}")
     return 0
@@ -136,7 +134,8 @@ def _cmd_evaluate(args):
     config = _load(args)
     out = _require_out(args, "evaluate")
     stack = formats.load_model(args.model)
-    data = prepare_data(config)
+    data = load_data(config)
+    data.split = split_data(config, data)
     metrics, preds_all = score_embedding(
         data, lambda v: stack_transform(stack, v).values)
     write_files(out, {"metrics.csv": metrics_csv(metrics),

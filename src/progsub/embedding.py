@@ -75,22 +75,20 @@ def lpp_fit(x, lap, deg, d_out):
     Rows a solve the generalized eigenproblem
         (X L X^T) a = lambda (X D X^T) a
     for the d_out smallest eigenvalues, with a small ridge added to X D X^T
-    for invertibility. `deg` may be a 1-D degree vector or a diagonal matrix.
+    for invertibility. `deg` is the 1-D degree vector of the graph.
     """
     values = matrix_values(x)
     d, n = values.shape
     lap = sp.csr_matrix(lap)
     if lap.shape != (n, n):
         raise InputError(f"Laplacian has shape {lap.shape}, expected {(n, n)}")
-    if sp.issparse(deg):
-        degrees = np.asarray(deg.diagonal()).ravel()
-    else:
-        deg = np.asarray(deg, dtype=np.float64)
-        degrees = np.diag(deg) if deg.ndim == 2 else deg.ravel()
-    if degrees.size != n:
-        raise InputError(f"degree vector has length {degrees.size}, expected {n}")
+    degrees = np.asarray(deg, dtype=np.float64)
+    if degrees.shape != (n,):
+        raise InputError(
+            f"degree vector has shape {degrees.shape}, expected {(n,)}"
+        )
     if np.any(degrees <= 0):
-        raise InputError("degree matrix must be positive on the diagonal")
+        raise InputError("every degree must be positive")
 
     rank = np.linalg.matrix_rank(values)
     if d_out > rank:

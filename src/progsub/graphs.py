@@ -53,10 +53,8 @@ def alignment_graph(segment_ids):
     """Binary graph linking every pair of pixels that share a segment.
 
     Uses per-pixel stream indexing: entry (i, j) is 1 iff pixel i and pixel j
-    belong to the same segment, including i == j. Accepts a Segmentation or
-    a per-pixel id array.
+    belong to the same segment, including i == j.
     """
-    segment_ids = getattr(segment_ids, "labels", segment_ids)
     ids = np.asarray(segment_ids, dtype=np.int64).ravel()
     if ids.size == 0:
         raise InputError("segment id list is empty")

@@ -7,6 +7,7 @@ CSV, class-map PPM, model file). The same config and seed reproduce every
 output byte with the same numpy, scipy and BLAS builds and BLAS thread count.
 """
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass, field, replace
@@ -76,12 +77,14 @@ def parse_config_text(text):
 
 
 def _get(mapping, key, cast, default):
+    """Pop `key` from the settings not yet read and cast its value."""
     if key not in mapping:
         return default
+    text = mapping.pop(key)
     try:
-        return cast(mapping[key])
+        return cast(text)
     except ValueError as exc:
-        raise InputError(f"config key {key}={mapping[key]!r}: {exc}") from exc
+        raise InputError(f"config key {key}={text!r}: {exc}") from exc
 
 
 def _bool(text):
@@ -135,10 +138,12 @@ class ExperimentConfig:
             merged.update(mapping)
             mapping = merged
 
-        method = mapping.get("method", "progsub")
+        raw = dict(mapping)  # every key left in mapping is one nothing read
+        method = _get(mapping, "method", str, "progsub")
         if method not in METHODS:
             raise InputError(f"unknown method {method!r}; have {METHODS}")
-        eff_seed = seed if seed is not None else _get(mapping, "seed", int, 0)
+        file_seed = _get(mapping, "seed", int, 0)
+        eff_seed = seed if seed is not None else file_seed
 
         synthetic = None
         if any(k.startswith("synthetic.") for k in mapping):
@@ -180,15 +185,12 @@ class ExperimentConfig:
             eps=_get(mapping, "admm.eps", float, 1e-6),
             max_iters=_get(mapping, "admm.max_iters", int, 500),
         )
-        grid = {
-            key.split(".", 1)[1]: value
-            for key, value in mapping.items()
-            if key.startswith("grid.") and key != "grid.budget"
-            and key != "grid.folds"
-        }
-        include = include_unlabeled if include_unlabeled is not None else _get(
-            mapping, "run.include_unlabeled", _bool, False
-        )
+        file_budget = _get(mapping, "grid.budget", int, None)
+        grid_folds = _get(mapping, "grid.folds", int, 10)
+        # grid_search_cv checks the parameter names of the remaining grid.*
+        grid = {key.split(".", 1)[1]: mapping.pop(key)
+                for key in list(mapping) if key.startswith("grid.")}
+        file_include = _get(mapping, "run.include_unlabeled", _bool, False)
         per_class = _get(mapping, "split.train_per_class", int, 10)
         if per_class < 1:
             raise InputError(f"config key split.train_per_class={per_class} "
@@ -197,29 +199,34 @@ class ExperimentConfig:
         if not 0.0 <= hidden <= 1.0:
             raise InputError(f"config key split.unlabeled_fraction={hidden} "
                              "must be in [0, 1]")
-        return cls(
-            raw=mapping,
+        file_out = _get(mapping, "out", str, None)
+        config = cls(
+            raw=raw,
             method=method,
             seed=eff_seed,
-            out_dir=out_dir if out_dir is not None else mapping.get("out"),
+            out_dir=out_dir if out_dir is not None else file_out,
             synthetic=synthetic,
-            cube_header=mapping.get("data.cube_header"),
-            cube_payload=mapping.get("data.cube_payload"),
-            labels_path=mapping.get("data.labels"),
+            cube_header=_get(mapping, "data.cube_header", str, None),
+            cube_payload=_get(mapping, "data.cube_payload", str, None),
+            labels_path=_get(mapping, "data.labels", str, None),
             train_per_class=per_class,
             unlabeled_fraction=hidden,
-            include_unlabeled=include,
+            include_unlabeled=(include_unlabeled if include_unlabeled
+                               is not None else file_include),
             hyper=hyper,
             admm=admm,
             slic_compactness=_get(mapping, "slic.compactness", float, 10.0),
             slic_iters=_get(mapping, "slic.iters", int, 10),
             grid=grid,
-            grid_budget=grid_budget if grid_budget is not None else _get(
-                mapping, "grid.budget", int, None
-            ),
-            grid_folds=_get(mapping, "grid.folds", int, 10),
+            grid_budget=grid_budget if grid_budget is not None else file_budget,
+            grid_folds=grid_folds,
             sweep_layers=_get(mapping, "sweep.layers", _int_list, [1, 2, 3]),
         )
+        if mapping:
+            raise InputError(
+                f"unknown config key(s): {', '.join(sorted(mapping))}"
+            )
+        return config
 
 
 def load_config(path, **overrides):
@@ -228,17 +235,16 @@ def load_config(path, **overrides):
                                              **overrides)
 
 
+@contextlib.contextmanager
 def _stage(name):
-    class _StageGuard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, exc) from exc
-            return False
-
-    return _StageGuard()
+    """Tag an error raised in the block with the stage name; interrupts and
+    exits pass through untouched."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def make_split(labels, train_per_class, unlabeled_fraction, rng):
@@ -307,18 +313,23 @@ def segment_data(config, data):
                             max_iters=config.slic_iters)
 
 
-def prepare_data(config):
-    """Load or generate the cube, normalize it, segment it, split it."""
-    data = load_data(config)
-    data.seg = segment_data(config, data)
-
-    with _stage("stream"):
-        data.stream = superpixel_stream(data.cube, data.seg)
-
+def split_data(config, data):
+    """The split stage: the seeded stratified split of the loaded labels."""
     with _stage("split"):
         rng = np.random.default_rng(config.seed)
-        data.split = make_split(data.labels, config.train_per_class,
-                                config.unlabeled_fraction, rng)
+        return make_split(data.labels, config.train_per_class,
+                          config.unlabeled_fraction, rng)
+
+
+def prepare_data(config):
+    """Load or generate the cube, normalize it and split it; segment it and
+    build its stream only for progsub, the one method that reads them."""
+    data = load_data(config)
+    if config.method == "progsub":
+        data.seg = segment_data(config, data)
+        with _stage("stream"):
+            data.stream = superpixel_stream(data.cube, data.seg)
+    data.split = split_data(config, data)
     return data
 
 
@@ -365,25 +376,22 @@ def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
 def score_embedding(data, embed):
     """Transform -> classify -> metrics on the data's split.
 
-    `embed` maps raw pixel columns to the learned feature space. Test pixels
-    are scored against the nearest training pixel; returns (MetricsReport,
-    predicted class of every pixel).
+    `embed` maps raw pixel columns to the learned feature space. Every pixel
+    is labeled by its nearest training pixel and the test pixels are scored;
+    returns (MetricsReport, predicted class of every pixel).
     """
     train_idx = np.asarray(data.split.train_indices, dtype=np.int64)
     test_idx = np.asarray(data.split.test_indices, dtype=np.int64)
     with _stage("transform"):
-        train_emb = embed(data.cube.values[:, train_idx])
-        test_emb = embed(data.cube.values[:, test_idx])
         all_emb = embed(data.cube.values)
 
     with _stage("classify"):
         train_labels = [data.labels[i] for i in train_idx]
-        preds_test = nn_classify(train_emb, train_labels, test_emb)
-        preds_all = nn_classify(train_emb, train_labels, all_emb)
+        preds_all = nn_classify(all_emb[:, train_idx], train_labels, all_emb)
 
     with _stage("metrics"):
         truth = [data.labels[i] for i in test_idx]
-        cm = confusion(truth, preds_test, n_classes=data.n_classes)
+        cm = confusion(truth, preds_all[test_idx], n_classes=data.n_classes)
         metrics = compute_metrics(cm)
     return metrics, preds_all
 

@@ -190,7 +190,7 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
     pixels / stream: matching (d0 x n) pixel and superpixel-stream matrices.
     labels: one integer per column; 0 marks an unlabeled column that joins
     the reconstruction and graph terms but not the prediction term.
-    seg: segmentation (or per-column segment ids) aligned with the columns.
+    seg: per-column segment ids aligned with the columns.
     """
     cfg = cfg if cfg is not None else AdmmConfig()
     x = matrix_values(pixels)
@@ -208,7 +208,7 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
         raise InputError("no labeled training samples")
     if n_classes is None:
         n_classes = max(labels)
-    ids = np.asarray(getattr(seg, "labels", seg))
+    ids = np.asarray(seg)
     if ids.size != n:
         raise InputError(
             f"{ids.size} segment ids for {n} training columns; pass ids "
@@ -225,8 +225,8 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
 
     y_small = np.zeros((n_classes, n))
     lab_idx = np.flatnonzero(labeled)
-    onehot = one_hot_encode([labels[i] for i in lab_idx], n_classes)
-    y_small[:, lab_idx] = onehot.values
+    y_small[:, lab_idx] = one_hot_encode([labels[i] for i in lab_idx],
+                                         n_classes)
     yt = np.hstack([y_small, y_small])
     labeled2 = np.concatenate([labeled, labeled])
     mask = None if labeled2.all() else labeled2

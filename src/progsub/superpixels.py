@@ -12,20 +12,19 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
+from .embedding import pca_fit
 from .errors import InputError
-from .types import SUPERPIXEL_STREAM, FeatureMatrix
+from .types import SUPERPIXEL_STREAM, FeatureMatrix, matrix_values
 
 _N_REDUCED = 3  # images with more bands are reduced to this many components
 
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Per-pixel segment ids plus per-segment center records."""
+    """Per-pixel segment ids covering 0..n_segments-1."""
 
     labels: np.ndarray
     n_segments: int
-    centers_rc: np.ndarray    # (n_segments, 2) mean (row, col) per segment
-    centers_feat: np.ndarray  # (n_segments, bands) mean spectrum per segment
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64).copy()
@@ -43,16 +42,6 @@ def segment_count(n_pixels, fraction):
     if not (0.0 < fraction <= 1.0):
         raise InputError(f"fraction must be in (0, 1], got {fraction}")
     return max(1, int(round(fraction * n_pixels)))
-
-
-def _reduced_features(values):
-    if values.shape[0] <= _N_REDUCED:
-        return values
-    centered = values - values.mean(axis=1, keepdims=True)
-    cov = (centered @ centered.T) / values.shape[1]
-    vals, vecs = np.linalg.eigh(cov)
-    basis = vecs[:, ::-1][:, :_N_REDUCED]
-    return basis.T @ centered
 
 
 def _seed_grid(width, height, n_segments):
@@ -101,7 +90,7 @@ def slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10
     with S = sqrt(n_pixels / n_segments); features are the leading principal
     components when the cube has more than three bands.
     """
-    values = cube.values if isinstance(cube, FeatureMatrix) else np.asarray(cube)
+    values = matrix_values(cube)
     n = width * height
     if values.shape[1] != n:
         raise InputError(
@@ -109,7 +98,10 @@ def slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10
         )
     if not (1 <= n_segments <= n):
         raise InputError(f"need 1 <= n_segments <= {n}, got {n_segments}")
-    feats = _reduced_features(values)
+    feats = values
+    if values.shape[0] > _N_REDUCED:
+        # component signs do not move squared distances or segment means
+        feats = pca_fit(values, min(_N_REDUCED, n)).transform(values)
     rows = np.arange(n) // width
     cols = np.arange(n) % width
     spatial_scale = (compactness ** 2) / (n / n_segments)  # compactness^2 / S^2
@@ -144,21 +136,12 @@ def slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10
     old_ids = np.unique(labels)
     remap = np.full(old_ids.max() + 1, -1, dtype=np.int64)
     remap[old_ids] = np.arange(old_ids.size)
-    labels = remap[labels]
-
-    k = old_ids.size
-    centers_rc = np.zeros((k, 2))
-    centers_feat = np.zeros((k, values.shape[0]))
-    for s in range(k):
-        members = labels == s
-        centers_rc[s] = (rows[members].mean(), cols[members].mean())
-        centers_feat[s] = values[:, members].mean(axis=1)
-    return Segmentation(labels, k, centers_rc, centers_feat)
+    return Segmentation(remap[labels], old_ids.size)
 
 
 def superpixel_stream(cube, seg):
     """Per-pixel stream: column i is the mean spectrum of pixel i's segment."""
-    values = cube.values if isinstance(cube, FeatureMatrix) else np.asarray(cube)
+    values = matrix_values(cube)
     labels = seg.labels if isinstance(seg, Segmentation) else np.asarray(seg)
     if labels.size != values.shape[1]:
         raise InputError(

@@ -59,34 +59,6 @@ class FeatureMatrix:
 
 
 @dataclass(frozen=True)
-class OneHotLabels:
-    """An L x n binary indicator matrix; every column selects exactly one class."""
-
-    values: np.ndarray
-    class_names: tuple = ()
-
-    def __post_init__(self):
-        arr = _frozen_array(self.values)
-        if arr.ndim != 2:
-            raise InputError(f"one-hot matrix must be 2-D, got shape {arr.shape}")
-        if not np.all((arr == 0.0) | (arr == 1.0)):
-            raise InputError("one-hot matrix entries must be 0 or 1")
-        sums = arr.sum(axis=0)
-        if arr.shape[1] and not np.all(sums == 1.0):
-            bad = int(np.flatnonzero(sums != 1.0)[0])
-            raise InputError(f"one-hot column {bad} sums to {sums[bad]}, expected 1")
-        names = tuple(self.class_names) or tuple(
-            f"class_{i + 1}" for i in range(arr.shape[0])
-        )
-        if len(names) != arr.shape[0]:
-            raise InputError(
-                f"got {len(names)} class names for {arr.shape[0]} classes"
-            )
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "class_names", names)
-
-
-@dataclass(frozen=True)
 class SampleSplit:
     """Disjoint train / test / unlabeled index sets over one cube."""
 
@@ -111,14 +83,6 @@ class SampleSplit:
                     )
                 seen[i] = name
             object.__setattr__(self, name, idx)
-
-    def validate_against(self, n_samples):
-        for name in ("train_indices", "test_indices", "unlabeled_indices"):
-            idx = getattr(self, name)
-            if idx and max(idx) >= n_samples:
-                raise InputError(
-                    f"{name} contains index {max(idx)} >= sample count {n_samples}"
-                )
 
 
 @dataclass(frozen=True)
@@ -203,8 +167,9 @@ class AdmmConfig:
         object.__setattr__(self, "max_iters", int(self.max_iters))
 
 
-def one_hot_encode(labels, n_classes, class_names=()):
-    """Encode integer class labels in [1..n_classes] as one-hot columns."""
+def one_hot_encode(labels, n_classes):
+    """Encode integer class labels in [1..n_classes] as an L x n one-hot
+    array."""
     labels = list(labels)
     if n_classes < 1:
         raise InputError(f"class count must be >= 1, got {n_classes}")
@@ -216,4 +181,4 @@ def one_hot_encode(labels, n_classes, class_names=()):
                 f"label {lab} at index {k} is outside the range 1..{n_classes}"
             )
         out[lab - 1, k] = 1.0
-    return OneHotLabels(out, class_names)
+    return out

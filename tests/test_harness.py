@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,12 @@ import progsub.harness
 from bench_utils import benchmark_config, small_hyper
 from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
-from progsub.harness import (DEFAULT_GRID, ExperimentConfig, _apply_cell,
-                             grid_search_cv, layer_sweep, load_config,
-                             make_split, parse_config_text, prepare_data,
-                             run_experiment)
+from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
+                             _apply_cell, _stage, grid_search_cv, layer_sweep,
+                             load_config, make_split, parse_config_text,
+                             prepare_data, run_experiment)
+
+BENCH_RUN = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
 
 
 def test_parse_config_text():
@@ -60,6 +64,31 @@ def test_config_rejects_out_of_range_split_settings(key, value):
 def test_config_eta_defaults_to_beta():
     cfg = ExperimentConfig.from_mapping({"model.beta": "0.25"})
     assert cfg.hyper.eta == 0.25
+
+
+def test_config_rejects_keys_nothing_reads():
+    with pytest.raises(InputError, match=r"model\.alpah, modle\.layers"):
+        ExperimentConfig.from_mapping({"preset": "synth-benchmark",
+                                       "model.alpah": "5",
+                                       "modle.layers": "3"})
+    # grid_search_cv, not the parser, checks grid parameter names
+    assert ExperimentConfig.from_mapping({"grid.nope": "1"}).grid == {
+        "nope": "1"}
+
+
+def test_presets_and_benchmark_workload_configs_parse(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    bench = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    data_keys = {"seed": "3", "data.cube_header": "in.hdr",
+                 "data.cube_payload": "in.bsq", "data.labels": "in.labels"}
+    assert bench.WORKLOADS
+    for workload in bench.WORKLOADS.values():
+        ExperimentConfig.from_mapping(dict(workload.config, **data_keys))
+    for preset in PRESETS:
+        ExperimentConfig.from_mapping({"preset": preset})
 
 
 def test_default_grid_mirrors_tuning_ranges():
@@ -189,6 +218,29 @@ def test_run_experiment_deterministic_bytes(tmp_path):
         a = Path(outs[0][name]).read_bytes()
         b = Path(outs[1][name]).read_bytes()
         assert a == b, f"artifact {name} differs between identical runs"
+
+
+def test_only_progsub_segments(tmp_path, monkeypatch):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt")
+    fit_out = tmp_path / "fit"
+    assert cli_main(["fit", "--config", cfg, "--out", str(fit_out)]) == 0
+
+    def no_slic(*args, **kwargs):
+        raise AssertionError("SLIC ran")
+
+    monkeypatch.setattr(progsub.harness, "slic_segment", no_slic)
+    monkeypatch.setattr(progsub.harness, "superpixel_stream", no_slic)
+    for method in ("raw", "pca", "lpp"):
+        metrics, _ = run_experiment(benchmark_config(seed=7, method=method))
+        assert 0.0 < metrics.oa <= 1.0
+    _, rows = grid_search_cv(
+        benchmark_config(seed=7, method="pca", **{"grid.dims": "2,4"}))
+    assert len(rows) == 2
+    ev_out = tmp_path / "ev"
+    assert cli_main(["evaluate", "--config", cfg, "--out", str(ev_out),
+                     "--model", str(fit_out / "model.bin")]) == 0
+    assert (ev_out / "metrics.csv").read_bytes() == (
+        fit_out / "metrics.csv").read_bytes()
 
 
 def test_run_experiment_include_unlabeled_runs(tmp_path):
@@ -406,6 +458,34 @@ def test_cli_error_is_stage_tagged(tmp_path, capsys):
     assert code != 0
     err = capsys.readouterr().err
     assert err.startswith("error[load]")
+
+
+def test_cli_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt",
+                                  extra=["model.alpah=5"])
+    assert cli_main(["fit", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[fit]: ") and "model.alpah" in err
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_stage_lets_interrupts_through(interrupt):
+    with pytest.raises(interrupt):
+        with _stage("fit"):
+            raise interrupt()
+
+
+def test_cli_ctrl_c_inside_a_stage_propagates(tmp_path, monkeypatch):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="raw")
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    # _fit_method runs inside the fit stage
+    monkeypatch.setattr(progsub.harness, "_fit_method", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli_main(["fit", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
 def test_cli_fit_dump_graphs_sorted(tmp_path):

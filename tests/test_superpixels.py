@@ -37,12 +37,15 @@ def test_two_region_image_splits_at_column_seam():
     # distance lies on its own side
     spatial_scale = (0.1 ** 2) / (64 / 2)
     rows = np.arange(64) // 8
+    members = [seg.labels == s for s in range(2)]
+    centers_rc = np.array([(rows[m].mean(), cols[m].mean()) for m in members])
+    centers_feat = np.array([values[:, m].mean(axis=1) for m in members])
     for i in range(64):
         d = []
         for s in range(2):
-            feat = (values[0, i] - seg.centers_feat[s, 0]) ** 2
-            xy = ((rows[i] - seg.centers_rc[s, 0]) ** 2
-                  + (cols[i] - seg.centers_rc[s, 1]) ** 2)
+            feat = (values[0, i] - centers_feat[s, 0]) ** 2
+            xy = ((rows[i] - centers_rc[s, 0]) ** 2
+                  + (cols[i] - centers_rc[s, 1]) ** 2)
             d.append(feat + spatial_scale * xy)
         assert int(np.argmin(d)) == seg.labels[i]
 
@@ -60,6 +63,14 @@ def test_slic_rejects_too_many_segments():
     cube = FeatureMatrix(np.zeros((1, 4)))
     with pytest.raises(InputError):
         slic_segment(cube, 2, 2, 5)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_slic_segments_cube_with_fewer_pixels_than_components(width):
+    # five bands reduce to min(3, pixel count) principal components
+    cube = FeatureMatrix(np.random.default_rng(5).random((5, width)))
+    seg = slic_segment(cube, width, 1, width)
+    assert seg.labels.tolist() == list(range(width))
 
 
 def test_slic_deterministic():
@@ -132,4 +143,4 @@ def test_stream_preserves_global_mean():
 
 def test_segmentation_requires_contiguous_ids():
     with pytest.raises(InputError):
-        Segmentation(np.array([0, 2]), 2, np.zeros((2, 2)), np.zeros((2, 1)))
+        Segmentation(np.array([0, 2]), 2)
