@@ -10,13 +10,21 @@ meant to keep behaviour must keep every digest.
 The digests hold for the same numpy, scipy and OpenBLAS builds that
 recorded them. The desk shape gave the same bytes with 1 and 2 BLAS
 threads; another BLAS build may legitimately round differently.
+
+The SLIC label digests cover shapes larger than one assignment tile: the
+40x40x100 semi-supervised benchmark cube at seeds 1-3 and the 145x145x200
+scene cube at seed 3, segmented at fraction 0.10 with the default
+compactness and iteration count.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from bench_utils import benchmark_config
+from progsub import (SyntheticSpec, generate_synthetic, segment_count,
+                     slic_segment)
 from progsub.harness import run_experiment
 
 FILES = ("predictions.txt", "metrics.csv", "convergence.csv")
@@ -99,3 +107,25 @@ def test_golden_semisupervised(tmp_path, seed):
                    **{"split.unlabeled_fraction": "0.3",
                       "run.include_unlabeled": "true"})
     assert got == SEMISUPERVISED[seed]
+
+
+SEMISUP_SHAPE = dict(width=40, height=40, bands=100, n_classes=9,
+                     separation=3.0, noise=0.4, blob_size=5)
+SCENE_SHAPE = dict(width=145, height=145, bands=200, n_classes=16,
+                   separation=1.0, noise=0.4, blob_size=12)
+SLIC_LABELS = {
+    ("semisup", 1): "fe1f88e425b745cbe1859c9a3b4f62d6bae3aba3f425d884e359f29c2dcea53c",
+    ("semisup", 2): "3c684387e27cdb214ccbdd703ad4c6c2d7b17eab44d48dc75aefd7ee6306a6ad",
+    ("semisup", 3): "21236e7b5554ff9317245030168dd791b290398a5fe381b0a8b749adb517fc85",
+    ("scene", 3): "2a1df9e9e5e6cbd55a1eb027e996905c63f140af8cf6a55a09503114115545ac",
+}
+
+
+@pytest.mark.parametrize("shape,seed", sorted(SLIC_LABELS))
+def test_golden_slic_labels(shape, seed):
+    spec = SEMISUP_SHAPE if shape == "semisup" else SCENE_SHAPE
+    cube, _, width, height = generate_synthetic(SyntheticSpec(seed=seed, **spec))
+    seg = slic_segment(cube, width, height,
+                       segment_count(width * height, 0.10))
+    labels = np.ascontiguousarray(seg.labels, dtype="<i8")
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == SLIC_LABELS[shape, seed]
