@@ -199,6 +199,14 @@ class ExperimentConfig:
         if not 0.0 <= hidden <= 1.0:
             raise InputError(f"config key split.unlabeled_fraction={hidden} "
                              "must be in [0, 1]")
+        compactness = _get(mapping, "slic.compactness", float, 10.0)
+        if not (np.isfinite(compactness) and compactness >= 0):
+            raise InputError(f"config key slic.compactness={compactness} "
+                             "must be finite and >= 0")
+        slic_iters = _get(mapping, "slic.iters", int, 10)
+        if slic_iters < 1:
+            raise InputError(f"config key slic.iters={slic_iters} "
+                             "must be >= 1")
         file_out = _get(mapping, "out", str, None)
         config = cls(
             raw=raw,
@@ -215,8 +223,8 @@ class ExperimentConfig:
                                is not None else file_include),
             hyper=hyper,
             admm=admm,
-            slic_compactness=_get(mapping, "slic.compactness", float, 10.0),
-            slic_iters=_get(mapping, "slic.iters", int, 10),
+            slic_compactness=compactness,
+            slic_iters=slic_iters,
             grid=grid,
             grid_budget=grid_budget if grid_budget is not None else file_budget,
             grid_folds=grid_folds,

@@ -6,10 +6,21 @@ Hessian and linear term are reassembled from function evaluations on basis
 vectors, then the stationary point is solved densely. Constrained blocks use
 scipy optimizers on top of the same machinery. None of this shares code with
 the library's update formulas.
+
+The reference SLIC is the dense full-search implementation: every pixel is
+scored against every center through N x K matrices, and the orphan merge
+labels the whole grid once per segment. The library's tiled search must
+return the same labels bit for bit.
 """
 
 import numpy as np
-from scipy import optimize
+from scipy import ndimage, optimize
+from scipy.spatial.distance import cdist
+
+from progsub.embedding import pca_fit
+from progsub.errors import InputError
+from progsub.superpixels import _N_REDUCED, Segmentation, _seed_grid
+from progsub.types import matrix_values
 
 
 def assemble_quadratic(f, shape):
@@ -115,3 +126,88 @@ def random_laplacian(rng, n, density=0.4):
 def frob_rel_err(got, want):
     denom = max(np.linalg.norm(want), 1e-12)
     return float(np.linalg.norm(got - want) / denom)
+
+
+def reference_merge_orphans(grid):
+    """Keep each segment's largest connected component; fold the rest into
+    the largest 4-adjacent segment."""
+    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    sizes = {int(s): int(c) for s, c in zip(*np.unique(grid, return_counts=True))}
+    for sid in sorted(sizes):
+        mask = grid == sid
+        comp, n_comp = ndimage.label(mask, structure=structure)
+        if n_comp <= 1:
+            continue
+        comp_sizes = ndimage.sum_labels(mask, comp, index=np.arange(1, n_comp + 1))
+        keep = int(np.argmax(comp_sizes)) + 1
+        for cid in range(1, n_comp + 1):
+            if cid == keep:
+                continue
+            cmask = comp == cid
+            grown = ndimage.binary_dilation(cmask, structure=structure)
+            neighbors = np.unique(grid[grown & ~cmask])
+            neighbors = [int(v) for v in neighbors if v != sid]
+            if not neighbors:
+                continue
+            target = max(neighbors, key=lambda v: (sizes[v], -v))
+            npix = int(cmask.sum())
+            grid[cmask] = target
+            sizes[target] += npix
+            sizes[sid] -= npix
+    return grid
+
+
+def reference_slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10):
+    """Segment a cube into roughly n_segments compact superpixels.
+
+    The clustering distance is D^2 = d_feat^2 + (d_xy / S)^2 * compactness^2
+    with S = sqrt(n_pixels / n_segments); features are the leading principal
+    components when the cube has more than three bands.
+    """
+    values = matrix_values(cube)
+    n = width * height
+    if values.shape[1] != n:
+        raise InputError(
+            f"cube has {values.shape[1]} columns but width*height = {n}"
+        )
+    if not (1 <= n_segments <= n):
+        raise InputError(f"need 1 <= n_segments <= {n}, got {n_segments}")
+    feats = values
+    if values.shape[0] > _N_REDUCED:
+        # component signs do not move squared distances or segment means
+        feats = pca_fit(values, min(_N_REDUCED, n)).transform(values)
+    rows = np.arange(n) // width
+    cols = np.arange(n) % width
+    spatial_scale = (compactness ** 2) / (n / n_segments)  # compactness^2 / S^2
+
+    seed_r, seed_c = _seed_grid(width, height, n_segments)
+    seed_idx = seed_r * width + seed_c
+    center_rc = np.stack([seed_r, seed_c], axis=1).astype(np.float64)
+    center_feat = feats[:, seed_idx].T.copy()
+
+    labels = None
+    for _it in range(max_iters):
+        feat_d2 = cdist(feats.T, center_feat, "sqeuclidean")
+        xy_d2 = (rows[:, None] - center_rc[None, :, 0]) ** 2 + (
+            cols[:, None] - center_rc[None, :, 1]
+        ) ** 2
+        new_labels = np.argmin(feat_d2 + spatial_scale * xy_d2, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for k in range(center_rc.shape[0]):
+            members = labels == k
+            if not members.any():
+                continue
+            center_rc[k, 0] = rows[members].mean()
+            center_rc[k, 1] = cols[members].mean()
+            center_feat[k] = feats[:, members].mean(axis=1)
+
+    grid = labels.reshape(height, width)
+    grid = reference_merge_orphans(grid)
+    labels = grid.ravel()
+    # relabel to a contiguous 0-based range, ascending by old id
+    old_ids = np.unique(labels)
+    remap = np.full(old_ids.max() + 1, -1, dtype=np.int64)
+    remap[old_ids] = np.arange(old_ids.size)
+    return Segmentation(remap[labels], old_ids.size)

@@ -61,6 +61,24 @@ def test_config_rejects_out_of_range_split_settings(key, value):
                                        key: value})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("slic.iters", "0"),
+    ("slic.iters", "-1"),
+    ("slic.compactness", "nan"),
+    ("slic.compactness", "inf"),
+    ("slic.compactness", "-1"),
+])
+def test_config_rejects_bad_slic_settings(key, value):
+    with pytest.raises(InputError, match=key.replace(".", r"\.")):
+        ExperimentConfig.from_mapping({"preset": "synth-benchmark",
+                                       key: value})
+
+
+def test_config_accepts_zero_slic_compactness():
+    cfg = ExperimentConfig.from_mapping({"slic.compactness": "0"})
+    assert cfg.slic_compactness == 0.0
+
+
 def test_config_eta_defaults_to_beta():
     cfg = ExperimentConfig.from_mapping({"model.beta": "0.25"})
     assert cfg.hyper.eta == 0.25

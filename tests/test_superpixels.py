@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import progsub.superpixels
+from oracle_utils import reference_merge_orphans, reference_slic_segment
 from progsub import (FeatureMatrix, InputError, segment_count, slic_segment,
                      superpixel_stream)
-from progsub.superpixels import Segmentation
+from progsub.superpixels import Segmentation, _merge_orphans
 
 
 def test_constant_image_yields_seed_grid_blocks():
@@ -63,6 +67,89 @@ def test_slic_rejects_too_many_segments():
     cube = FeatureMatrix(np.zeros((1, 4)))
     with pytest.raises(InputError):
         slic_segment(cube, 2, 2, 5)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_iters", 0),
+    ("max_iters", -2),
+    ("compactness", float("nan")),
+    ("compactness", float("inf")),
+    ("compactness", -1.0),
+])
+def test_slic_rejects_bad_settings(key, value):
+    cube = FeatureMatrix(np.random.default_rng(3).random((2, 36)))
+    with pytest.raises(InputError, match=key):
+        slic_segment(cube, 6, 6, 4, **{key: value})
+
+
+# (height, width): single pixels, single rows and columns, one partial
+# tile, and shapes spanning several 16x16 tiles so that pruning runs
+_SHAPES = [(1, 1), (1, 37), (29, 1), (7, 9), (40, 23), (33, 50), (18, 17)]
+
+
+def _equivalence_case(i, kind):
+    rng = np.random.default_rng(i)
+    height, width = _SHAPES[i % len(_SHAPES)]
+    n = height * width
+    bands = 1 + i % 6
+    if kind == "constant":
+        values = np.full((bands, n), 0.5)
+    elif kind == "two-valued":
+        values = rng.integers(0, 2, size=(bands, n)).astype(np.float64)
+    else:
+        values = rng.random((bands, n))
+    n_segments = (1, n, int(rng.integers(1, n + 1)), max(1, n // 10))[i % 4]
+    return values, width, height, n_segments
+
+
+@pytest.mark.parametrize("kind", ["random", "constant", "two-valued"])
+@pytest.mark.parametrize("max_iters", [1, 2, 10])
+@pytest.mark.parametrize("compactness", [0.0, 0.1, 10.0, 1000.0])
+def test_slic_matches_dense_reference(compactness, max_iters, kind):
+    for i in range(7):
+        args = _equivalence_case(i + 7 * max_iters, kind)
+        want = reference_slic_segment(*args, compactness, max_iters)
+        got = slic_segment(*args, compactness, max_iters)
+        assert got.n_segments == want.n_segments
+        assert np.array_equal(got.labels, want.labels), args[1:]
+
+
+def test_slic_prunes_centers_far_from_each_tile(monkeypatch):
+    scored = []
+
+    def spy(xa, xb, metric):
+        scored.append(xb.shape[0])
+        return cdist(xa, xb, metric)
+
+    cdist = progsub.superpixels.cdist
+    monkeypatch.setattr(progsub.superpixels, "cdist", spy)
+    cube = FeatureMatrix(np.random.default_rng(11).random((8, 64 * 64)))
+    k = segment_count(64 * 64, 0.10)
+    slic_segment(cube, 64, 64, k, max_iters=2)
+    assert scored and max(scored) < k // 4
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_windowed_orphan_merge_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        height, width = rng.integers(1, 30, size=2)
+        n_ids = int(rng.integers(1, 3 * seed + 4))
+        grid = rng.integers(0, n_ids, size=(height, width))
+        want = reference_merge_orphans(grid.copy())
+        assert np.array_equal(_merge_orphans(grid.copy()), want)
+
+
+def test_slic_memory_is_linear_in_pixels():
+    # a dense N x K distance matrix alone would take 4096 * 410 * 8 = 13 MB
+    cube = FeatureMatrix(np.random.default_rng(2).random((8, 64 * 64)))
+    tracemalloc.start()
+    try:
+        slic_segment(cube, 64, 64, segment_count(64 * 64, 0.10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("width", [1, 2])
