@@ -35,16 +35,16 @@ def main():
     print(f"Segment label purity: {purity / n:.3f} "
           f"(fraction of pixels matching their segment's majority class)")
 
-    stream = superpixel_stream(cube, seg)
-    noise_px = np.linalg.norm(cube.values - stream.values) / np.sqrt(n)
+    stream = superpixel_stream(cube, seg.labels)
+    noise_px = np.linalg.norm(cube - stream) / np.sqrt(n)
     print(f"Stream vs pixel RMS difference per pixel: {noise_px:.4f} "
           f"(averaging suppresses per-pixel noise)")
 
     # graphs over a 60-pixel training subset, like the trainer builds them
     rng = np.random.default_rng(0)
     train = np.sort(rng.choice(n, size=60, replace=False))
-    wp = knn_heat_graph(cube.values[:, train], k=8, sigma=0.5)
-    wsp = knn_heat_graph(stream.values[:, train], k=8, sigma=0.5)
+    wp = knn_heat_graph(cube[:, train], k=8, sigma=0.5)
+    wsp = knn_heat_graph(stream[:, train], k=8, sigma=0.5)
     wa = alignment_graph(seg.labels[train])
     bundle = assemble_fused(wp, wsp, wa)
     lf = bundle.lf.toarray()

@@ -21,15 +21,14 @@ from .pretrain import (AdmmState, PretrainReport, pretrain_layer, prox_nonneg,
 from .superpixels import (Segmentation, segment_count, slic_segment,
                           superpixel_stream)
 from .synthetic import SyntheticSpec, generate_synthetic
-from .types import (AdmmConfig, FeatureMatrix, HyperParams, SampleSplit,
-                    one_hot_encode)
+from .types import AdmmConfig, HyperParams, SampleSplit, one_hot_encode
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmmConfig", "AdmmState", "ConfusionMatrix", "FeatureMatrix",
-    "FitReport", "FormatError", "GraphBundle", "HyperParams",
-    "InputError", "LinearEmbedding", "MetricsReport", "NumericalError",
+    "AdmmConfig", "AdmmState", "ConfusionMatrix", "FitReport",
+    "FormatError", "GraphBundle", "HyperParams", "InputError",
+    "LinearEmbedding", "MetricsReport", "NumericalError",
     "PipelineError", "PretrainReport", "ProjectionStack",
     "SampleSplit", "Segmentation", "SyntheticSpec", "alignment_graph",
     "assemble_fused", "compute_metrics", "confusion", "finetune_projection",

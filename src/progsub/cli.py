@@ -90,7 +90,7 @@ def _cmd_generate(args):
     palette = formats.default_palette(max(labels))
     with open(os.path.join(out, "truth.ppm"), "wb") as fh:
         fh.write(formats.render_class_map(labels, width, height, palette))
-    print(f"generate: wrote {width}x{height}x{cube.dim} cube, "
+    print(f"generate: wrote {width}x{height}x{cube.shape[0]} cube, "
           f"{max(labels)} classes -> {out}")
     return 0
 
@@ -126,7 +126,7 @@ def _cmd_transform(args):
     formats.save_cube(os.path.join(out, "embedded.json"),
                       os.path.join(out, "embedded.raw"),
                       embedded, data.width, data.height)
-    print(f"transform: wrote {embedded.dim}-band embedding -> {out}")
+    print(f"transform: wrote {embedded.shape[0]}-band embedding -> {out}")
     return 0
 
 
@@ -137,7 +137,7 @@ def _cmd_evaluate(args):
     data = load_data(config)
     data.split = split_data(config, data)
     metrics, preds_all = score_embedding(
-        data, lambda v: stack_transform(stack, v).values)
+        data, lambda v: stack_transform(stack, v))
     write_files(out, {"metrics.csv": metrics_csv(metrics),
                       "map.ppm": class_map_ppm(data, preds_all)})
     print(f"evaluate: oa={metrics.oa:.4f} aa={metrics.aa:.4f} "

@@ -21,7 +21,6 @@ _LPP_RIDGE = 1e-8
 @dataclass(frozen=True)
 class LinearEmbedding:
     projection: np.ndarray   # (d_out, d_in)
-    kind: str                # "pca" | "lpp"
     eigenvalues: np.ndarray
     mean: np.ndarray = None  # subtracted before projecting (pca only)
 
@@ -66,7 +65,7 @@ def pca_fit(x, d_out):
     vals, vecs = np.linalg.eigh(cov)
     order = np.argsort(vals, kind="stable")[::-1][:d_out]
     projection = _fix_signs(vecs[:, order].T)
-    return LinearEmbedding(projection, "pca", vals[order].copy(), mean=mean)
+    return LinearEmbedding(projection, vals[order].copy(), mean=mean)
 
 
 def lpp_fit(x, lap, deg, d_out):
@@ -101,4 +100,4 @@ def lpp_fit(x, lap, deg, d_out):
     b = (b + b.T) / 2.0 + _LPP_RIDGE * np.eye(d)
     vals, vecs = scipy.linalg.eigh(a, b)
     projection = _fix_signs(vecs[:, :d_out].T)
-    return LinearEmbedding(projection, "lpp", vals[:d_out].copy())
+    return LinearEmbedding(projection, vals[:d_out].copy())

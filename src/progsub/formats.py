@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InputError
-from .types import PIXEL, FeatureMatrix
+from .types import matrix_values
 
 _DTYPES = {"f32le": "<f4", "f64le": "<f8"}
 
@@ -75,7 +75,7 @@ def read_cube_header(path):
 
 
 def load_cube(header_path, payload_path):
-    """Read a cube; returns (FeatureMatrix(pixel), width, height).
+    """Read a cube; returns (float64 bands x pixels array, width, height).
 
     Column index = row * width + col (raster order); values are divided by
     the header's scale when one is present.
@@ -92,20 +92,22 @@ def load_cube(header_path, payload_path):
     values = flat.reshape(header.bands, header.n_pixels).astype(np.float64)
     if header.scale is not None:
         values = values / header.scale
-    return FeatureMatrix(values, PIXEL), header.width, header.height
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"cube payload {payload_path} has non-finite values")
+    return values, header.width, header.height
 
 
 def save_cube(header_path, payload_path, feats, width, height, dtype="f64le",
               scale=None):
     """Write a pixel matrix as header + BSQ payload (inverse of load_cube)."""
-    values = feats.values if isinstance(feats, FeatureMatrix) else np.asarray(feats)
+    values = matrix_values(feats)
     bands, n = values.shape
     if n != width * height:
         raise InputError(
             f"matrix has {n} columns but width*height = {width * height}"
         )
     header = CubeHeader(width, height, bands, dtype=dtype, scale=scale)
-    out = np.asarray(values, dtype=np.float64)
+    out = values
     if scale is not None:
         out = out * scale
     payload = np.ascontiguousarray(out.astype(_DTYPES[dtype])).tobytes()
@@ -204,19 +206,21 @@ def default_palette(n_classes):
 
 def render_class_map(predictions, width, height, palette):
     """Render per-pixel class ids as a binary PPM (P6, maxval 255)."""
-    predictions = [int(p) for p in predictions]
-    if len(predictions) != width * height:
+    ids = np.asarray(predictions, dtype=np.int64).ravel()
+    if ids.size != width * height:
         raise InputError(
-            f"got {len(predictions)} predictions for {width}x{height} pixels"
+            f"got {ids.size} predictions for {width}x{height} pixels"
         )
-    body = bytearray()
-    for i, cls in enumerate(predictions):
-        try:
-            body.extend(palette.lookup(cls))
-        except InputError:
-            raise InputError(f"pixel {i} has unknown class id {cls}") from None
+    # checked before the table lookup, where a negative id would wrap around
+    known = np.isin(ids, [0, *palette.colors])
+    if not known.all():
+        i = int(np.argmin(known))
+        raise InputError(f"pixel {i} has unknown class id {ids[i]}")
+    table = np.zeros((max(palette.colors, default=0) + 1, 3), dtype=np.uint8)
+    for cls, rgb in palette.colors.items():
+        table[cls] = rgb  # row 0 stays black for unlabeled pixels
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    return bytes(header) + bytes(body)
+    return header + table[ids].tobytes()
 
 
 def dump_model_bytes(stack):

@@ -22,7 +22,7 @@ from .metrics import compute_metrics, confusion, nn_classify
 from .model import fit_stack, transform
 from .superpixels import segment_count, slic_segment, superpixel_stream
 from .synthetic import SyntheticSpec, generate_synthetic
-from .types import AdmmConfig, FeatureMatrix, HyperParams, SampleSplit
+from .types import AdmmConfig, HyperParams, SampleSplit
 
 METHODS = ("progsub", "raw", "pca", "lpp")
 
@@ -278,13 +278,13 @@ def make_split(labels, train_per_class, unlabeled_fraction, rng):
 
 @dataclass
 class PreparedData:
-    cube: FeatureMatrix       # normalized features
+    cube: np.ndarray          # normalized bands x pixels, read-only
     labels: list
     width: int
     height: int
     n_classes: int
     seg: object = None        # the rest is set by prepare_data
-    stream: FeatureMatrix = None
+    stream: np.ndarray = None
     split: SampleSplit = None
 
 
@@ -303,10 +303,11 @@ def load_data(config):
         n_classes = max(labels) if max(labels) > 0 else 0
         # unit-ball feasibility: uniform scaling preserves nearest-neighbor
         # ordering while making column norms <= 1
-        scale = float(np.linalg.norm(cube.values, axis=0).max())
+        scale = float(np.linalg.norm(cube, axis=0).max())
         if scale == 0.0:
             scale = 1.0
-        cube = FeatureMatrix(cube.values / scale, cube.kind)
+        cube = cube / scale
+        cube.setflags(write=False)
     return PreparedData(cube=cube, labels=labels, width=width, height=height,
                         n_classes=n_classes)
 
@@ -336,7 +337,7 @@ def prepare_data(config):
     if config.method == "progsub":
         data.seg = segment_data(config, data)
         with _stage("stream"):
-            data.stream = superpixel_stream(data.cube, data.seg)
+            data.stream = superpixel_stream(data.cube, data.seg.labels)
     data.split = split_data(config, data)
     return data
 
@@ -347,20 +348,20 @@ def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
     Returns (embed_fn, model_stack_or_none, fit_report_or_none) where
     embed_fn maps a raw pixel matrix to the learned feature space.
     """
-    cube_vals = data.cube.values
+    cube = data.cube
     labels = data.labels
     method = config.method
     if method == "raw":
         return (lambda v: v), None, None
     if method == "pca":
-        emb = pca_fit(cube_vals[:, train_idx], hyper.dims[-1])
+        emb = pca_fit(cube[:, train_idx], hyper.dims[-1])
         return emb.transform, None, None
     if method == "lpp":
-        w = knn_heat_graph(cube_vals[:, train_idx], hyper.knn_k, hyper.sigma)
+        w = knn_heat_graph(cube[:, train_idx], hyper.knn_k, hyper.sigma)
         lap = laplacian(w)
         deg = np.asarray(w.sum(axis=1)).ravel()
         deg = np.where(deg <= 0, 1e-12, deg)
-        emb = lpp_fit(cube_vals[:, train_idx], lap, deg, hyper.dims[-1])
+        emb = lpp_fit(cube[:, train_idx], lap, deg, hyper.dims[-1])
         return emb.transform, None, None
     # progsub
     fit_idx = list(train_idx)
@@ -370,15 +371,15 @@ def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
         fit_labels += [0] * len(unlabeled_idx)
     fit_idx = np.asarray(fit_idx, dtype=np.int64)
     stack, report = fit_stack(
-        FeatureMatrix(cube_vals[:, fit_idx], "pixel"),
-        FeatureMatrix(data.stream.values[:, fit_idx], "superpixel_stream"),
+        cube[:, fit_idx],
+        data.stream[:, fit_idx],
         fit_labels,
         data.seg.labels[fit_idx],
         hyper,
         config.admm,
         n_classes=data.n_classes,
     )
-    return (lambda v: transform(stack, v).values), stack, report
+    return (lambda v: transform(stack, v)), stack, report
 
 
 def score_embedding(data, embed):
@@ -391,7 +392,7 @@ def score_embedding(data, embed):
     train_idx = np.asarray(data.split.train_indices, dtype=np.int64)
     test_idx = np.asarray(data.split.test_indices, dtype=np.int64)
     with _stage("transform"):
-        all_emb = embed(data.cube.values)
+        all_emb = embed(data.cube)
 
     with _stage("classify"):
         train_labels = [data.labels[i] for i in train_idx]
@@ -415,8 +416,8 @@ def metrics_csv(metrics):
 def class_map_ppm(data, preds_all):
     """PPM class map of one prediction per pixel."""
     palette = formats.default_palette(max(data.n_classes, 1))
-    return formats.render_class_map([int(p) for p in preds_all], data.width,
-                                    data.height, palette)
+    return formats.render_class_map(preds_all, data.width, data.height,
+                                    palette)
 
 
 def write_files(out_dir, files):
@@ -535,8 +536,8 @@ def _cv_score(config, data, hyper, folds):
             k = max(1, fit_idx.size - 1)
         fold_hyper = replace(hyper, knn_k=k)
         embed, _, _ = _fit_method(config, data, fit_idx, [], fold_hyper)
-        train_emb = embed(data.cube.values[:, fit_idx])
-        val_emb = embed(data.cube.values[:, val_idx])
+        train_emb = embed(data.cube[:, fit_idx])
+        val_emb = embed(data.cube[:, val_idx])
         preds = nn_classify(train_emb, [data.labels[i] for i in fit_idx],
                             val_emb)
         truth = np.asarray([data.labels[i] for i in val_idx])

@@ -25,7 +25,7 @@ from .graphs import (GraphBundle, alignment_graph, assemble_fused,
                      compute_graph_gram, knn_heat_graph)
 from .pretrain import (RIDGE, layer_terms, prediction_term, pretrain_layer,
                        reconstruction_objective, run_admm, solve_spd)
-from .types import AdmmConfig, FeatureMatrix, matrix_values, one_hot_encode
+from .types import AdmmConfig, matrix_values, one_hot_encode
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,7 @@ def transform(stack, x_new):
         raise InputError(
             f"stack expects {stack.input_dim} feature rows, got {values.shape[0]}"
         )
-    out = chain_apply(stack.projections, values)
-    kind = x_new.kind if isinstance(x_new, FeatureMatrix) else "pixel"
-    return FeatureMatrix(out, kind)
+    return chain_apply(stack.projections, values)
 
 
 def objective_value(stack, xt, yt, lf, hp, labeled_cols=None):
@@ -215,7 +213,12 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
             "restricted to the same columns as the features"
         )
 
-    xt = FeatureMatrix(np.hstack([x, xsp])).values  # checks finiteness
+    # column slices taken by fancy indexing (cube[:, idx]) are Fortran-ordered
+    # and hstack keeps that order; the Gram products downstream round
+    # differently by memory layout, so the fit always sees C order
+    xt = np.ascontiguousarray(np.hstack([x, xsp]))
+    if not np.all(np.isfinite(xt)):
+        raise InputError("training features contain non-finite entries")
     wp = knn_heat_graph(x, hp.knn_k, hp.sigma)
     wsp = knn_heat_graph(xsp, hp.knn_k, hp.sigma)
     wa = alignment_graph(ids)

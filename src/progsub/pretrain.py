@@ -90,9 +90,9 @@ def solve_spd(lhs, rhs):
         ) from exc
 
 
-def update_projection(state, x, lap, graph_weight, data_gram=None,
-                      graph_gram=None):
-    """Closed-form projection update.
+def update_projection(state, x, data_gram, graph_gram, graph_weight):
+    """Closed-form projection update, given X X' and X L X' of the layer
+    input.
 
     T <- (mu*(feats + nonneg + normed) X' + mu*decoder + their duals folded
     in the same pattern) * (graph_weight * X L X' + 3 mu X X' + mu I)^{-1}
@@ -104,10 +104,6 @@ def update_projection(state, x, lap, graph_weight, data_gram=None,
         + (state.dual_feats + state.dual_nonneg + state.dual_normed) @ xT
         + state.dual_decoder
     )
-    if data_gram is None:
-        data_gram = x @ xT
-    if graph_gram is None:
-        graph_gram = compute_graph_gram(x, lap)
     d_in = x.shape[0]
     denom = (
         graph_weight * graph_gram
@@ -291,10 +287,8 @@ def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
     for t in range(cfg.max_iters):
         mu_used = state.penalty
         try:
-            state.proj = update_projection(
-                state, x, None, graph_weight, data_gram=data_gram,
-                graph_gram=graph_gram,
-            )
+            state.proj = update_projection(state, x, data_gram, graph_gram,
+                                           graph_weight)
             if supervision is None:
                 state.feats = update_features(state, x)
             else:

@@ -29,7 +29,7 @@ from scipy.spatial.distance import cdist
 
 from .embedding import pca_fit
 from .errors import InputError
-from .types import SUPERPIXEL_STREAM, FeatureMatrix, matrix_values
+from .types import matrix_values
 
 _N_REDUCED = 3  # images with more bands are reduced to this many components
 _TILE = 16  # side of the pixel tiles the assignment step scores at once
@@ -226,10 +226,14 @@ def slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10
     return Segmentation(remap[labels], old_ids.size)
 
 
-def superpixel_stream(cube, seg):
-    """Per-pixel stream: column i is the mean spectrum of pixel i's segment."""
+def superpixel_stream(cube, segment_ids):
+    """Per-pixel stream: column i is the mean spectrum of pixel i's segment.
+
+    `segment_ids` holds one 0-based segment id per cube column (a
+    Segmentation's `labels`); returns a C-ordered array shaped like `cube`.
+    """
     values = matrix_values(cube)
-    labels = seg.labels if isinstance(seg, Segmentation) else np.asarray(seg)
+    labels = np.asarray(segment_ids)
     if labels.size != values.shape[1]:
         raise InputError(
             f"segmentation covers {labels.size} pixels but cube has "
@@ -243,4 +247,4 @@ def superpixel_stream(cube, seg):
     for j in range(values.shape[0]):
         sums[j] = np.bincount(labels, weights=values[j], minlength=k)
     means = sums / counts
-    return FeatureMatrix(means[:, labels], SUPERPIXEL_STREAM)
+    return np.take(means, labels, axis=1)

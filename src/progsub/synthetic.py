@@ -9,7 +9,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InputError
-from .types import PIXEL, FeatureMatrix
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,8 @@ def _signatures(spec, rng):
 
 
 def generate_synthetic(spec):
-    """Build (cube, labels, width, height); labels are 1-based per pixel."""
+    """Build (cube, labels, width, height): a C-ordered float64 bands x
+    pixels array and one 1-based label per pixel."""
     rng = np.random.default_rng(spec.seed)
     class_map = _grow_regions(spec, rng)
     sigs = _signatures(spec, rng)
@@ -128,4 +128,4 @@ def generate_synthetic(spec):
     if spec.noise > 0:
         values = values + spec.noise * rng.standard_normal((spec.bands, n))
     labels = [int(v) + 1 for v in class_map]
-    return FeatureMatrix(values, PIXEL), labels, spec.width, spec.height
+    return np.ascontiguousarray(values), labels, spec.width, spec.height

@@ -1,8 +1,9 @@
-"""Core value types: feature matrices, labels, splits, and solver settings.
+"""Core value types: labels, splits, and solver settings.
 
 Everything here is an immutable container validated at construction time.
-Feature matrices are stored column-per-sample (one column = one sample) so
-that projections always multiply on the left.
+Feature matrices are plain float64 ndarrays stored column-per-sample (one
+column = one sample, bands x pixels) so that projections always multiply on
+the left.
 """
 
 from dataclasses import dataclass
@@ -11,51 +12,13 @@ import numpy as np
 
 from .errors import InputError
 
-PIXEL = "pixel"
-SUPERPIXEL_STREAM = "superpixel_stream"
-
-_KINDS = (PIXEL, SUPERPIXEL_STREAM)
-
-
-def _frozen_array(values, dtype=np.float64):
-    arr = np.array(values, dtype=dtype, order="C", copy=True)
-    arr.setflags(write=False)
-    return arr
-
 
 def matrix_values(x):
-    """Accept a FeatureMatrix or a bare 2-D array; return float64 ndarray."""
-    if isinstance(x, FeatureMatrix):
-        return x.values
+    """Return `x` as a 2-D float64 ndarray (no copy when it already is one)."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise InputError(f"expected a 2-D matrix, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """A d x n feature matrix with one column per sample.
-
-    kind 'superpixel_stream' marks per-pixel segment means, 'pixel' the rest.
-    """
-
-    values: np.ndarray
-    kind: str = PIXEL
-
-    def __post_init__(self):
-        arr = _frozen_array(self.values)
-        if arr.ndim != 2:
-            raise InputError(f"feature matrix must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("feature matrix contains non-finite entries")
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown feature-matrix kind {self.kind!r}")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dim(self):
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)

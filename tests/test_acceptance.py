@@ -14,14 +14,15 @@ from bench_utils import benchmark_config
 from oracle_utils import (ball_quadratic_minimizer, frob_rel_err,
                           nonneg_quadratic_minimizer, quadratic_minimizer,
                           random_laplacian)
-from progsub import (AdmmConfig, FeatureMatrix, compute_metrics, confusion,
-                     fit_readout, fit_stack, knn_heat_graph, laplacian,
-                     lpp_fit, pretrain_layer, update_decoder,
-                     update_features, update_features_supervised,
-                     update_nonneg, update_normed, update_projection)
+from progsub import (AdmmConfig, compute_metrics, confusion, fit_readout,
+                     fit_stack, knn_heat_graph, laplacian, lpp_fit,
+                     pretrain_layer, update_decoder, update_features,
+                     update_features_supervised, update_nonneg,
+                     update_normed, update_projection)
 from progsub.formats import (dump_model_bytes, load_cube, load_labels,
                              parse_model_bytes, save_cube, save_labels)
-from progsub.graphs import alignment_graph, assemble_fused
+from progsub.graphs import (alignment_graph, assemble_fused,
+                            compute_graph_gram)
 from progsub.harness import prepare_data, run_experiment
 from progsub.metrics import ConfusionMatrix
 from progsub.model import ProjectionStack
@@ -65,7 +66,8 @@ def test_criterion_1_closed_form_updates_match_oracles():
         chain = rng.standard_normal((n_cls, d_out))
         y = rng.standard_normal((n_cls, n))
 
-        got = update_projection(state, x, lap, eta)
+        got = update_projection(state, x, x @ x.T,
+                                compute_graph_gram(x, lap), eta)
         want = quadratic_minimizer(
             projection_block_objective(state, x, lap, eta), (d_out, d_in)
         )
@@ -192,7 +194,7 @@ def test_criterion_4_lpp_generalized_eigen_residuals():
         lap = laplacian(w)
         deg = np.asarray(w.sum(axis=1)).ravel()
         d_out = int(rng.integers(1, d + 1))
-        emb = lpp_fit(FeatureMatrix(x), lap, deg, d_out)
+        emb = lpp_fit(x, lap, deg, d_out)
         a_mat = x @ (lap.toarray() @ x.T)
         b_mat = (x * deg[None, :]) @ x.T
         scale = max(1.0, float(np.linalg.norm(a_mat)))
@@ -211,8 +213,8 @@ def test_criterion_5_outer_trace_monotone_and_converges():
         data = prepare_data(cfg)
         train = np.asarray(data.split.train_indices)
         stack, report = fit_stack(
-            FeatureMatrix(data.cube.values[:, train], "pixel"),
-            FeatureMatrix(data.stream.values[:, train], "superpixel_stream"),
+            data.cube[:, train],
+            data.stream[:, train],
             [data.labels[i] for i in train],
             data.seg.labels[train],
             cfg.hyper, cfg.admm, n_classes=data.n_classes,
@@ -291,9 +293,9 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         values = rng.standard_normal((bands, w * h))
         hp = tmp_path / f"c{trial}.json"
         pp = tmp_path / f"c{trial}.raw"
-        save_cube(hp, pp, FeatureMatrix(values), w, h)
+        save_cube(hp, pp, values, w, h)
         back, _, _ = load_cube(hp, pp)
-        assert back.values.tobytes() == values.tobytes()
+        assert back.tobytes() == values.tobytes()
     for trial in range(33):
         labels = [int(v) for v in rng.integers(0, 9, size=rng.integers(1, 60))]
         path = tmp_path / f"l{trial}.txt"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from progsub import (FeatureMatrix, FormatError, InputError, ProjectionStack)
+from progsub import FormatError, InputError, ProjectionStack
 from progsub.formats import (ClassPalette, default_palette, dump_model_bytes,
                              load_cube, load_labels, load_model,
                              parse_model_bytes, render_class_map, save_cube,
@@ -26,8 +26,8 @@ def test_load_cube_single_pixel_two_bands(tmp_path):
     payload = struct.pack("<2f", 0.5, 1.0)
     fm, w, h = load_cube(*_write_cube(tmp_path, doc, payload))
     assert (w, h) == (1, 1)
-    assert fm.values.shape == (2, 1)
-    assert fm.values[:, 0].tolist() == [0.5, 1.0]
+    assert fm.shape == (2, 1)
+    assert fm[:, 0].tolist() == [0.5, 1.0]
 
 
 def test_load_cube_raster_order(tmp_path):
@@ -35,7 +35,7 @@ def test_load_cube_raster_order(tmp_path):
            "interleave": "bsq"}
     payload = struct.pack("<4f", 1.0, 2.0, 3.0, 4.0)
     fm, w, h = load_cube(*_write_cube(tmp_path, doc, payload))
-    assert fm.values.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert fm.tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
 
 def test_load_cube_scale_divides(tmp_path):
@@ -43,7 +43,7 @@ def test_load_cube_scale_divides(tmp_path):
            "interleave": "bsq", "scale": 2.0}
     payload = struct.pack("<f", 3.0)
     fm, _, _ = load_cube(*_write_cube(tmp_path, doc, payload))
-    assert fm.values[0, 0] == 1.5
+    assert fm[0, 0] == 1.5
 
 
 def test_load_cube_length_mismatch_reports_bytes(tmp_path):
@@ -51,6 +51,15 @@ def test_load_cube_length_mismatch_reports_bytes(tmp_path):
            "interleave": "bsq"}
     with pytest.raises(FormatError, match="expected 16 bytes, got 12"):
         load_cube(*_write_cube(tmp_path, doc, b"\x00" * 12))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_cube_rejects_nonfinite_payload(tmp_path, bad):
+    doc = {"width": 2, "height": 1, "bands": 1, "dtype": "f64le",
+           "interleave": "bsq"}
+    header, raw = _write_cube(tmp_path, doc, struct.pack("<2d", 1.0, bad))
+    with pytest.raises(FormatError, match="cube.raw has non-finite"):
+        load_cube(header, raw)
 
 
 def test_load_cube_unknown_dtype(tmp_path):
@@ -63,20 +72,19 @@ def test_load_cube_unknown_dtype(tmp_path):
 def test_cube_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(3)
     values = rng.standard_normal((6, 12))  # 4x3x6 cube
-    fm = FeatureMatrix(values)
-    save_cube(tmp_path / "h.json", tmp_path / "p.raw", fm, 4, 3)
+    save_cube(tmp_path / "h.json", tmp_path / "p.raw", values, 4, 3)
     back, w, h = load_cube(tmp_path / "h.json", tmp_path / "p.raw")
     assert (w, h) == (4, 3)
-    assert np.array_equal(back.values, values)
+    assert np.array_equal(back, values)
 
 
 def test_cube_round_trip_f32(tmp_path):
     rng = np.random.default_rng(4)
     values = rng.standard_normal((3, 8)).astype(np.float32).astype(np.float64)
     save_cube(tmp_path / "h.json", tmp_path / "p.raw",
-              FeatureMatrix(values), 4, 2, dtype="f32le")
+              values, 4, 2, dtype="f32le")
     back, _, _ = load_cube(tmp_path / "h.json", tmp_path / "p.raw")
-    assert np.array_equal(back.values, values)
+    assert np.array_equal(back, values)
 
 
 def test_load_labels_basic(tmp_path):
@@ -140,8 +148,10 @@ def test_render_map_per_pixel_lookup_oracle():
 
 def test_render_map_unknown_class_names_pixel():
     palette = ClassPalette({1: (255, 0, 0)})
-    with pytest.raises(InputError, match="pixel 1"):
-        render_class_map([1, 5], 2, 1, palette)
+    # -1 must not wrap around to the last palette entry
+    for preds in ([1, 5], [1, -1]):
+        with pytest.raises(InputError, match="pixel 1"):
+            render_class_map(preds, 2, 1, palette)
 
 
 def test_palette_rejects_duplicates_and_black():
@@ -199,6 +209,6 @@ def test_cube_round_trip_property(bands, width, seed):
     values = rng.standard_normal((bands, width * 2))
     with tempfile.TemporaryDirectory() as tmp:
         h, p = os.path.join(tmp, "h.json"), os.path.join(tmp, "p.raw")
-        save_cube(h, p, FeatureMatrix(values), width, 2)
+        save_cube(h, p, values, width, 2)
         back, _, _ = load_cube(h, p)
-        assert np.array_equal(back.values, values)
+        assert np.array_equal(back, values)

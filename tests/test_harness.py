@@ -10,10 +10,11 @@ import progsub.harness
 from bench_utils import benchmark_config, small_hyper
 from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
+from progsub.formats import save_cube, save_labels
 from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
                              _apply_cell, _stage, grid_search_cv, layer_sweep,
-                             load_config, make_split, parse_config_text,
-                             prepare_data, run_experiment)
+                             load_config, load_data, make_split,
+                             parse_config_text, prepare_data, run_experiment)
 
 BENCH_RUN = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
 
@@ -124,9 +125,9 @@ def test_synthetic_separable_is_perfect_for_raw_nn():
     rng = np.random.default_rng(0)
     train = rng.choice(100, size=40, replace=False)
     test = np.setdiff1d(np.arange(100), train)
-    preds = nn_classify(cube.values[:, train],
+    preds = nn_classify(cube[:, train],
                         [labels[i] for i in train],
-                        cube.values[:, test])
+                        cube[:, test])
     truth = np.array([labels[i] for i in test])
     assert float((preds == truth).mean()) == 1.0
 
@@ -135,7 +136,7 @@ def test_synthetic_deterministic_bytes():
     spec = SyntheticSpec(width=9, height=7, bands=5, n_classes=3, seed=11)
     a_cube, a_labels, _, _ = generate_synthetic(spec)
     b_cube, b_labels, _, _ = generate_synthetic(spec)
-    assert a_cube.values.tobytes() == b_cube.values.tobytes()
+    assert a_cube.tobytes() == b_cube.tobytes()
     assert a_labels == b_labels
 
 
@@ -185,9 +186,9 @@ def test_run_experiment_raw_is_nn_passthrough():
     data = prepare_data(cfg)
     train = np.asarray(data.split.train_indices)
     test = np.asarray(data.split.test_indices)
-    preds = nn_classify(data.cube.values[:, train],
+    preds = nn_classify(data.cube[:, train],
                         [data.labels[i] for i in train],
-                        data.cube.values[:, test])
+                        data.cube[:, test])
     truth = np.array([data.labels[i] for i in test])
     assert metrics.oa == pytest.approx(float((preds == truth).mean()),
                                        abs=1e-15)
@@ -476,6 +477,29 @@ def test_cli_error_is_stage_tagged(tmp_path, capsys):
     assert code != 0
     err = capsys.readouterr().err
     assert err.startswith("error[load]")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cli_fit_rejects_nonfinite_cube(tmp_path, capsys, bad):
+    cube = np.ones((2, 4))
+    cube[1, 2] = bad
+    save_cube(tmp_path / "cube.json", tmp_path / "cube.raw", cube, 2, 2)
+    save_labels(tmp_path / "labels.txt", [1, 1, 2, 2])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"method=raw\ndata.cube_header={tmp_path}/cube.json\n"
+                   f"data.cube_payload={tmp_path}/cube.raw\n"
+                   f"data.labels={tmp_path}/labels.txt\n")
+    assert cli_main(["fit", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[load]: ")
+    assert "cube.raw has non-finite values" in err
+
+
+def test_load_data_cube_is_read_only():
+    data = load_data(benchmark_config(seed=1))
+    with pytest.raises(ValueError, match="read-only"):
+        data.cube[0, 0] = 1.0
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

@@ -3,13 +3,14 @@ import pytest
 
 import progsub.model
 import progsub.pretrain
-from bench_utils import fast_admm, small_hyper, two_gaussians_fixture
+from bench_utils import (benchmark_config, fast_admm, small_hyper,
+                         two_gaussians_fixture)
 from oracle_utils import frob_rel_err, quadratic_minimizer, random_laplacian
-from progsub import (FeatureMatrix, InputError, ProjectionStack,
-                     finetune_projection, fit_readout, fit_stack,
-                     objective_value, pretrain_layer, transform,
-                     update_features, update_features_supervised)
+from progsub import (InputError, ProjectionStack, finetune_projection,
+                     fit_readout, fit_stack, objective_value, pretrain_layer,
+                     transform, update_features, update_features_supervised)
 from progsub.graphs import compute_graph_gram
+from progsub.harness import prepare_data
 from progsub.pretrain import reconstruction_objective
 from test_pretrain import inner, random_state, sq
 
@@ -264,10 +265,10 @@ def test_finetune_middle_layer_objective_decreases():
 
 def test_transform_identity_and_zero():
     stack = ProjectionStack((np.eye(3),), None)
-    x = FeatureMatrix(np.random.default_rng(13).standard_normal((3, 5)))
-    assert np.array_equal(transform(stack, x).values, x.values)
-    zeros = FeatureMatrix(np.zeros((3, 4)))
-    assert np.array_equal(transform(stack, zeros).values, np.zeros((3, 4)))
+    x = np.random.default_rng(13).standard_normal((3, 5))
+    assert np.array_equal(transform(stack, x), x)
+    zeros = np.zeros((3, 4))
+    assert np.array_equal(transform(stack, zeros), np.zeros((3, 4)))
 
 
 def test_transform_matches_sequential_oracle():
@@ -279,7 +280,7 @@ def test_transform_matches_sequential_oracle():
     expected = x
     for m in mats:
         expected = m @ expected
-    assert np.allclose(transform(stack, x).values, expected, atol=0, rtol=0)
+    assert np.allclose(transform(stack, x), expected, atol=0, rtol=0)
 
 
 def test_transform_rejects_wrong_dim():
@@ -299,7 +300,7 @@ def _fit_fixture(m=1, seed=0, **hp_overrides):
 
 def _stream_of(x, seg_ids):
     from progsub import superpixel_stream
-    return superpixel_stream(FeatureMatrix(x), np.asarray(seg_ids)).values
+    return superpixel_stream(x, np.asarray(seg_ids))
 
 
 def test_fit_stack_single_layer_monotone_trace():
@@ -326,7 +327,7 @@ def test_fit_stack_depths_finite_and_feasible(m):
 def test_fit_stack_transform_consistency():
     (stack, report), x, labels, seg_ids, hp = _fit_fixture(m=2)
     xt = np.hstack([x, _stream_of(x, seg_ids)])
-    train_cols = transform(stack, x).values
+    train_cols = transform(stack, x)
     full = xt
     for proj in stack.projections:
         full = proj @ full
@@ -353,6 +354,38 @@ def test_fit_stack_requires_labels():
     with pytest.raises(InputError, match="no labeled"):
         fit_stack(x, _stream_of(x, seg_ids), [0] * len(labels), seg_ids,
                   small_hyper(), fast_admm())
+
+
+@pytest.mark.parametrize("block", ["pixels", "stream"])
+def test_fit_stack_rejects_nonfinite_features(block):
+    x, labels, seg_ids = two_gaussians_fixture(4)
+    blocks = {"pixels": x.copy(), "stream": _stream_of(x, seg_ids)}
+    blocks[block][0, 3] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        fit_stack(blocks["pixels"], blocks["stream"], labels, seg_ids,
+                  small_hyper(), fast_admm())
+
+
+def test_fit_stack_ignores_input_memory_order():
+    # the harness passes fancy-indexed column slices, which numpy returns
+    # Fortran-ordered; the fit must give the same bits as for C order
+    cfg = benchmark_config(seed=1)
+    data = prepare_data(cfg)
+    train = np.asarray(data.split.train_indices)
+    fancy = (data.cube[:, train], data.stream[:, train])
+    assert all(m.flags.f_contiguous and not m.flags.c_contiguous
+               for m in fancy)
+    fits = []
+    for pixels, stream in (fancy, [np.ascontiguousarray(m) for m in fancy]):
+        fits.append(fit_stack(pixels, stream,
+                              [data.labels[i] for i in train],
+                              data.seg.labels[train], cfg.hyper, cfg.admm,
+                              n_classes=data.n_classes))
+    (stack_f, report_f), (stack_c, report_c) = fits
+    for a, b in zip(stack_f.projections, stack_c.projections):
+        assert np.array_equal(a, b)
+    assert np.array_equal(stack_f.readout, stack_c.readout)
+    assert report_f.convergence_csv() == report_c.convergence_csv()
 
 
 def test_fit_stack_with_unlabeled_columns_runs():

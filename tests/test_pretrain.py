@@ -10,6 +10,7 @@ from progsub import (AdmmConfig, AdmmState, InputError, NumericalError,
                      pretrain_layer, prox_nonneg, prox_unit_ball,
                      update_decoder, update_duals, update_features,
                      update_nonneg, update_normed, update_projection)
+from progsub.graphs import compute_graph_gram
 from progsub.pretrain import run_admm
 
 
@@ -108,7 +109,8 @@ def test_update_projection_zero_numerator():
         setattr(state, name, np.zeros_like(getattr(state, name)))
     x = rng.standard_normal((3, 5))
     lap = random_laplacian(rng, 5)
-    out = update_projection(state, x, lap, 0.3)
+    out = update_projection(state, x, x @ x.T,
+                            compute_graph_gram(x, lap), 0.3)
     assert np.allclose(out, 0.0)
 
 
@@ -122,7 +124,8 @@ def test_update_projection_scalar_case():
         penalty=1.0,
     )
     x = np.array([[2.0]])
-    out = update_projection(state, x, np.zeros((1, 1)), 0.0)
+    out = update_projection(state, x, x @ x.T,
+                            compute_graph_gram(x, np.zeros((1, 1))), 0.0)
     assert out[0, 0] == pytest.approx(24.0 / 13.0, rel=1e-9)
 
 
@@ -132,7 +135,8 @@ def test_update_projection_matches_first_order_oracle():
     x = rng.standard_normal((2, 5))
     lap = random_laplacian(rng, 5)
     eta = 0.4
-    got = update_projection(state, x, lap, eta)
+    got = update_projection(state, x, x @ x.T,
+                            compute_graph_gram(x, lap), eta)
     want = quadratic_minimizer(projection_block_objective(state, x, lap, eta),
                                (2, 2))
     assert frob_rel_err(got, want) < 1e-8
@@ -143,11 +147,13 @@ def test_update_projection_numerator_linearity():
     state = random_state(rng, 3, 4, 6, mu=1.3)
     x = rng.standard_normal((4, 6))
     lap = random_laplacian(rng, 6)
-    once = update_projection(state, x, lap, 0.2)
+    once = update_projection(state, x, x @ x.T,
+                             compute_graph_gram(x, lap), 0.2)
     for name in ("feats", "decoder", "nonneg", "normed", "dual_feats",
                  "dual_decoder", "dual_nonneg", "dual_normed"):
         setattr(state, name, 2.0 * getattr(state, name))
-    twice = update_projection(state, x, lap, 0.2)
+    twice = update_projection(state, x, x @ x.T,
+                              compute_graph_gram(x, lap), 0.2)
     assert np.allclose(twice, 2.0 * once, rtol=1e-12, atol=1e-12)
 
 
@@ -311,7 +317,8 @@ def test_each_smooth_update_has_vanishing_gradient():
     x = rng.standard_normal((3, 4))
     lap = random_laplacian(rng, 4)
 
-    theta_star = update_projection(state, x, lap, 0.5)
+    theta_star = update_projection(state, x, x @ x.T,
+                                   compute_graph_gram(x, lap), 0.5)
     assert fd_gradient_norm(projection_block_objective(state, x, lap, 0.5),
                             theta_star) < 1e-6
 

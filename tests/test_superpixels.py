@@ -5,13 +5,12 @@ import pytest
 
 import progsub.superpixels
 from oracle_utils import reference_merge_orphans, reference_slic_segment
-from progsub import (FeatureMatrix, InputError, segment_count, slic_segment,
-                     superpixel_stream)
+from progsub import InputError, segment_count, slic_segment, superpixel_stream
 from progsub.superpixels import Segmentation, _merge_orphans
 
 
 def test_constant_image_yields_seed_grid_blocks():
-    cube = FeatureMatrix(np.full((2, 36), 3.0))
+    cube = np.full((2, 36), 3.0)
     seg = slic_segment(cube, 6, 6, 4)
     assert seg.n_segments == 4
     grid = seg.labels.reshape(6, 6)
@@ -27,7 +26,7 @@ def test_two_region_image_splits_at_column_seam():
     values = np.zeros((1, 64))
     cols = np.arange(64) % 8
     values[0, cols >= 4] = 1.0
-    cube = FeatureMatrix(values)
+    cube = values
     seg = slic_segment(cube, 8, 8, 2, compactness=0.1)
     assert seg.n_segments == 2
     grid = seg.labels.reshape(8, 8)
@@ -64,7 +63,7 @@ def test_segment_count_rounds_and_floors_at_one():
 
 
 def test_slic_rejects_too_many_segments():
-    cube = FeatureMatrix(np.zeros((1, 4)))
+    cube = np.zeros((1, 4))
     with pytest.raises(InputError):
         slic_segment(cube, 2, 2, 5)
 
@@ -77,7 +76,7 @@ def test_slic_rejects_too_many_segments():
     ("compactness", -1.0),
 ])
 def test_slic_rejects_bad_settings(key, value):
-    cube = FeatureMatrix(np.random.default_rng(3).random((2, 36)))
+    cube = np.random.default_rng(3).random((2, 36))
     with pytest.raises(InputError, match=key):
         slic_segment(cube, 6, 6, 4, **{key: value})
 
@@ -123,7 +122,7 @@ def test_slic_prunes_centers_far_from_each_tile(monkeypatch):
 
     cdist = progsub.superpixels.cdist
     monkeypatch.setattr(progsub.superpixels, "cdist", spy)
-    cube = FeatureMatrix(np.random.default_rng(11).random((8, 64 * 64)))
+    cube = np.random.default_rng(11).random((8, 64 * 64))
     k = segment_count(64 * 64, 0.10)
     slic_segment(cube, 64, 64, k, max_iters=2)
     assert scored and max(scored) < k // 4
@@ -142,7 +141,7 @@ def test_windowed_orphan_merge_matches_reference(seed):
 
 def test_slic_memory_is_linear_in_pixels():
     # a dense N x K distance matrix alone would take 4096 * 410 * 8 = 13 MB
-    cube = FeatureMatrix(np.random.default_rng(2).random((8, 64 * 64)))
+    cube = np.random.default_rng(2).random((8, 64 * 64))
     tracemalloc.start()
     try:
         slic_segment(cube, 64, 64, segment_count(64 * 64, 0.10))
@@ -155,14 +154,14 @@ def test_slic_memory_is_linear_in_pixels():
 @pytest.mark.parametrize("width", [1, 2])
 def test_slic_segments_cube_with_fewer_pixels_than_components(width):
     # five bands reduce to min(3, pixel count) principal components
-    cube = FeatureMatrix(np.random.default_rng(5).random((5, width)))
+    cube = np.random.default_rng(5).random((5, width))
     seg = slic_segment(cube, width, 1, width)
     assert seg.labels.tolist() == list(range(width))
 
 
 def test_slic_deterministic():
     rng = np.random.default_rng(7)
-    cube = FeatureMatrix(rng.random((5, 100)))
+    cube = rng.random((5, 100))
     a = slic_segment(cube, 10, 10, 6)
     b = slic_segment(cube, 10, 10, 6)
     assert np.array_equal(a.labels, b.labels)
@@ -171,7 +170,7 @@ def test_slic_deterministic():
 def test_slic_connectivity_every_segment_one_component():
     from scipy import ndimage
     rng = np.random.default_rng(13)
-    cube = FeatureMatrix(rng.random((4, 144)))
+    cube = rng.random((4, 144))
     seg = slic_segment(cube, 12, 12, 8)
     grid = seg.labels.reshape(12, 12)
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
@@ -182,49 +181,48 @@ def test_slic_connectivity_every_segment_one_component():
 
 def test_stream_identity_segmentation():
     rng = np.random.default_rng(19)
-    cube = FeatureMatrix(rng.random((3, 6)))
+    cube = rng.random((3, 6))
     out = superpixel_stream(cube, np.arange(6))
-    assert np.array_equal(out.values, cube.values)
-    assert out.kind == "superpixel_stream"
+    assert np.array_equal(out, cube)
 
 
 def test_stream_single_segment_gives_global_mean():
     rng = np.random.default_rng(20)
-    cube = FeatureMatrix(rng.random((3, 5)))
+    cube = rng.random((3, 5))
     out = superpixel_stream(cube, np.zeros(5, dtype=int))
-    mean = cube.values.mean(axis=1)
+    mean = cube.mean(axis=1)
     for i in range(5):
-        assert np.allclose(out.values[:, i], mean)
+        assert np.allclose(out[:, i], mean)
 
 
 def test_stream_matches_tally_oracle():
     rng = np.random.default_rng(21)
-    cube = FeatureMatrix(rng.random((3, 12)))
+    cube = rng.random((3, 12))
     ids = rng.integers(0, 3, size=12)
     while len(set(ids.tolist())) < 3:
         ids = rng.integers(0, 3, size=12)
     out = superpixel_stream(cube, ids)
     for i in range(12):
         members = [j for j in range(12) if ids[j] == ids[i]]
-        brute = sum(cube.values[:, j] for j in members) / len(members)
-        assert np.allclose(out.values[:, i], brute, atol=1e-12)
+        brute = sum(cube[:, j] for j in members) / len(members)
+        assert np.allclose(out[:, i], brute, atol=1e-12)
 
 
 def test_stream_idempotent():
     rng = np.random.default_rng(22)
-    cube = FeatureMatrix(rng.random((4, 10)))
+    cube = rng.random((4, 10))
     ids = rng.integers(0, 3, size=10)
     once = superpixel_stream(cube, ids)
     twice = superpixel_stream(once, ids)
-    assert np.array_equal(once.values, twice.values)
+    assert np.array_equal(once, twice)
 
 
 def test_stream_preserves_global_mean():
     rng = np.random.default_rng(24)
-    cube = FeatureMatrix(rng.random((4, 30)))
+    cube = rng.random((4, 30))
     ids = rng.integers(0, 5, size=30)
     out = superpixel_stream(cube, ids)
-    assert np.allclose(out.values.mean(axis=1), cube.values.mean(axis=1),
+    assert np.allclose(out.mean(axis=1), cube.mean(axis=1),
                        atol=1e-12)
 
 

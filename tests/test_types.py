@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from progsub import (AdmmConfig, FeatureMatrix, HyperParams, InputError,
-                     SampleSplit, one_hot_encode)
+from progsub import (AdmmConfig, HyperParams, InputError, SampleSplit,
+                     one_hot_encode)
 
 
 def test_one_hot_single_label():
@@ -38,17 +38,6 @@ def test_one_hot_column_sums_property(labels):
     enc = one_hot_encode(labels, 6)
     assert np.all(enc.sum(axis=0) == 1.0)
     assert set(np.unique(enc)) <= {0.0, 1.0}
-
-
-def test_feature_matrix_rejects_nonfinite():
-    with pytest.raises(InputError):
-        FeatureMatrix(np.array([[1.0, np.nan]]))
-
-
-def test_feature_matrix_is_immutable():
-    fm = FeatureMatrix(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        fm.values[0, 0] = 1.0
 
 
 def _valid_hyper(**overrides):
