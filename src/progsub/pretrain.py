@@ -13,10 +13,11 @@ dual ascent under a geometrically growing penalty. Fine-tuning runs the same
 loop with the label-prediction term added (see run_admm).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dposv
 
 from .errors import InputError, NumericalError
 from .graphs import compute_graph_gram
@@ -81,13 +82,37 @@ class AdmmState:
 
 
 def solve_spd(lhs, rhs):
-    """Solve lhs @ out = rhs for a symmetric positive-definite lhs."""
-    try:
-        return scipy.linalg.solve(lhs, rhs, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular system in block solve (cond~{np.linalg.cond(lhs):.2e})"
-        ) from exc
+    """Solve lhs @ out = rhs for a symmetric positive-definite lhs.
+
+    Reads the upper triangle of lhs and returns a C-ordered array with the
+    same bits as scipy.linalg.solve(lhs, rhs, assume_a="pos"), without that
+    wrapper's per-call validation and condition estimate. Raises
+    NumericalError when lhs is not positive definite or the solution is not
+    finite (LAPACK passes NaN and inf through without an error).
+    """
+    if lhs.shape == (1, 1):
+        # scipy.linalg.solve divides a 1x1 system instead of factoring it;
+        # keep its bits
+        if not lhs[0, 0] > 0.0:
+            raise _solve_error(lhs)
+        out = rhs / lhs
+    else:
+        _, out, info = dposv(lhs, rhs)
+        if info != 0:
+            raise _solve_error(lhs)
+    if not np.isfinite(out).all():
+        raise NumericalError("non-finite solution in block solve")
+    # dposv returns Fortran order; the products downstream round
+    # differently by layout, so hand back the C order solve() returned
+    return np.ascontiguousarray(out)
+
+
+def _solve_error(lhs):
+    if not np.isfinite(lhs).all():
+        return NumericalError("non-finite system matrix in block solve")
+    return NumericalError(
+        f"singular system in block solve (cond~{np.linalg.cond(lhs):.2e})"
+    )
 
 
 def update_projection(state, x, data_gram, graph_gram, graph_weight):
@@ -104,40 +129,43 @@ def update_projection(state, x, data_gram, graph_gram, graph_weight):
         + (state.dual_feats + state.dual_nonneg + state.dual_normed) @ xT
         + state.dual_decoder
     )
-    d_in = x.shape[0]
-    denom = (
-        graph_weight * graph_gram
-        + 3.0 * mu * data_gram
-        + (mu + RIDGE) * np.eye(d_in)
-    )
-    return solve_spd(denom, num.T).T
+    denom = np.multiply(data_gram, 3.0 * mu)
+    denom += graph_weight * graph_gram
+    return solve_spd(_add_to_diagonal(denom, mu + RIDGE), num.T).T
 
 
-def _features_system(state, x):
+def _add_to_diagonal(mat, value):
+    """mat + value * I, computed in place on a square mat."""
+    mat.flat[::mat.shape[0] + 1] += value
+    return mat
+
+
+def _features_system(state, x, px):
     """Normal equations (GG' + mu I) F = GX + mu TX - D1 of the plain
     features update, as (lhs, rhs)."""
     mu = state.penalty
     g = state.decoder
-    lhs = g @ g.T + (mu + RIDGE) * np.eye(g.shape[0])
-    rhs = g @ x + mu * (state.proj @ x) - state.dual_feats
+    lhs = _add_to_diagonal(g @ g.T, mu + RIDGE)
+    rhs = g @ x + mu * px - state.dual_feats
     return lhs, rhs
 
 
-def update_features(state, x):
-    """Reconstruction-features update: (GG' + mu I)^{-1}(GX + mu TX - D1)."""
-    return solve_spd(*_features_system(state, x))
+def update_features(state, x, px):
+    """Reconstruction-features update: (GG' + mu I)^{-1}(GX + mu TX - D1),
+    with px = TX."""
+    return solve_spd(*_features_system(state, x, px))
 
 
-def update_features_supervised(state, x, readout_chain, yt, alpha,
+def update_features_supervised(state, x, px, readout_chain, yt, alpha,
                                labeled_cols=None):
     """Reconstruction-features update with the prediction term added.
 
     For labeled columns:
         (alpha R'R + GG' + mu I)^{-1} (alpha R'Y + GX + mu TX - D1)
-    with R the composed downstream readout; unlabeled columns (False in the
-    boolean mask `labeled_cols`) drop the alpha terms.
+    with R the composed downstream readout and px = TX; unlabeled columns
+    (False in the boolean mask `labeled_cols`) drop the alpha terms.
     """
-    lhs, rhs = _features_system(state, x)
+    lhs, rhs = _features_system(state, x, px)
     r = readout_chain
     y = np.asarray(yt, dtype=np.float64)
     sup_lhs = lhs + alpha * (r.T @ r)
@@ -162,25 +190,26 @@ def update_decoder(state, x):
     """
     mu = state.penalty
     f = state.feats
-    lhs = f @ f.T + (mu + RIDGE) * np.eye(f.shape[0])
+    lhs = _add_to_diagonal(f @ f.T, mu + RIDGE)
     rhs = f @ x.T + mu * state.proj - state.dual_decoder
     return solve_spd(lhs, rhs)
 
 
-def update_nonneg(state, x):
-    """Nonnegative copy: max(TX - D3/mu, 0)."""
-    return prox_nonneg(state.proj @ x - state.dual_nonneg / state.penalty)
+def update_nonneg(state, px):
+    """Nonnegative copy: max(TX - D3/mu, 0), with px = TX."""
+    return prox_nonneg(px - state.dual_nonneg / state.penalty)
 
 
-def update_normed(state, x):
-    """Norm-bounded copy: per-column unit-ball projection of TX - D4/mu."""
-    return prox_unit_ball(state.proj @ x - state.dual_normed / state.penalty)
+def update_normed(state, px):
+    """Norm-bounded copy: per-column unit-ball projection of TX - D4/mu,
+    with px = TX."""
+    return prox_unit_ball(px - state.dual_normed / state.penalty)
 
 
-def update_duals(state, x):
-    """Dual ascent for all four constraints; returns the new duals."""
+def update_duals(state, px):
+    """Dual ascent for all four constraints, with px = TX; returns the new
+    duals."""
     mu = state.penalty
-    px = state.proj @ x
     return (
         state.dual_feats + mu * (state.feats - px),
         state.dual_decoder + mu * (state.decoder - state.proj),
@@ -214,6 +243,11 @@ class PretrainReport:
         return "\n".join(lines) + "\n"
 
 
+def graph_term(proj, graph_gram):
+    """tr(T XLX' T') for a layer's graph Gram matrix XLX'."""
+    return float(((proj @ graph_gram) * proj).sum())
+
+
 def layer_terms(proj, x, graph_gram=None):
     """Unweighted terms of one layer: (||X - T'TX||^2, tr(T XLX' T'), TX).
 
@@ -223,7 +257,7 @@ def layer_terms(proj, x, graph_gram=None):
     resid = x - proj.T @ emb
     graph = 0.0
     if graph_gram is not None:
-        graph = float(np.sum((proj @ graph_gram) * proj))
+        graph = graph_term(proj, graph_gram)
     return float(np.sum(resid * resid)), graph, emb
 
 
@@ -233,7 +267,17 @@ def prediction_term(supervision, emb):
     diff = readout_chain @ emb - y
     if labeled_cols is not None:
         diff = diff[:, labeled_cols]
-    return 0.5 * alpha * float(np.sum(diff * diff))
+    return 0.5 * alpha * float((diff * diff).sum())
+
+
+def _weighted_objective(recon, emb, proj, graph_gram, graph_weight,
+                        supervision):
+    value = 0.5 * recon
+    if supervision is not None:
+        value += prediction_term(supervision, emb)
+    if graph_weight != 0.0 and graph_gram is not None:
+        value += 0.5 * graph_weight * graph_term(proj, graph_gram)
+    return value
 
 
 def reconstruction_objective(proj, x, graph_gram, graph_weight,
@@ -245,15 +289,26 @@ def reconstruction_objective(proj, x, graph_gram, graph_weight,
     The prediction term needs `supervision` (see run_admm); the graph term
     is dropped when w is 0 or `graph_gram` is None.
     """
-    if graph_weight == 0.0:
-        graph_gram = None
-    recon, graph, emb = layer_terms(proj, x, graph_gram)
-    value = 0.5 * recon
-    if supervision is not None:
-        value += prediction_term(supervision, emb)
-    if graph_gram is not None:
-        value += 0.5 * graph_weight * graph
-    return value
+    recon, _, emb = layer_terms(proj, x)
+    return _weighted_objective(recon, emb, proj, graph_gram, graph_weight,
+                               supervision)
+
+
+def gram_objective(proj, px, data_gram, graph_gram, graph_weight,
+                   supervision=None):
+    """reconstruction_objective from px = TX and G = XX', in O(d_in^2) work
+    instead of a d_in x n residual:
+
+        ||X - T'TX||^2 = tr(G) - 2 tr(TGT') + tr(TT' TGT')
+
+    Equal to it up to rounding; the cancellation on the right grows that
+    rounding as the residual shrinks against ||X||^2.
+    """
+    tgt = proj @ data_gram @ proj.T
+    recon = float(data_gram.trace() - 2.0 * tgt.trace()
+                  + ((proj @ proj.T) * tgt).sum())
+    return _weighted_objective(recon, px, proj, graph_gram, graph_weight,
+                               supervision)
 
 
 def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
@@ -289,37 +344,43 @@ def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
         try:
             state.proj = update_projection(state, x, data_gram, graph_gram,
                                            graph_weight)
+            px = state.proj @ x
             if supervision is None:
-                state.feats = update_features(state, x)
+                state.feats = update_features(state, x, px)
             else:
-                state.feats = update_features_supervised(state, x,
+                state.feats = update_features_supervised(state, x, px,
                                                          *supervision)
             state.decoder = update_decoder(state, x)
-            state.nonneg = update_nonneg(state, x)
-            state.normed = update_normed(state, x)
+            state.nonneg = update_nonneg(state, px)
+            state.normed = update_normed(state, px)
             (state.dual_feats, state.dual_decoder, state.dual_nonneg,
-             state.dual_normed) = update_duals(state, x)
-        except (ValueError, NumericalError) as exc:
+             state.dual_normed) = update_duals(state, px)
+        except NumericalError as exc:
             raise NumericalError(
                 f"non-finite value at ADMM iteration {t}: {exc}"
             ) from exc
         state.penalty = min(cfg.rho * state.penalty, cfg.mu_max)
 
-        px = state.proj @ x
         residuals = (
             float(np.linalg.norm(state.feats - px)),
             float(np.linalg.norm(state.decoder - state.proj)),
             float(np.linalg.norm(state.nonneg - px)),
             float(np.linalg.norm(state.normed - px)),
         )
-        obj = reconstruction_objective(state.proj, x, graph_gram,
-                                       graph_weight, supervision)
-        if not np.isfinite(obj) or not all(np.isfinite(r) for r in residuals):
+        converged = all(r < cfg.eps for r in residuals)
+        if converged or t == cfg.max_iters - 1:
+            # the returned (last) value is exact: finetune_projection's
+            # guard compares it
+            obj = reconstruction_objective(state.proj, x, graph_gram,
+                                           graph_weight, supervision)
+        else:
+            obj = gram_objective(state.proj, px, data_gram, graph_gram,
+                                 graph_weight, supervision)
+        if not all(map(math.isfinite, (obj, *residuals))):
             raise NumericalError(f"non-finite value at ADMM iteration {t}")
         trace.append((t, *residuals, mu_used, obj))
         iterations = t + 1
-        if all(r < cfg.eps for r in residuals):
-            converged = True
+        if converged:
             break
 
     report = PretrainReport(

@@ -78,14 +78,15 @@ def test_criterion_1_closed_form_updates_match_oracles():
                     + 0.5 * state.penalty * sq(h - state.proj @ x)
                     + inner(state.dual_feats, h - state.proj @ x))
 
-        got = update_features(state, x)
+        got = update_features(state, x, state.proj @ x)
         assert frob_rel_err(got, quadratic_minimizer(f_feats, (d_out, n))) \
             < rel_tol
 
         def f_sup(h):
             return f_feats(h) + 0.5 * alpha * sq(y - chain @ h)
 
-        got = update_features_supervised(state, x, chain, y, alpha)
+        got = update_features_supervised(state, x, state.proj @ x, chain, y,
+                                         alpha)
         assert frob_rel_err(got, quadratic_minimizer(f_sup, (d_out, n))) \
             < rel_tol
 
@@ -102,7 +103,7 @@ def test_criterion_1_closed_form_updates_match_oracles():
             return (0.5 * state.penalty * sq(q - state.proj @ x)
                     + inner(state.dual_nonneg, q - state.proj @ x))
 
-        got = update_nonneg(state, x)
+        got = update_nonneg(state, state.proj @ x)
         want = nonneg_quadratic_minimizer(f_nonneg, (d_out, n))
         assert frob_rel_err(got, want) < rel_tol
 
@@ -110,7 +111,7 @@ def test_criterion_1_closed_form_updates_match_oracles():
             return (0.5 * state.penalty * sq(s - state.proj @ x)
                     + inner(state.dual_normed, s - state.proj @ x))
 
-        got = update_normed(state, x)
+        got = update_normed(state, state.proj @ x)
         want = ball_quadratic_minimizer(f_norm, (d_out, n))
         assert frob_rel_err(got, want) < rel_tol
 

@@ -1,6 +1,7 @@
 """The documented entry points run: README's library quick start and the
 scripts under demos/, each as a user would start them."""
 
+import json
 import os
 import re
 import subprocess
@@ -35,3 +36,59 @@ def test_demo_runs(script, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
     assert done.stdout.strip()
+
+
+# Reports the thread count of every loaded OpenBLAS before and after the CLI
+# ran a command (one that fails fast on a missing config file).
+_BLAS_PROBE = """
+import ctypes, json, sys
+from progsub import cli
+
+def counts():
+    out = []
+    for path in cli._loaded_openblas():
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                out.append(getter())
+                break
+    return out
+
+before = counts()
+code = cli.main(["fit", "--config", sys.argv[1]])
+print(json.dumps({"before": before, "after": counts(), "code": code}))
+"""
+
+
+def _blas_probe(tmp_path, **thread_vars):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(thread_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE, str(tmp_path / "missing.cfg")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["code"] == 1          # the missing config is reported
+    if not report["before"]:
+        pytest.skip("no OpenBLAS found among the loaded libraries")
+    return report
+
+
+def test_cli_runs_blas_on_one_thread_by_default(tmp_path):
+    report = _blas_probe(tmp_path)
+    assert report["after"] == [1] * len(report["before"])
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_keeps_user_blas_thread_count(tmp_path, var):
+    report = _blas_probe(tmp_path, **{var: "2"})
+    assert report["after"] == report["before"]

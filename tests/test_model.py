@@ -119,8 +119,9 @@ def test_supervised_features_reduces_to_plain_when_alpha_zero():
     x = rng.standard_normal((4, 6))
     r = rng.standard_normal((2, 3))
     y = rng.standard_normal((2, 6))
-    got = update_features_supervised(state, x, r, y, alpha=0.0)
-    assert np.allclose(got, update_features(state, x), atol=0, rtol=0)
+    px = state.proj @ x
+    got = update_features_supervised(state, x, px, r, y, alpha=0.0)
+    assert np.allclose(got, update_features(state, x, px), atol=0, rtol=0)
 
 
 def test_supervised_features_penalty_dominance():
@@ -129,7 +130,7 @@ def test_supervised_features_penalty_dominance():
     x = rng.standard_normal((4, 6))
     r = rng.standard_normal((2, 3))
     y = rng.standard_normal((2, 6))
-    got = update_features_supervised(state, x, r, y, alpha=1.0)
+    got = update_features_supervised(state, x, state.proj @ x, r, y, alpha=1.0)
     assert np.max(np.abs(got - state.proj @ x)) < 1e-4
 
 
@@ -147,7 +148,7 @@ def test_supervised_features_matches_oracle():
                 + inner(state.dual_feats, h - state.proj @ x)
                 + 0.5 * state.penalty * sq(h - state.proj @ x))
 
-    got = update_features_supervised(state, x, r, y, alpha)
+    got = update_features_supervised(state, x, state.proj @ x, r, y, alpha)
     want = quadratic_minimizer(f, (3, 6))
     assert frob_rel_err(got, want) < 1e-8
 
@@ -159,9 +160,11 @@ def test_supervised_features_mask_splits_columns():
     r = rng.standard_normal((2, 3))
     y = rng.standard_normal((2, 6))
     mask = np.array([True, False, True, True, False, True])
-    got = update_features_supervised(state, x, r, y, 0.8, labeled_cols=mask)
-    full = update_features_supervised(state, x, r, y, 0.8)
-    plain = update_features(state, x)
+    px = state.proj @ x
+    got = update_features_supervised(state, x, px, r, y, 0.8,
+                                     labeled_cols=mask)
+    full = update_features_supervised(state, x, px, r, y, 0.8)
+    plain = update_features(state, x, px)
     assert np.allclose(got[:, mask], full[:, mask], atol=1e-12)
     assert np.allclose(got[:, ~mask], plain[:, ~mask], atol=1e-12)
 

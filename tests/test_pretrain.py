@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,7 +14,8 @@ from progsub import (AdmmConfig, AdmmState, InputError, NumericalError,
                      update_decoder, update_duals, update_features,
                      update_nonneg, update_normed, update_projection)
 from progsub.graphs import compute_graph_gram
-from progsub.pretrain import run_admm
+from progsub.pretrain import (RIDGE, reconstruction_objective, run_admm,
+                              solve_spd)
 
 
 def random_state(rng, d_out, d_in, n, mu=1.0):
@@ -165,7 +169,7 @@ def test_update_features_reduces_without_decoder():
     state.decoder = np.zeros_like(state.decoder)
     state.dual_feats = np.zeros_like(state.dual_feats)
     x = rng.standard_normal((3, 6))
-    out = update_features(state, x)
+    out = update_features(state, x, state.proj @ x)
     assert np.allclose(out, state.proj @ x, atol=1e-9)
 
 
@@ -173,7 +177,7 @@ def test_update_features_penalty_dominance():
     rng = np.random.default_rng(6)
     state = random_state(rng, 2, 3, 6, mu=1e6)
     x = rng.standard_normal((3, 6))
-    out = update_features(state, x)
+    out = update_features(state, x, state.proj @ x)
     assert np.max(np.abs(out - state.proj @ x)) < 1e-4
 
 
@@ -187,7 +191,7 @@ def test_update_features_matches_normal_equations_oracle():
                 + 0.5 * state.penalty * sq(h - state.proj @ x)
                 + inner(state.dual_feats, h - state.proj @ x))
 
-    got = update_features(state, x)
+    got = update_features(state, x, state.proj @ x)
     want = quadratic_minimizer(f, (3, 6))
     assert frob_rel_err(got, want) < 1e-8
 
@@ -228,9 +232,10 @@ def test_update_nonneg_trivial_cases():
     state.dual_nonneg = np.zeros_like(state.dual_nonneg)
     state.proj = np.abs(state.proj)
     x = np.abs(rng.standard_normal((3, 5)))
-    assert np.array_equal(update_nonneg(state, x), state.proj @ x)
+    assert np.array_equal(update_nonneg(state, state.proj @ x), state.proj @ x)
     state.proj = -state.proj
-    assert np.array_equal(update_nonneg(state, x), np.zeros((2, 5)))
+    assert np.array_equal(update_nonneg(state, state.proj @ x),
+                          np.zeros((2, 5)))
 
 
 def test_update_nonneg_matches_projected_oracle():
@@ -242,7 +247,7 @@ def test_update_nonneg_matches_projected_oracle():
         return (0.5 * state.penalty * sq(q - state.proj @ x)
                 + inner(state.dual_nonneg, q - state.proj @ x))
 
-    got = update_nonneg(state, x)
+    got = update_nonneg(state, state.proj @ x)
     want = nonneg_quadratic_minimizer(f, (2, 4))
     assert frob_rel_err(got, want) < 1e-6
 
@@ -255,7 +260,8 @@ def test_update_normed_trivial_cases():
     px = state.proj @ x
     px_small = px / (np.linalg.norm(px, axis=0).max() * 2.0)
     state.proj = state.proj / (np.linalg.norm(px, axis=0).max() * 2.0)
-    assert np.allclose(update_normed(state, x), px_small, atol=1e-12)
+    assert np.allclose(update_normed(state, state.proj @ x), px_small,
+                       atol=1e-12)
 
 
 def test_update_normed_halves_norm_two_column():
@@ -267,7 +273,7 @@ def test_update_normed_halves_norm_two_column():
         penalty=1.0,
     )
     x = np.array([[2.0], [0.0]])
-    out = update_normed(state, x)
+    out = update_normed(state, state.proj @ x)
     assert np.allclose(out, [[1.0], [0.0]])
 
 
@@ -280,7 +286,7 @@ def test_update_normed_matches_ball_oracle():
         return (0.5 * state.penalty * sq(s - state.proj @ x)
                 + inner(state.dual_normed, s - state.proj @ x))
 
-    got = update_normed(state, x)
+    got = update_normed(state, state.proj @ x)
     want = ball_quadratic_minimizer(f, (3, 4))
     assert frob_rel_err(got, want) < 1e-6
 
@@ -292,18 +298,18 @@ def test_update_duals_fixed_point_and_arithmetic():
     px = state.proj @ x
     state.feats, state.nonneg, state.normed = px.copy(), px.copy(), px.copy()
     state.decoder = state.proj.copy()
-    new = update_duals(state, x)
+    new = update_duals(state, state.proj @ x)
     assert np.array_equal(new[0], state.dual_feats)
     assert np.array_equal(new[1], state.dual_decoder)
     assert np.array_equal(new[2], state.dual_nonneg)
     assert np.array_equal(new[3], state.dual_normed)
 
     state.feats = px + 1.0
-    new = update_duals(state, x)
+    new = update_duals(state, state.proj @ x)
     assert np.allclose(new[0], state.dual_feats + 1.0)
 
     state = random_state(rng, 2, 3, 5, mu=0.6)
-    new = update_duals(state, x)
+    new = update_duals(state, state.proj @ x)
     px = state.proj @ x
     assert np.allclose(new[2],
                        state.dual_nonneg + 0.6 * (state.nonneg - px))
@@ -327,7 +333,8 @@ def test_each_smooth_update_has_vanishing_gradient():
                 + 0.5 * state.penalty * sq(h - state.proj @ x)
                 + inner(state.dual_feats, h - state.proj @ x))
 
-    assert fd_gradient_norm(f_feats, update_features(state, x)) < 1e-6
+    assert fd_gradient_norm(f_feats,
+                            update_features(state, x, state.proj @ x)) < 1e-6
 
     def f_dec(g):
         return (0.5 * sq(x - g.T @ state.feats)
@@ -405,3 +412,86 @@ def test_run_admm_rejects_graph_gram_of_wrong_shape():
     with pytest.raises(InputError, match="Gram"):
         run_admm(x, np.zeros((8, 8)), rng.standard_normal((2, 3)), 0.1,
                  AdmmConfig(max_iters=5))
+
+
+# ------------------------------------------------------------- SPD solve
+
+# (system size, right-hand sides) of the projection, features and decoder
+# solves at the bench shapes: desk (12 -> 5 over 120 fused columns), scene
+# (200 -> 20 over 320) and semisup (100 -> 20 over ~1.7k); plus 1x1
+SPD_SHAPES = [(12, 5), (5, 120), (5, 12), (200, 20), (20, 320), (20, 200),
+              (100, 20), (20, 1692), (20, 100), (1, 7)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n, m", SPD_SHAPES)
+def test_solve_spd_matches_scipy_solve_bit_for_bit(n, m, order):
+    rng = np.random.default_rng(1000 * n + m)
+    g = rng.standard_normal((n, n + 3))
+    lhs = g @ g.T + (0.25 + RIDGE) * np.eye(n)
+    rhs = np.asarray(rng.standard_normal((n, m)), order=order)
+    got = solve_spd(lhs, rhs)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, scipy.linalg.solve(lhs, rhs, assume_a="pos"))
+
+
+def _broken_system(case):
+    lhs, rhs = np.diag([2.0, 1.0, 3.0]), np.ones((3, 4))
+    if case == "not SPD":
+        lhs[1, 1] = -1.0
+    elif case == "singular":
+        lhs[:] = 0.0
+    elif case.endswith("matrix"):
+        lhs[0, 2] = lhs[2, 0] = np.nan if case.startswith("NaN") else np.inf
+    elif case.endswith("rhs"):
+        rhs[1, 3] = np.nan if case.startswith("NaN") else -np.inf
+    elif case == "1x1 not SPD":
+        lhs, rhs = np.array([[-2.0]]), np.ones((1, 4))
+    elif case == "1x1 NaN":
+        lhs, rhs = np.array([[np.nan]]), np.ones((1, 4))
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("case", ["not SPD", "singular", "NaN matrix",
+                                  "inf matrix", "NaN rhs", "inf rhs",
+                                  "1x1 not SPD", "1x1 NaN"])
+def test_solve_spd_raises_numerical_error(case):
+    lhs, rhs = _broken_system(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="block solve"):
+            solve_spd(lhs, rhs)
+
+
+# ----------------------------------------------------- traced objective
+
+@pytest.mark.parametrize("variant", ["graph", "supervised", "no graph"])
+def test_traced_objective_matches_exact_objective(variant):
+    """Non-final iterations trace the objective in Gram form; the last entry
+    is the exact reconstruction_objective of the returned projection."""
+    rng = np.random.default_rng(23)
+    d_in, d_out, n, iters, weight = 6, 3, 14, 12, 0.4
+    x = rng.standard_normal((d_in, n)) / 3.0
+    proj0 = 0.3 * rng.standard_normal((d_out, d_in))
+    graph_gram = None
+    if variant != "no graph":
+        graph_gram = compute_graph_gram(x, random_laplacian(rng, n))
+    supervision = None
+    if variant == "supervised":
+        supervision = (rng.standard_normal((2, d_out)),
+                       rng.standard_normal((2, n)), 0.7,
+                       rng.random(n) < 0.6)
+
+    def run(k):
+        return run_admm(x, graph_gram, proj0, weight,
+                        AdmmConfig(eps=1e-300, max_iters=k), supervision)
+
+    _, full = run(iters)
+    assert full.iterations == iters
+    for k in range(1, iters + 1):
+        proj, report = run(k)
+        exact = reconstruction_objective(proj, x, graph_gram, weight,
+                                         supervision)
+        assert report.objective_trace[-1] == exact
+        assert full.objective_trace[k - 1] == pytest.approx(exact, rel=1e-9,
+                                                              abs=0.0)
