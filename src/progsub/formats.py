@@ -6,7 +6,6 @@ binary container. Every writer/reader pair round-trips bit-exactly.
 """
 
 import json
-import re
 import struct
 from dataclasses import dataclass
 
@@ -124,32 +123,14 @@ def save_cube(header_path, payload_path, feats, width, height, dtype="f64le",
     return header
 
 
-# a label file as save_labels writes it: digits and newlines only, at least
-# one digit, no entry long enough to overflow int64
-_PLAIN_LABELS = re.compile(r"\n*[0-9][0-9\n]*")
-_LONG_ENTRY = re.compile(r"[0-9]{19}")
-
-
 def load_labels(path, n_pixels, n_classes=None):
     """Read one integer label per line; 0 means unlabeled, 1..L a class."""
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if not _PLAIN_LABELS.fullmatch(text) or _LONG_ENTRY.search(text):
-        # signs, spaces, CR line ends or malformed entries
-        return _load_label_lines(path, text, n_pixels, n_classes)
-    labels = np.fromstring(text, dtype=np.int64, sep="\n")
-    _check_label_count(path, len(labels), n_pixels)
-    if n_classes is not None:
-        above = np.flatnonzero(labels > n_classes)
-        if above.size:
-            raise _above_class_count(int(above[0]), int(labels[above[0]]),
-                                     n_classes)
-    return labels.tolist()
-
-
-def _load_label_lines(path, text, n_pixels, n_classes):
-    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
-    _check_label_count(path, len(lines), n_pixels)
+        lines = [ln for ln in fh.read().split("\n") if ln.strip() != ""]
+    if len(lines) != n_pixels:
+        raise FormatError(
+            f"label file {path} has {len(lines)} entries, expected {n_pixels}"
+        )
     labels = []
     for i, ln in enumerate(lines):
         try:
@@ -159,22 +140,11 @@ def _load_label_lines(path, text, n_pixels, n_classes):
         if v < 0:
             raise FormatError(f"label line {i} is negative: {v}")
         if n_classes is not None and v > n_classes:
-            raise _above_class_count(i, v, n_classes)
+            raise FormatError(
+                f"label line {i} is {v}, above the class count {n_classes}"
+            )
         labels.append(v)
     return labels
-
-
-def _check_label_count(path, count, n_pixels):
-    if count != n_pixels:
-        raise FormatError(
-            f"label file {path} has {count} entries, expected {n_pixels}"
-        )
-
-
-def _above_class_count(i, v, n_classes):
-    return FormatError(
-        f"label line {i} is {v}, above the class count {n_classes}"
-    )
 
 
 def save_labels(path, labels):

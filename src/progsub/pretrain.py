@@ -13,7 +13,6 @@ dual ascent under a geometrically growing penalty. Fine-tuning runs the same
 loop with the label-prediction term added (see run_admm).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,21 +242,18 @@ class PretrainReport:
         return "\n".join(lines) + "\n"
 
 
-def graph_term(proj, graph_gram):
-    """tr(T XLX' T') for a layer's graph Gram matrix XLX'."""
-    return float(((proj @ graph_gram) * proj).sum())
-
-
-def layer_terms(proj, x, graph_gram=None):
+def layer_terms(proj, x, graph_gram=None, emb=None):
     """Unweighted terms of one layer: (||X - T'TX||^2, tr(T XLX' T'), TX).
 
-    The graph term is 0 when no Gram matrix XLX' is given.
+    The graph term is 0 when no Gram matrix XLX' is given. `emb` is TX when
+    the caller already has it.
     """
-    emb = proj @ x
+    if emb is None:
+        emb = proj @ x
     resid = x - proj.T @ emb
     graph = 0.0
     if graph_gram is not None:
-        graph = graph_term(proj, graph_gram)
+        graph = float(np.sum((proj @ graph_gram) * proj))
     return float(np.sum(resid * resid)), graph, emb
 
 
@@ -267,48 +263,28 @@ def prediction_term(supervision, emb):
     diff = readout_chain @ emb - y
     if labeled_cols is not None:
         diff = diff[:, labeled_cols]
-    return 0.5 * alpha * float((diff * diff).sum())
-
-
-def _weighted_objective(recon, emb, proj, graph_gram, graph_weight,
-                        supervision):
-    value = 0.5 * recon
-    if supervision is not None:
-        value += prediction_term(supervision, emb)
-    if graph_weight != 0.0 and graph_gram is not None:
-        value += 0.5 * graph_weight * graph_term(proj, graph_gram)
-    return value
+    return 0.5 * alpha * float(np.sum(diff * diff))
 
 
 def reconstruction_objective(proj, x, graph_gram, graph_weight,
-                             supervision=None):
+                             supervision=None, emb=None):
     """The layer objective with the embedded features substituted by TX:
 
         1/2 ||X - T'TX||^2 + alpha/2 ||Y - R T X||^2 + w/2 tr(T XLX' T')
 
     The prediction term needs `supervision` (see run_admm); the graph term
-    is dropped when w is 0 or `graph_gram` is None.
+    is dropped when w is 0 or `graph_gram` is None. `emb` is TX when the
+    caller already has it.
     """
-    recon, _, emb = layer_terms(proj, x)
-    return _weighted_objective(recon, emb, proj, graph_gram, graph_weight,
-                               supervision)
-
-
-def gram_objective(proj, px, data_gram, graph_gram, graph_weight,
-                   supervision=None):
-    """reconstruction_objective from px = TX and G = XX', in O(d_in^2) work
-    instead of a d_in x n residual:
-
-        ||X - T'TX||^2 = tr(G) - 2 tr(TGT') + tr(TT' TGT')
-
-    Equal to it up to rounding; the cancellation on the right grows that
-    rounding as the residual shrinks against ||X||^2.
-    """
-    tgt = proj @ data_gram @ proj.T
-    recon = float(data_gram.trace() - 2.0 * tgt.trace()
-                  + ((proj @ proj.T) * tgt).sum())
-    return _weighted_objective(recon, px, proj, graph_gram, graph_weight,
-                               supervision)
+    if graph_weight == 0.0:
+        graph_gram = None
+    recon, graph, emb = layer_terms(proj, x, graph_gram, emb)
+    value = 0.5 * recon
+    if supervision is not None:
+        value += prediction_term(supervision, emb)
+    if graph_gram is not None:
+        value += 0.5 * graph_weight * graph
+    return value
 
 
 def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
@@ -367,20 +343,14 @@ def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
             float(np.linalg.norm(state.nonneg - px)),
             float(np.linalg.norm(state.normed - px)),
         )
-        converged = all(r < cfg.eps for r in residuals)
-        if converged or t == cfg.max_iters - 1:
-            # the returned (last) value is exact: finetune_projection's
-            # guard compares it
-            obj = reconstruction_objective(state.proj, x, graph_gram,
-                                           graph_weight, supervision)
-        else:
-            obj = gram_objective(state.proj, px, data_gram, graph_gram,
-                                 graph_weight, supervision)
-        if not all(map(math.isfinite, (obj, *residuals))):
+        obj = reconstruction_objective(state.proj, x, graph_gram,
+                                       graph_weight, supervision, px)
+        if not np.isfinite(obj) or not all(np.isfinite(r) for r in residuals):
             raise NumericalError(f"non-finite value at ADMM iteration {t}")
         trace.append((t, *residuals, mu_used, obj))
         iterations = t + 1
-        if converged:
+        if all(r < cfg.eps for r in residuals):
+            converged = True
             break
 
     report = PretrainReport(

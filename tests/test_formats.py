@@ -113,76 +113,6 @@ def test_load_labels_negative(tmp_path):
         load_labels(path, 2)
 
 
-def _reference_load_labels(path, n_pixels, n_classes=None):
-    """The per-line parse load_labels must match, labels and errors."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip() != ""]
-    if len(lines) != n_pixels:
-        raise FormatError(
-            f"label file {path} has {len(lines)} entries, expected {n_pixels}"
-        )
-    labels = []
-    for i, ln in enumerate(lines):
-        try:
-            v = int(ln.strip())
-        except ValueError as exc:
-            raise FormatError(f"label line {i} is not an integer: {ln!r}") \
-                from exc
-        if v < 0:
-            raise FormatError(f"label line {i} is negative: {v}")
-        if n_classes is not None and v > n_classes:
-            raise FormatError(
-                f"label line {i} is {v}, above the class count {n_classes}"
-            )
-        labels.append(v)
-    return labels
-
-
-def _outcome(load, path, n_pixels, n_classes):
-    try:
-        return load(path, n_pixels, n_classes)
-    except FormatError as exc:
-        return f"FormatError: {exc}"
-
-
-def test_load_labels_matches_per_line_parse_at_scene_size(tmp_path):
-    rng = np.random.default_rng(10)
-    labels = [int(v) for v in rng.integers(0, 17, size=145 * 145)]
-    path = tmp_path / "labels.txt"
-    save_labels(path, labels)
-    got = load_labels(path, 145 * 145, 16)
-    assert got == _reference_load_labels(path, 145 * 145, 16) == labels
-    assert all(type(v) is int for v in got)
-    text = path.read_text()
-    cases = {
-        "not an integer": (7000, "x3"),
-        "negative": (9000, "-4"),
-        "above the class count": (11000, "17"),
-    }
-    for kind, (line, entry) in cases.items():
-        lines = text.split("\n")
-        lines[line] = entry
-        lines[line + 500] = "99"      # a later bad line must not win
-        path.write_text("\n".join(lines))
-        with pytest.raises(FormatError) as exc:
-            load_labels(path, 145 * 145, 16)
-        assert kind in str(exc.value)
-        assert f"label line {line} " in str(exc.value)
-        assert _outcome(load_labels, path, 145 * 145, 16) == \
-            _outcome(_reference_load_labels, path, 145 * 145, 16)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789\n \r-+_x", max_size=40),
-       st.integers(0, 6), st.sampled_from([None, 3, 9]))
-def test_load_labels_matches_per_line_parse(tmp_path_factory, text, n_pixels,
-                                            n_classes):
-    path = tmp_path_factory.mktemp("labels") / "labels.txt"
-    path.write_bytes(text.encode("ascii"))
-    assert _outcome(load_labels, path, n_pixels, n_classes) == \
-        _outcome(_reference_load_labels, path, n_pixels, n_classes)
-
-
 def test_labels_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     labels = [int(v) for v in rng.integers(0, 9, size=40)]

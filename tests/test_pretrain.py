@@ -467,8 +467,8 @@ def test_solve_spd_raises_numerical_error(case):
 
 @pytest.mark.parametrize("variant", ["graph", "supervised", "no graph"])
 def test_traced_objective_matches_exact_objective(variant):
-    """Non-final iterations trace the objective in Gram form; the last entry
-    is the exact reconstruction_objective of the returned projection."""
+    """Every traced entry is the exact reconstruction_objective of the
+    projection at that iteration, although run_admm reuses its own TX."""
     rng = np.random.default_rng(23)
     d_in, d_out, n, iters, weight = 6, 3, 14, 12, 0.4
     x = rng.standard_normal((d_in, n)) / 3.0
@@ -493,5 +493,4 @@ def test_traced_objective_matches_exact_objective(variant):
         exact = reconstruction_objective(proj, x, graph_gram, weight,
                                          supervision)
         assert report.objective_trace[-1] == exact
-        assert full.objective_trace[k - 1] == pytest.approx(exact, rel=1e-9,
-                                                              abs=0.0)
+        assert full.objective_trace[k - 1] == exact
