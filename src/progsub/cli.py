@@ -65,6 +65,18 @@ def _single_blas_thread():
                 break
 
 
+# the flags whose argparse dest is the config key they stand for; a flag that
+# is given replaces the file's value before parsing, as a later line would
+_KEY_FLAGS = ("seed", "out", "grid.budget", "run.include_unlabeled",
+              "sweep.layers")
+
+_INCLUDE_UNLABELED = {"--include-unlabeled-in-graph": dict(
+    dest="run.include_unlabeled", action="store_const", const="true",
+    help="fit on the unlabeled pixels too: they join the reconstruction and "
+         "graph terms (sets run.include_unlabeled=true)")}
+_MODEL = {"--model": dict(required=True, help="model file from fit")}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="progsub",
@@ -75,14 +87,8 @@ def _build_parser():
     def add(name, help_text, **extra_flags):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--grid-budget", type=int, default=None,
-                       help="cap the number of grid cells")
-        p.add_argument("--include-unlabeled-in-graph", action="store_true",
-                       default=None,
-                       help="let unlabeled pixels join graph construction")
+        p.add_argument("--seed", type=int, help="split and synthetic seed")
+        p.add_argument("--out", help="output directory")
         for flag, kwargs in extra_flags.items():
             p.add_argument(flag, **kwargs)
         return p
@@ -91,41 +97,40 @@ def _build_parser():
     add("segment", "segment the cube and write per-pixel segment ids")
     add("fit", "train, evaluate, and write the full artifact set",
         **{"--dump-graphs": dict(action="store_true",
-                                 help="also dump the training pixel graph")})
-    add("transform", "project a cube through a trained model",
-        **{"--model": dict(required=True, help="model file from fit")})
+                                 help="also dump the training pixel graph")},
+        **_INCLUDE_UNLABELED)
+    add("transform", "project a cube through a trained model", **_MODEL)
     add("evaluate", "re-evaluate a trained model on the config's split",
-        **{"--model": dict(required=True, help="model file from fit")})
-    add("grid", "cross-validated hyperparameter grid search")
+        **_MODEL)
+    add("grid", "cross-validated hyperparameter grid search",
+        **{"--grid-budget": dict(dest="grid.budget", type=int,
+                                 help="cap the number of grid cells")})
     add("sweep-layers", "refit with each configured layer count",
-        **{"--layers": dict(default=None,
-                            help="comma list of layer counts (overrides config)")})
+        **{"--layers": dict(dest="sweep.layers",
+                            help="comma list of layer counts")},
+        **_INCLUDE_UNLABELED)
     add("render-map", "render a predictions file as a PPM class map",
         **{"--predictions": dict(required=True,
                                  help="file with one class id per line")})
     return parser
 
 
-def _require_out(args, command):
-    if args.out is None:
-        raise InputError(f"{command} needs --out")
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+def _require_out(config, command):
+    if config.out_dir is None:
+        raise InputError(f"{command} needs --out or an out= config key")
+    os.makedirs(config.out_dir, exist_ok=True)
+    return config.out_dir
 
 
 def _load(args):
-    return load_config(
-        args.config,
-        seed=args.seed,
-        out_dir=args.out,
-        grid_budget=args.grid_budget,
-        include_unlabeled=args.include_unlabeled_in_graph,
-    )
+    flags = vars(args)
+    return load_config(args.config, {key: str(flags[key]) for key in _KEY_FLAGS
+                                     if flags.get(key) is not None})
 
 
 def _cmd_generate(args):
     config = _load(args)
-    out = _require_out(args, "generate")
+    out = _require_out(config, "generate")
     if config.synthetic is None:
         raise InputError("generate needs synthetic.* config keys")
     from .synthetic import generate_synthetic
@@ -135,17 +140,17 @@ def _cmd_generate(args):
                       os.path.join(out, "cube.raw"),
                       cube, width, height)
     formats.save_labels(os.path.join(out, "labels.txt"), labels)
-    palette = formats.default_palette(max(labels))
+    palette = formats.default_palette(int(labels.max()))
     with open(os.path.join(out, "truth.ppm"), "wb") as fh:
         fh.write(formats.render_class_map(labels, width, height, palette))
     print(f"generate: wrote {width}x{height}x{cube.shape[0]} cube, "
-          f"{max(labels)} classes -> {out}")
+          f"{labels.max()} classes -> {out}")
     return 0
 
 
 def _cmd_segment(args):
     config = _load(args)
-    out = _require_out(args, "segment")
+    out = _require_out(config, "segment")
     data = load_data(config)
     seg = segment_data(config, data)
     path = os.path.join(out, "segments.txt")
@@ -157,8 +162,8 @@ def _cmd_segment(args):
 
 def _cmd_fit(args):
     config = _load(args)
-    _require_out(args, "fit")
-    config.dump_graphs = bool(getattr(args, "dump_graphs", False))
+    _require_out(config, "fit")
+    config.dump_graphs = args.dump_graphs
     metrics, artifacts = run_experiment(config)
     print(f"fit[{config.method}]: oa={metrics.oa:.4f} aa={metrics.aa:.4f} "
           f"kappa={metrics.kappa:.4f} ({len(artifacts)} artifacts)")
@@ -167,7 +172,7 @@ def _cmd_fit(args):
 
 def _cmd_transform(args):
     config = _load(args)
-    out = _require_out(args, "transform")
+    out = _require_out(config, "transform")
     stack = formats.load_model(args.model)
     data = load_data(config)
     embedded = stack_transform(stack, data.cube)
@@ -180,7 +185,7 @@ def _cmd_transform(args):
 
 def _cmd_evaluate(args):
     config = _load(args)
-    out = _require_out(args, "evaluate")
+    out = _require_out(config, "evaluate")
     stack = formats.load_model(args.model)
     data = load_data(config)
     data.split = split_data(config, data)
@@ -195,8 +200,6 @@ def _cmd_evaluate(args):
 
 def _cmd_grid(args):
     config = _load(args)
-    if args.out is not None:
-        _require_out(args, "grid")
     best, rows = grid_search_cv(config)
     print(f"grid: scored {len(rows)} cells; best mean OA "
           f"{max(r[1] for r in rows):.4f}")
@@ -205,12 +208,7 @@ def _cmd_grid(args):
 
 def _cmd_sweep_layers(args):
     config = _load(args)
-    if args.out is not None:
-        _require_out(args, "sweep-layers")
-    m_list = None
-    if getattr(args, "layers", None):
-        m_list = [int(v) for v in args.layers.split(",") if v.strip()]
-    rows = layer_sweep(config, m_list)
+    rows = layer_sweep(config)
     for m, oa, aa, kappa in rows:
         print(f"m={m}: oa={oa:.4f} aa={aa:.4f} kappa={kappa:.4f}")
     return 0
@@ -218,10 +216,10 @@ def _cmd_sweep_layers(args):
 
 def _cmd_render_map(args):
     config = _load(args)
-    out = _require_out(args, "render-map")
+    out = _require_out(config, "render-map")
     data = load_data(config)
     preds = formats.load_labels(args.predictions, data.width * data.height)
-    palette = formats.default_palette(max(max(preds), data.n_classes, 1))
+    palette = formats.default_palette(max(int(preds.max()), data.n_classes, 1))
     path = os.path.join(out, "map.ppm")
     with open(path, "wb") as fh:
         fh.write(formats.render_class_map(preds, data.width, data.height,

@@ -124,7 +124,7 @@ def save_cube(header_path, payload_path, feats, width, height, dtype="f64le",
 
 
 def load_labels(path, n_pixels, n_classes=None):
-    """Read one integer label per line; 0 means unlabeled, 1..L a class."""
+    """Read an int64 array, one label per line: 0 unlabeled, 1..L a class."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln.strip() != ""]
     if len(lines) != n_pixels:
@@ -144,7 +144,7 @@ def load_labels(path, n_pixels, n_classes=None):
                 f"label line {i} is {v}, above the class count {n_classes}"
             )
         labels.append(v)
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def save_labels(path, labels):

@@ -125,9 +125,12 @@ class ExperimentConfig:
     dump_graphs: bool = False
 
     @classmethod
-    def from_mapping(cls, mapping, seed=None, out_dir=None, grid_budget=None,
-                     include_unlabeled=None):
+    def from_mapping(cls, mapping, seed=None, out_dir=None):
+        """Parse {key: text}; a given `seed`/`out_dir` replaces that key."""
         mapping = dict(mapping)
+        for key, value in (("seed", seed), ("out", out_dir)):
+            if value is not None:
+                mapping[key] = str(value)
         preset = mapping.pop("preset", None)
         if preset is not None:
             if preset not in PRESETS:
@@ -142,8 +145,7 @@ class ExperimentConfig:
         method = _get(mapping, "method", str, "progsub")
         if method not in METHODS:
             raise InputError(f"unknown method {method!r}; have {METHODS}")
-        file_seed = _get(mapping, "seed", int, 0)
-        eff_seed = seed if seed is not None else file_seed
+        seed = _get(mapping, "seed", int, 0)
 
         synthetic = None
         if any(k.startswith("synthetic.") for k in mapping):
@@ -155,7 +157,7 @@ class ExperimentConfig:
                 separation=_get(mapping, "synthetic.separation", float, 1.0),
                 noise=_get(mapping, "synthetic.noise", float, 0.3),
                 blob_size=_get(mapping, "synthetic.blob", int, 5),
-                seed=_get(mapping, "synthetic.seed", int, eff_seed),
+                seed=_get(mapping, "synthetic.seed", int, seed),
             )
 
         layers = _get(mapping, "model.layers", int, 1)
@@ -185,12 +187,13 @@ class ExperimentConfig:
             eps=_get(mapping, "admm.eps", float, 1e-6),
             max_iters=_get(mapping, "admm.max_iters", int, 500),
         )
-        file_budget = _get(mapping, "grid.budget", int, None)
+        grid_budget = _get(mapping, "grid.budget", int, None)
         grid_folds = _get(mapping, "grid.folds", int, 10)
-        # grid_search_cv checks the parameter names of the remaining grid.*
+        # read after budget and folds: grid_search_cv checks the parameter
+        # names of the remaining grid.* keys
         grid = {key.split(".", 1)[1]: mapping.pop(key)
                 for key in list(mapping) if key.startswith("grid.")}
-        file_include = _get(mapping, "run.include_unlabeled", _bool, False)
+        include = _get(mapping, "run.include_unlabeled", _bool, False)
         per_class = _get(mapping, "split.train_per_class", int, 10)
         if per_class < 1:
             raise InputError(f"config key split.train_per_class={per_class} "
@@ -207,26 +210,24 @@ class ExperimentConfig:
         if slic_iters < 1:
             raise InputError(f"config key slic.iters={slic_iters} "
                              "must be >= 1")
-        file_out = _get(mapping, "out", str, None)
         config = cls(
             raw=raw,
             method=method,
-            seed=eff_seed,
-            out_dir=out_dir if out_dir is not None else file_out,
+            seed=seed,
+            out_dir=_get(mapping, "out", str, None),
             synthetic=synthetic,
             cube_header=_get(mapping, "data.cube_header", str, None),
             cube_payload=_get(mapping, "data.cube_payload", str, None),
             labels_path=_get(mapping, "data.labels", str, None),
             train_per_class=per_class,
             unlabeled_fraction=hidden,
-            include_unlabeled=(include_unlabeled if include_unlabeled
-                               is not None else file_include),
+            include_unlabeled=include,
             hyper=hyper,
             admm=admm,
             slic_compactness=compactness,
             slic_iters=slic_iters,
             grid=grid,
-            grid_budget=grid_budget if grid_budget is not None else file_budget,
+            grid_budget=grid_budget,
             grid_folds=grid_folds,
             sweep_layers=_get(mapping, "sweep.layers", _int_list, [1, 2, 3]),
         )
@@ -237,10 +238,12 @@ class ExperimentConfig:
         return config
 
 
-def load_config(path, **overrides):
+def load_config(path, keys=None):
+    """Parse a config file; `keys` replace its values, as later lines would."""
     with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_mapping(parse_config_text(fh.read()),
-                                             **overrides)
+        mapping = parse_config_text(fh.read())
+    mapping.update(keys or {})
+    return ExperimentConfig.from_mapping(mapping)
 
 
 @contextlib.contextmanager
@@ -259,27 +262,27 @@ def make_split(labels, train_per_class, unlabeled_fraction, rng):
     """Stratified split: fixed train count per class, optional pretend-
     unlabeled share of the remainder, rest is test. File-level zeros stay
     unlabeled."""
-    labels = np.asarray(list(labels), dtype=np.int64)
-    train, test, unlabeled = [], [], list(np.flatnonzero(labels == 0))
-    for cls in sorted(set(labels[labels > 0].tolist())):
+    labels = np.asarray(labels, dtype=np.int64)
+    train, test, unlabeled = [], [], [np.flatnonzero(labels == 0)]
+    for cls in np.unique(labels[labels > 0]):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(idx.size)]
         take = min(train_per_class, idx.size)
-        train.extend(int(i) for i in idx[:take])
         rest = idx[take:]
         n_hide = int(round(unlabeled_fraction * rest.size))
-        unlabeled.extend(int(i) for i in rest[:n_hide])
-        test.extend(int(i) for i in rest[n_hide:])
+        train.append(idx[:take])
+        unlabeled.append(rest[:n_hide])
+        test.append(rest[n_hide:])
     if not train:
         raise InputError("split produced no training samples")
-    return SampleSplit(tuple(sorted(train)), tuple(sorted(test)),
-                       tuple(sorted(unlabeled)))
+    return SampleSplit(*(np.sort(np.concatenate(group))
+                         for group in (train, test, unlabeled)))
 
 
 @dataclass
 class PreparedData:
     cube: np.ndarray          # normalized bands x pixels, read-only
-    labels: list
+    labels: np.ndarray        # int64, one per pixel; 0 marks unlabeled
     width: int
     height: int
     n_classes: int
@@ -300,7 +303,7 @@ def load_data(config):
             cube, labels, width, height = generate_synthetic(config.synthetic)
         else:
             raise InputError("config names neither data files nor a synthetic spec")
-        n_classes = max(labels) if max(labels) > 0 else 0
+        n_classes = int(labels.max())
         # unit-ball feasibility: uniform scaling preserves nearest-neighbor
         # ordering while making column norms <= 1
         scale = float(np.linalg.norm(cube, axis=0).max())
@@ -349,7 +352,6 @@ def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
     embed_fn maps a raw pixel matrix to the learned feature space.
     """
     cube = data.cube
-    labels = data.labels
     method = config.method
     if method == "raw":
         return (lambda v: v), None, None
@@ -364,12 +366,11 @@ def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
         emb = lpp_fit(cube[:, train_idx], lap, deg, hyper.dims[-1])
         return emb.transform, None, None
     # progsub
-    fit_idx = list(train_idx)
-    fit_labels = [labels[i] for i in train_idx]
-    if config.include_unlabeled and unlabeled_idx:
-        fit_idx += list(unlabeled_idx)
-        fit_labels += [0] * len(unlabeled_idx)
-    fit_idx = np.asarray(fit_idx, dtype=np.int64)
+    fit_idx = train_idx
+    if config.include_unlabeled:
+        fit_idx = np.concatenate([train_idx, unlabeled_idx])
+    fit_labels = data.labels[fit_idx]
+    fit_labels[train_idx.size:] = 0  # the unlabeled columns' labels stay hidden
     stack, report = fit_stack(
         cube[:, fit_idx],
         data.stream[:, fit_idx],
@@ -389,18 +390,18 @@ def score_embedding(data, embed):
     is labeled by its nearest training pixel and the test pixels are scored;
     returns (MetricsReport, predicted class of every pixel).
     """
-    train_idx = np.asarray(data.split.train_indices, dtype=np.int64)
-    test_idx = np.asarray(data.split.test_indices, dtype=np.int64)
+    train_idx = data.split.train_indices
+    test_idx = data.split.test_indices
     with _stage("transform"):
         all_emb = embed(data.cube)
 
     with _stage("classify"):
-        train_labels = [data.labels[i] for i in train_idx]
-        preds_all = nn_classify(all_emb[:, train_idx], train_labels, all_emb)
+        preds_all = nn_classify(all_emb[:, train_idx], data.labels[train_idx],
+                                all_emb)
 
     with _stage("metrics"):
-        truth = [data.labels[i] for i in test_idx]
-        cm = confusion(truth, preds_all[test_idx], n_classes=data.n_classes)
+        cm = confusion(data.labels[test_idx], preds_all[test_idx],
+                       n_classes=data.n_classes)
         metrics = compute_metrics(cm)
     return metrics, preds_all
 
@@ -441,13 +442,13 @@ def run_experiment(config):
     """End-to-end run; returns (MetricsReport, artifacts dict)."""
     data = prepare_data(config)
     split = data.split
-    train_idx = np.asarray(split.train_indices, dtype=np.int64)
-    if not split.test_indices:
+    if split.test_indices.size == 0:
         raise PipelineError("split", InputError("split produced no test samples"))
 
     with _stage("fit"):
         embed, stack, report = _fit_method(
-            config, data, train_idx, list(split.unlabeled_indices), config.hyper
+            config, data, split.train_indices, split.unlabeled_indices,
+            config.hyper
         )
 
     metrics, preds_all = score_embedding(data, embed)
@@ -462,9 +463,8 @@ def run_experiment(config):
 def _echo_lines(config):
     lines = [f"method={config.method}", f"seed={config.seed}"]
     for key in sorted(config.raw):
-        if key in ("out", "seed"):
-            continue
-        lines.append(f"{key}={config.raw[key]}")
+        if key not in ("method", "out", "seed"):
+            lines.append(f"{key}={config.raw[key]}")
     return "\n".join(lines) + "\n"
 
 
@@ -490,18 +490,16 @@ def _write_artifacts(config, data, metrics, stack, report, preds_all):
 
 
 def _stratified_folds(labels, train_idx, n_folds, rng):
-    """Deterministic per-class round-robin fold assignment."""
-    train_idx = np.asarray(train_idx, dtype=np.int64)
-    fold_of = {}
-    for cls in sorted(set(int(labels[i]) for i in train_idx)):
-        members = np.asarray([i for i in train_idx if labels[i] == cls])
+    """Deterministic per-class round-robin fold assignment; returns the
+    non-empty folds, each a sorted index array."""
+    train_labels = labels[train_idx]
+    fold_of = np.empty(train_idx.size, dtype=np.int64)
+    for cls in np.unique(train_labels):
+        members = np.flatnonzero(train_labels == cls)
         members = members[rng.permutation(members.size)]
-        for j, i in enumerate(members):
-            fold_of[int(i)] = j % n_folds
-    folds = [[] for _ in range(n_folds)]
-    for i in sorted(fold_of):
-        folds[fold_of[i]].append(i)
-    return [f for f in folds if f]
+        fold_of[members] = np.arange(members.size) % n_folds
+    folds = [np.sort(train_idx[fold_of == f]) for f in range(n_folds)]
+    return [f for f in folds if f.size]
 
 
 _GRID_FIELDS = ("alpha", "beta", "gamma", "eta", "sigma", "knn_k", "dims",
@@ -523,25 +521,21 @@ def _apply_cell(hyper, cell):
 def _cv_score(config, data, hyper, folds):
     """Mean held-out-fold overall accuracy for one hyperparameter cell."""
     oas = []
-    for held in range(len(folds)):
-        val_idx = np.asarray(folds[held], dtype=np.int64)
-        fit_idx = np.asarray(
-            sorted(i for j, f in enumerate(folds) if j != held for i in f),
-            dtype=np.int64,
-        )
-        if fit_idx.size == 0 or val_idx.size == 0:
+    all_idx = np.concatenate(folds)
+    for val_idx in folds:
+        fit_idx = np.setdiff1d(all_idx, val_idx)
+        if fit_idx.size == 0:
             continue
         k = hyper.knn_k
         if k >= fit_idx.size:
             k = max(1, fit_idx.size - 1)
         fold_hyper = replace(hyper, knn_k=k)
-        embed, _, _ = _fit_method(config, data, fit_idx, [], fold_hyper)
+        # the folds hold training pixels only; no unlabeled column joins
+        embed, _, _ = _fit_method(config, data, fit_idx, fit_idx[:0], fold_hyper)
         train_emb = embed(data.cube[:, fit_idx])
         val_emb = embed(data.cube[:, val_idx])
-        preds = nn_classify(train_emb, [data.labels[i] for i in fit_idx],
-                            val_emb)
-        truth = np.asarray([data.labels[i] for i in val_idx])
-        oas.append(float((preds == truth).mean()))
+        preds = nn_classify(train_emb, data.labels[fit_idx], val_emb)
+        oas.append(float((preds == data.labels[val_idx]).mean()))
     if not oas:
         raise InputError("cross-validation produced no scorable folds")
     return float(np.mean(oas))
@@ -578,12 +572,10 @@ def grid_search_cv(config):
         cells = [cells[i] for i in take]
 
     data = prepare_data(config)
-    train_idx = list(data.split.train_indices)
-    class_sizes = {}
-    for i in train_idx:
-        class_sizes[data.labels[i]] = class_sizes.get(data.labels[i], 0) + 1
-    n_folds = max(2, min(config.grid_folds, min(class_sizes.values()),
-                         len(train_idx) // 2))
+    train_idx = data.split.train_indices
+    _, class_sizes = np.unique(data.labels[train_idx], return_counts=True)
+    n_folds = max(2, min(config.grid_folds, int(class_sizes.min()),
+                         train_idx.size // 2))
     rng = np.random.default_rng(config.seed)
     folds = _stratified_folds(data.labels, train_idx, n_folds, rng)
 

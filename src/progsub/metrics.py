@@ -18,7 +18,7 @@ def nn_classify(train_feats, train_labels, test_feats):
     """
     train = matrix_values(train_feats)
     test = matrix_values(test_feats)
-    labels = np.asarray(list(train_labels), dtype=np.int64)
+    labels = np.asarray(train_labels, dtype=np.int64)
     if train.shape[1] == 0:
         raise InputError("nearest-neighbor needs at least one training sample")
     if labels.size != train.shape[1]:
@@ -59,8 +59,8 @@ class ConfusionMatrix:
 
 def confusion(true_labels, predicted, n_classes=None):
     """Tally a confusion matrix from 1-based class labels."""
-    t = np.asarray(list(true_labels), dtype=np.int64)
-    p = np.asarray(list(predicted), dtype=np.int64)
+    t = np.asarray(true_labels, dtype=np.int64)
+    p = np.asarray(predicted, dtype=np.int64)
     if t.size != p.size:
         raise InputError(f"{t.size} true labels vs {p.size} predictions")
     if t.size == 0:

@@ -186,7 +186,7 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
     """Train the full stack on a training cube slice.
 
     pixels / stream: matching (d0 x n) pixel and superpixel-stream matrices.
-    labels: one integer per column; 0 marks an unlabeled column that joins
+    labels: one int64 label per column; 0 marks an unlabeled column that joins
     the reconstruction and graph terms but not the prediction term.
     seg: per-column segment ids aligned with the columns.
     """
@@ -197,15 +197,15 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
         raise InputError(
             f"pixel block {x.shape} and stream block {xsp.shape} differ"
         )
-    labels = [int(v) for v in labels]
+    labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[1]
-    if len(labels) != n:
-        raise InputError(f"{len(labels)} labels for {n} training columns")
-    labeled = np.array([v > 0 for v in labels], dtype=bool)
+    if labels.size != n:
+        raise InputError(f"{labels.size} labels for {n} training columns")
+    labeled = labels > 0
     if not labeled.any():
         raise InputError("no labeled training samples")
     if n_classes is None:
-        n_classes = max(labels)
+        n_classes = int(labels.max())
     ids = np.asarray(seg)
     if ids.size != n:
         raise InputError(
@@ -228,8 +228,7 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
 
     y_small = np.zeros((n_classes, n))
     lab_idx = np.flatnonzero(labeled)
-    y_small[:, lab_idx] = one_hot_encode([labels[i] for i in lab_idx],
-                                         n_classes)
+    y_small[:, lab_idx] = one_hot_encode(labels[lab_idx], n_classes)
     yt = np.hstack([y_small, y_small])
     labeled2 = np.concatenate([labeled, labeled])
     mask = None if labeled2.all() else labeled2

@@ -119,7 +119,7 @@ def _signatures(spec, rng):
 
 def generate_synthetic(spec):
     """Build (cube, labels, width, height): a C-ordered float64 bands x
-    pixels array and one 1-based label per pixel."""
+    pixels array and an int64 array of one 1-based label per pixel."""
     rng = np.random.default_rng(spec.seed)
     class_map = _grow_regions(spec, rng)
     sigs = _signatures(spec, rng)
@@ -127,5 +127,5 @@ def generate_synthetic(spec):
     values = sigs[:, class_map]
     if spec.noise > 0:
         values = values + spec.noise * rng.standard_normal((spec.bands, n))
-    labels = [int(v) + 1 for v in class_map]
+    labels = class_map + 1
     return np.ascontiguousarray(values), labels, spec.width, spec.height

@@ -3,7 +3,7 @@
 Everything here is an immutable container validated at construction time.
 Feature matrices are plain float64 ndarrays stored column-per-sample (one
 column = one sample, bands x pixels) so that projections always multiply on
-the left.
+the left. Labels and index sets are plain int64 ndarrays.
 """
 
 from dataclasses import dataclass
@@ -21,31 +21,34 @@ def matrix_values(x):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSplit:
-    """Disjoint train / test / unlabeled index sets over one cube."""
+    """Disjoint train / test / unlabeled read-only int64 index arrays."""
 
-    train_indices: tuple
-    test_indices: tuple
-    unlabeled_indices: tuple = ()
+    train_indices: np.ndarray
+    test_indices: np.ndarray
+    unlabeled_indices: np.ndarray = ()
 
     def __post_init__(self):
-        groups = {
-            "train_indices": tuple(int(i) for i in self.train_indices),
-            "test_indices": tuple(int(i) for i in self.test_indices),
-            "unlabeled_indices": tuple(int(i) for i in self.unlabeled_indices),
-        }
-        seen = {}
-        for name, idx in groups.items():
-            for i in idx:
-                if i < 0:
-                    raise InputError(f"{name} contains negative index {i}")
-                if i in seen:
-                    raise InputError(
-                        f"index {i} appears in both {seen[i]} and {name}"
-                    )
-                seen[i] = name
-            object.__setattr__(self, name, idx)
+        names = ("train_indices", "test_indices", "unlabeled_indices")
+        groups = [np.array(getattr(self, n), dtype=np.int64) for n in names]
+        # report the first offender in train -> test -> unlabeled order: a
+        # negative index, or one already seen at an earlier position
+        idx = np.concatenate(groups)
+        owner = np.repeat(np.arange(len(names)), [g.size for g in groups])
+        _, first, inverse = np.unique(idx, return_index=True,
+                                      return_inverse=True)
+        earlier = first[inverse]
+        bad = (idx < 0) | (earlier < np.arange(idx.size))
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, name, seen = int(idx[k]), names[owner[k]], names[owner[earlier[k]]]
+            if i < 0:
+                raise InputError(f"{name} contains negative index {i}")
+            raise InputError(f"index {i} appears in both {seen} and {name}")
+        for name, group in zip(names, groups):
+            group.setflags(write=False)
+            object.__setattr__(self, name, group)
 
 
 @dataclass(frozen=True)
@@ -133,15 +136,15 @@ class AdmmConfig:
 def one_hot_encode(labels, n_classes):
     """Encode integer class labels in [1..n_classes] as an L x n one-hot
     array."""
-    labels = list(labels)
+    labels = np.asarray(labels, dtype=np.int64)
     if n_classes < 1:
         raise InputError(f"class count must be >= 1, got {n_classes}")
-    out = np.zeros((n_classes, len(labels)))
-    for k, lab in enumerate(labels):
-        lab = int(lab)
-        if not (1 <= lab <= n_classes):
-            raise InputError(
-                f"label {lab} at index {k} is outside the range 1..{n_classes}"
-            )
-        out[lab - 1, k] = 1.0
+    bad = (labels < 1) | (labels > n_classes)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InputError(
+            f"label {labels[k]} at index {k} is outside the range 1..{n_classes}"
+        )
+    out = np.zeros((n_classes, labels.size))
+    out[labels - 1, np.arange(labels.size)] = 1.0
     return out

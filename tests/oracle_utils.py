@@ -7,6 +7,10 @@ vectors, then the stationary point is solved densely. Constrained blocks use
 scipy optimizers on top of the same machinery. None of this shares code with
 the library's update formulas.
 
+The reference split and folds are the list-based forms that the array
+versions in the harness replaced; both must give the same indices in the
+same order.
+
 The reference SLIC is the dense full-search implementation: every pixel is
 scored against every center through N x K matrices, and the orphan merge
 labels the whole grid once per segment. The library's tiled search must
@@ -211,3 +215,36 @@ def reference_slic_segment(cube, width, height, n_segments, compactness=10.0, ma
     remap = np.full(old_ids.max() + 1, -1, dtype=np.int64)
     remap[old_ids] = np.arange(old_ids.size)
     return Segmentation(remap[labels], old_ids.size)
+
+
+def reference_make_split(labels, train_per_class, unlabeled_fraction, rng):
+    """List-based stratified split; returns sorted (train, test, unlabeled)
+    tuples of Python ints."""
+    labels = np.asarray(list(labels), dtype=np.int64)
+    train, test, unlabeled = [], [], list(np.flatnonzero(labels == 0))
+    for cls in sorted(set(labels[labels > 0].tolist())):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(idx.size)]
+        take = min(train_per_class, idx.size)
+        train.extend(int(i) for i in idx[:take])
+        rest = idx[take:]
+        n_hide = int(round(unlabeled_fraction * rest.size))
+        unlabeled.extend(int(i) for i in rest[:n_hide])
+        test.extend(int(i) for i in rest[n_hide:])
+    return (tuple(sorted(train)), tuple(sorted(test)),
+            tuple(int(i) for i in sorted(unlabeled)))
+
+
+def reference_stratified_folds(labels, train_idx, n_folds, rng):
+    """List-based per-class round-robin folds: sorted lists of Python ints,
+    empty folds dropped."""
+    fold_of = {}
+    for cls in sorted(set(int(labels[i]) for i in train_idx)):
+        members = np.asarray([i for i in train_idx if labels[i] == cls])
+        members = members[rng.permutation(members.size)]
+        for j, i in enumerate(members):
+            fold_of[int(i)] = j % n_folds
+    folds = [[] for _ in range(n_folds)]
+    for i in sorted(fold_of):
+        folds[fold_of[i]].append(i)
+    return [f for f in folds if f]

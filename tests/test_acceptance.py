@@ -301,7 +301,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         labels = [int(v) for v in rng.integers(0, 9, size=rng.integers(1, 60))]
         path = tmp_path / f"l{trial}.txt"
         save_labels(path, labels)
-        assert load_labels(path, len(labels)) == labels
+        assert np.array_equal(load_labels(path, len(labels)), labels)
     for trial in range(33):
         depth = int(rng.integers(1, 4))
         dims = [int(v) for v in rng.integers(1, 6, size=depth + 1)]

@@ -90,13 +90,13 @@ def test_cube_round_trip_f32(tmp_path):
 def test_load_labels_basic(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n2\n1\n")
-    assert load_labels(path, 3) == [0, 2, 1]
+    assert np.array_equal(load_labels(path, 3), [0, 2, 1])
 
 
 def test_load_labels_all_zero_is_unlabeled(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n0\n")
-    assert load_labels(path, 2) == [0, 0]
+    assert np.array_equal(load_labels(path, 2), [0, 0])
 
 
 def test_load_labels_count_mismatch(tmp_path):
@@ -117,7 +117,7 @@ def test_labels_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     labels = [int(v) for v in rng.integers(0, 9, size=40)]
     save_labels(tmp_path / "l.txt", labels)
-    assert load_labels(tmp_path / "l.txt", 40) == labels
+    assert np.array_equal(load_labels(tmp_path / "l.txt", 40), labels)
 
 
 def test_render_map_single_red_pixel():

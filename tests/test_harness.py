@@ -8,11 +8,13 @@ import pytest
 
 import progsub.harness
 from bench_utils import benchmark_config, small_hyper
+from oracle_utils import reference_make_split, reference_stratified_folds
 from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
 from progsub.formats import save_cube, save_labels
 from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
-                             _apply_cell, _stage, grid_search_cv, layer_sweep,
+                             _apply_cell, _stage, _stratified_folds,
+                             grid_search_cv, layer_sweep,
                              load_config, load_data, make_split,
                              parse_config_text, prepare_data, run_experiment)
 
@@ -137,13 +139,13 @@ def test_synthetic_deterministic_bytes():
     a_cube, a_labels, _, _ = generate_synthetic(spec)
     b_cube, b_labels, _, _ = generate_synthetic(spec)
     assert a_cube.tobytes() == b_cube.tobytes()
-    assert a_labels == b_labels
+    assert np.array_equal(a_labels, b_labels)
 
 
 def test_synthetic_label_histogram_matches_proportions():
     spec = SyntheticSpec(width=20, height=15, bands=4, n_classes=6, seed=2)
     _, labels, _, _ = generate_synthetic(spec)
-    counts = [labels.count(c) for c in range(1, 7)]
+    counts = [int((labels == c).sum()) for c in range(1, 7)]
     assert sum(counts) == 300
     assert max(counts) - min(counts) <= 1
 
@@ -168,7 +170,8 @@ def test_make_split_stratified_and_deterministic():
     labels = [1] * 20 + [2] * 20 + [0] * 5
     a = make_split(labels, 5, 0.25, np.random.default_rng(3))
     b = make_split(labels, 5, 0.25, np.random.default_rng(3))
-    assert a == b
+    for name in ("train_indices", "test_indices", "unlabeled_indices"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
     train_labels = [labels[i] for i in a.train_indices]
     assert train_labels.count(1) == 5 and train_labels.count(2) == 5
     assert set(np.flatnonzero(np.array(labels) == 0)) <= set(
@@ -176,6 +179,32 @@ def test_make_split_stratified_and_deterministic():
     )
     # 25% of the 15 remaining per class pretend-unlabeled
     assert len(a.unlabeled_indices) == 5 + 2 * round(0.25 * 15)
+
+
+def test_array_split_and_folds_match_list_references():
+    """make_split and _stratified_folds on int64 arrays give the indices and
+    folds of the list-based references on a 145x145 label map."""
+    _, labels, _, _ = generate_synthetic(SyntheticSpec(
+        width=145, height=145, bands=1, n_classes=16, blob_size=12, seed=3))
+    labels[::11] = 0          # file-level unlabeled pixels
+    labels[[5, 900, 20000]] = 17  # a class smaller than train_per_class
+    for seed in (1, 2, 3):
+        for fraction in (0.0, 0.3, 1.0):
+            per_class, n_folds = (10, 10) if seed % 2 else (25, 4)
+            split = make_split(labels, per_class, fraction,
+                               np.random.default_rng(seed))
+            want = reference_make_split(labels.tolist(), per_class, fraction,
+                                        np.random.default_rng(seed))
+            got = (split.train_indices, split.test_indices,
+                   split.unlabeled_indices)
+            for arr, ref in zip(got, want):
+                assert arr.dtype == np.int64 and arr.tolist() == list(ref)
+            folds = _stratified_folds(labels, split.train_indices, n_folds,
+                                      np.random.default_rng(seed))
+            ref_folds = reference_stratified_folds(
+                labels.tolist(), split.train_indices.tolist(), n_folds,
+                np.random.default_rng(seed))
+            assert [f.tolist() for f in folds] == ref_folds
 
 
 # ------------------------------------------------------------ experiment
@@ -559,6 +588,54 @@ def test_cli_dump_graphs_is_the_fitted_graph(tmp_path):
         lines = (out / name).read_text().strip().split("\n")
         rows = {int(ln.split()[0]) for ln in lines}
         assert rows == set(range(n))
+
+
+def test_cli_echo_reproduces_include_unlabeled_fit(tmp_path):
+    cfg = _write_benchmark_config(
+        tmp_path / "cfg.txt", extra=["split.unlabeled_fraction=0.3"]
+    )
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli_main(["fit", "--config", cfg, "--out", str(first), "--seed",
+                     "2", "--include-unlabeled-in-graph"]) == 0
+    echo = (first / "config.echo.txt").read_text().splitlines()
+    keys = [line.split("=", 1)[0] for line in echo]
+    assert len(keys) == len(set(keys))
+    assert "run.include_unlabeled=true" in echo and "seed=2" in echo
+    assert cli_main(["fit", "--config", str(first / "config.echo.txt"),
+                     "--out", str(again)]) == 0
+    for name in ("predictions.txt", "metrics.csv", "convergence.csv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
+def test_cli_sweep_layers_bad_list_is_stage_tagged(tmp_path, capsys):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="raw")
+    assert cli_main(["sweep-layers", "--config", cfg, "--layers", "1,x"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error[sweep]: config key sweep.layers='1,x'")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("generate", ["--grid-budget", "5"]),
+    ("generate", ["--include-unlabeled-in-graph"]),
+    ("grid", ["--include-unlabeled-in-graph"]),
+    ("fit", ["--grid-budget", "5"]),
+    ("fit", ["--layers", "1"]),
+])
+def test_cli_rejects_flags_the_subcommand_does_not_read(tmp_path, command,
+                                                        flags):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="raw")
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]
+                 + flags)
+    assert exc.value.code == 2
+
+
+def test_cli_out_config_key_is_the_output_directory(tmp_path):
+    out = tmp_path / "from_file"
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="raw",
+                                  extra=[f"out={out}"])
+    assert cli_main(["fit", "--config", cfg]) == 0
+    assert (out / "metrics.csv").exists()
 
 
 def test_cli_include_unlabeled_flag(tmp_path):

@@ -95,3 +95,23 @@ def test_sample_split_disjointness():
     SampleSplit((0, 1), (2, 3), (4,))
     with pytest.raises(InputError):
         SampleSplit((0, 1), (1, 2))
+    # the first offender in train -> test -> unlabeled order is named
+    cases = [
+        (((0, 1), (1, 2)), "index 1 appears in both train_indices and "
+                           "test_indices"),
+        (((0, 1), (2, -3), (1,)), "test_indices contains negative index -3"),
+        (((0,), (2, 3, 2), (-1,)), "index 2 appears in both test_indices and "
+                                   "test_indices"),
+        (((5, 6), (7,), (8, 5)), "index 5 appears in both train_indices and "
+                                 "unlabeled_indices"),
+        (((-2, 4, 4), ()), "train_indices contains negative index -2"),
+    ]
+    for groups, message in cases:
+        with pytest.raises(InputError) as exc:
+            SampleSplit(*groups)
+        assert str(exc.value) == message
+    split = SampleSplit([3, 1], np.array([2]))
+    assert split.train_indices.dtype == np.int64
+    assert split.unlabeled_indices.shape == (0,)
+    with pytest.raises(ValueError):
+        split.train_indices[0] = 9  # read-only
