@@ -14,9 +14,9 @@ from .metrics import (ConfusionMatrix, MetricsReport, compute_metrics,
                       confusion, nn_classify)
 from .model import (FitReport, ProjectionStack, finetune_projection,
                     fit_readout, fit_stack, objective_value, transform)
-from .pretrain import (AdmmState, PretrainReport, pretrain_layer, prox_nonneg,
-                       prox_unit_ball, update_decoder, update_duals,
-                       update_features, update_features_supervised,
+from .pretrain import (AdmmState, PretrainReport, prediction_terms,
+                       pretrain_layer, prox_nonneg, prox_unit_ball,
+                       update_decoder, update_duals, update_features,
                        update_nonneg, update_normed, update_projection)
 from .superpixels import (Segmentation, segment_count, slic_segment,
                           superpixel_stream)
@@ -34,10 +34,10 @@ __all__ = [
     "assemble_fused", "compute_metrics", "confusion", "finetune_projection",
     "fit_readout", "fit_stack", "generate_synthetic", "knn_heat_graph",
     "laplacian", "lpp_fit", "nn_classify",
-    "objective_value", "one_hot_encode", "pca_fit", "pretrain_layer",
+    "objective_value", "one_hot_encode", "pca_fit", "prediction_terms",
+    "pretrain_layer",
     "prox_nonneg", "prox_unit_ball", "segment_count", "slic_segment",
     "superpixel_stream", "transform",
-    "update_decoder", "update_duals", "update_features",
-    "update_features_supervised", "update_nonneg", "update_normed",
-    "update_projection",
+    "update_decoder", "update_duals", "update_features", "update_nonneg",
+    "update_normed", "update_projection",
 ]

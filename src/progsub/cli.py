@@ -140,9 +140,8 @@ def _cmd_generate(args):
                       os.path.join(out, "cube.raw"),
                       cube, width, height)
     formats.save_labels(os.path.join(out, "labels.txt"), labels)
-    palette = formats.default_palette(int(labels.max()))
-    with open(os.path.join(out, "truth.ppm"), "wb") as fh:
-        fh.write(formats.render_class_map(labels, width, height, palette))
+    write_files(out, {"truth.ppm": class_map_ppm(labels, width, height,
+                                                 int(labels.max()))})
     print(f"generate: wrote {width}x{height}x{cube.shape[0]} cube, "
           f"{labels.max()} classes -> {out}")
     return 0
@@ -192,7 +191,8 @@ def _cmd_evaluate(args):
     metrics, preds_all = score_embedding(
         data, lambda v: stack_transform(stack, v))
     write_files(out, {"metrics.csv": metrics_csv(metrics),
-                      "map.ppm": class_map_ppm(data, preds_all)})
+                      "map.ppm": class_map_ppm(preds_all, data.width,
+                                               data.height, data.n_classes)})
     print(f"evaluate: oa={metrics.oa:.4f} aa={metrics.aa:.4f} "
           f"kappa={metrics.kappa:.4f}")
     return 0
@@ -219,12 +219,10 @@ def _cmd_render_map(args):
     out = _require_out(config, "render-map")
     data = load_data(config)
     preds = formats.load_labels(args.predictions, data.width * data.height)
-    palette = formats.default_palette(max(int(preds.max()), data.n_classes, 1))
-    path = os.path.join(out, "map.ppm")
-    with open(path, "wb") as fh:
-        fh.write(formats.render_class_map(preds, data.width, data.height,
-                                          palette))
-    print(f"render-map: wrote {path}")
+    n_classes = max(int(preds.max()), data.n_classes)
+    paths = write_files(out, {"map.ppm": class_map_ppm(
+        preds, data.width, data.height, n_classes)})
+    print(f"render-map: wrote {paths['map.ppm']}")
     return 0
 
 

@@ -189,6 +189,9 @@ class ExperimentConfig:
         )
         grid_budget = _get(mapping, "grid.budget", int, None)
         grid_folds = _get(mapping, "grid.folds", int, 10)
+        if grid_folds < 2:
+            raise InputError(f"config key grid.folds={grid_folds} "
+                             "must be >= 2")
         # read after budget and folds: grid_search_cv checks the parameter
         # names of the remaining grid.* keys
         grid = {key.split(".", 1)[1]: mapping.pop(key)
@@ -414,11 +417,10 @@ def metrics_csv(metrics):
     return header + "\n" + metrics.csv_row() + "\n"
 
 
-def class_map_ppm(data, preds_all):
-    """PPM class map of one prediction per pixel."""
-    palette = formats.default_palette(max(data.n_classes, 1))
-    return formats.render_class_map(preds_all, data.width, data.height,
-                                    palette)
+def class_map_ppm(ids, width, height, n_classes):
+    """PPM class map of one class id per pixel, colors for 1..n_classes."""
+    palette = formats.default_palette(max(n_classes, 1))
+    return formats.render_class_map(ids, width, height, palette)
 
 
 def write_files(out_dir, files):
@@ -479,7 +481,8 @@ def _write_artifacts(config, data, metrics, stack, report, preds_all):
         files["convergence.csv"] = "outer_iter,objective\n"
     if stack is not None:
         files["model.bin"] = formats.dump_model_bytes(stack)
-    files["map.ppm"] = class_map_ppm(data, preds_all)
+    files["map.ppm"] = class_map_ppm(preds_all, data.width, data.height,
+                                     data.n_classes)
     files["predictions.txt"] = "".join(f"{int(p)}\n" for p in preds_all)
     if config.dump_graphs and report is not None:
         # the graphs the fit was trained on, unlabeled columns included

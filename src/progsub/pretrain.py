@@ -114,12 +114,12 @@ def _solve_error(lhs):
     )
 
 
-def update_projection(state, x, data_gram, graph_gram, graph_weight):
-    """Closed-form projection update, given X X' and X L X' of the layer
-    input.
+def update_projection(state, x, data_gram, graph_term):
+    """Closed-form projection update, given X X' of the layer input and the
+    weighted graph term w X L X'.
 
     T <- (mu*(feats + nonneg + normed) X' + mu*decoder + their duals folded
-    in the same pattern) * (graph_weight * X L X' + 3 mu X X' + mu I)^{-1}
+    in the same pattern) * (w X L X' + 3 mu X X' + mu I)^{-1}
     """
     mu = state.penalty
     xT = x.T
@@ -129,7 +129,7 @@ def update_projection(state, x, data_gram, graph_gram, graph_weight):
         + state.dual_decoder
     )
     denom = np.multiply(data_gram, 3.0 * mu)
-    denom += graph_weight * graph_gram
+    denom += graph_term
     return solve_spd(_add_to_diagonal(denom, mu + RIDGE), num.T).T
 
 
@@ -139,44 +139,41 @@ def _add_to_diagonal(mat, value):
     return mat
 
 
-def _features_system(state, x, px):
-    """Normal equations (GG' + mu I) F = GX + mu TX - D1 of the plain
-    features update, as (lhs, rhs)."""
+def prediction_terms(readout_chain, y, alpha, labeled_cols=None):
+    """Fixed terms of the prediction block for one run, as update_features
+    takes them: (alpha R'R, alpha R'Y over the labeled columns, boolean
+    mask of those columns or None for all)."""
+    r = readout_chain
+    y = np.asarray(y, dtype=np.float64)
+    if labeled_cols is not None:
+        labeled_cols = np.asarray(labeled_cols, dtype=bool)
+        y = y[:, labeled_cols]
+    return alpha * (r.T @ r), alpha * (r.T @ y), labeled_cols
+
+
+def update_features(state, x, px, prediction=None):
+    """Reconstruction-features update (GG' + mu I)^{-1}(GX + mu TX - D1),
+    with px = TX.
+
+    `prediction` (from prediction_terms) adds the prediction term to the
+    labeled columns:
+        (alpha R'R + GG' + mu I)^{-1} (alpha R'Y + GX + mu TX - D1)
+    with R the composed downstream readout; the other columns keep the
+    plain update.
+    """
     mu = state.penalty
     g = state.decoder
     lhs = _add_to_diagonal(g @ g.T, mu + RIDGE)
     rhs = g @ x + mu * px - state.dual_feats
-    return lhs, rhs
-
-
-def update_features(state, x, px):
-    """Reconstruction-features update: (GG' + mu I)^{-1}(GX + mu TX - D1),
-    with px = TX."""
-    return solve_spd(*_features_system(state, x, px))
-
-
-def update_features_supervised(state, x, px, readout_chain, yt, alpha,
-                               labeled_cols=None):
-    """Reconstruction-features update with the prediction term added.
-
-    For labeled columns:
-        (alpha R'R + GG' + mu I)^{-1} (alpha R'Y + GX + mu TX - D1)
-    with R the composed downstream readout and px = TX; unlabeled columns
-    (False in the boolean mask `labeled_cols`) drop the alpha terms.
-    """
-    lhs, rhs = _features_system(state, x, px)
-    r = readout_chain
-    y = np.asarray(yt, dtype=np.float64)
-    sup_lhs = lhs + alpha * (r.T @ r)
-    if labeled_cols is None:
-        return solve_spd(sup_lhs, rhs + alpha * (r.T @ y))
-    labeled_cols = np.asarray(labeled_cols, dtype=bool)
+    if prediction is None:
+        return solve_spd(lhs, rhs)
+    rtr, rty, labeled = prediction
+    if labeled is None:
+        return solve_spd(lhs + rtr, rhs + rty)
     out = np.empty_like(rhs)
-    out[:, labeled_cols] = solve_spd(
-        sup_lhs, rhs[:, labeled_cols] + alpha * (r.T @ y[:, labeled_cols])
-    )
-    if not labeled_cols.all():
-        out[:, ~labeled_cols] = solve_spd(lhs, rhs[:, ~labeled_cols])
+    out[:, labeled] = solve_spd(lhs + rtr, rhs[:, labeled] + rty)
+    if not labeled.all():
+        out[:, ~labeled] = solve_spd(lhs, rhs[:, ~labeled])
     return out
 
 
@@ -221,12 +218,18 @@ def update_duals(state, px):
 class PretrainReport:
     """Residual / penalty / objective trace of one ADMM run."""
 
-    iterations: int
     converged: bool
-    final_residuals: tuple
     trace: list = field(repr=False)
     final_nonneg_min: float = 0.0   # smallest entry of the nonneg copy
     final_norm_max: float = 0.0     # largest column norm of the normed copy
+
+    @property
+    def iterations(self):
+        return len(self.trace)
+
+    @property
+    def final_residuals(self):
+        return self.trace[-1][1:5]
 
     @property
     def objective_trace(self):
@@ -294,7 +297,9 @@ def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
     term. `supervision=(readout_chain, y, alpha, labeled_cols)` adds the
     prediction term alpha/2 ||Y - R T X||^2 over the labeled columns
     (boolean mask, or None for all) to the features update and the traced
-    objective; the fine-tuning phase passes it, pre-training does not.
+    objective; the fine-tuning phase passes it, pre-training does not. The
+    terms every iteration reuses (w X L X', alpha R'R, alpha R'Y) are built
+    once per run.
     """
     x = matrix_values(x)
     d_in = x.shape[0]
@@ -309,23 +314,19 @@ def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
         raise InputError(f"graph Gram matrix has shape {np.shape(graph_gram)}"
                          f", expected {(d_in, d_in)}")
     data_gram = x @ x.T
+    graph_term = graph_weight * graph_gram
+    prediction = None if supervision is None else prediction_terms(
+        *supervision)
     state = AdmmState.initial(proj0, x, cfg.mu0)
 
     trace = []
-    residuals = (np.inf,) * 4
     converged = False
-    iterations = 0
     for t in range(cfg.max_iters):
         mu_used = state.penalty
         try:
-            state.proj = update_projection(state, x, data_gram, graph_gram,
-                                           graph_weight)
+            state.proj = update_projection(state, x, data_gram, graph_term)
             px = state.proj @ x
-            if supervision is None:
-                state.feats = update_features(state, x, px)
-            else:
-                state.feats = update_features_supervised(state, x, px,
-                                                         *supervision)
+            state.feats = update_features(state, x, px, prediction)
             state.decoder = update_decoder(state, x)
             state.nonneg = update_nonneg(state, px)
             state.normed = update_normed(state, px)
@@ -348,15 +349,12 @@ def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
         if not np.isfinite(obj) or not all(np.isfinite(r) for r in residuals):
             raise NumericalError(f"non-finite value at ADMM iteration {t}")
         trace.append((t, *residuals, mu_used, obj))
-        iterations = t + 1
         if all(r < cfg.eps for r in residuals):
             converged = True
             break
 
     report = PretrainReport(
-        iterations=iterations,
         converged=converged,
-        final_residuals=residuals,
         trace=trace,
         final_nonneg_min=float(state.nonneg.min()) if state.nonneg.size else 0.0,
         final_norm_max=float(np.linalg.norm(state.normed, axis=0).max())

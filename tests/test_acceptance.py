@@ -16,9 +16,9 @@ from oracle_utils import (ball_quadratic_minimizer, frob_rel_err,
                           random_laplacian)
 from progsub import (AdmmConfig, compute_metrics, confusion, fit_readout,
                      fit_stack, knn_heat_graph, laplacian, lpp_fit,
-                     pretrain_layer, update_decoder, update_features,
-                     update_features_supervised, update_nonneg,
-                     update_normed, update_projection)
+                     prediction_terms, pretrain_layer, update_decoder,
+                     update_features, update_nonneg, update_normed,
+                     update_projection)
 from progsub.formats import (dump_model_bytes, load_cube, load_labels,
                              parse_model_bytes, save_cube, save_labels)
 from progsub.graphs import (alignment_graph, assemble_fused,
@@ -67,7 +67,7 @@ def test_criterion_1_closed_form_updates_match_oracles():
         y = rng.standard_normal((n_cls, n))
 
         got = update_projection(state, x, x @ x.T,
-                                compute_graph_gram(x, lap), eta)
+                                eta * compute_graph_gram(x, lap))
         want = quadratic_minimizer(
             projection_block_objective(state, x, lap, eta), (d_out, d_in)
         )
@@ -85,8 +85,8 @@ def test_criterion_1_closed_form_updates_match_oracles():
         def f_sup(h):
             return f_feats(h) + 0.5 * alpha * sq(y - chain @ h)
 
-        got = update_features_supervised(state, x, state.proj @ x, chain, y,
-                                         alpha)
+        got = update_features(state, x, state.proj @ x,
+                              prediction_terms(chain, y, alpha))
         assert frob_rel_err(got, quadratic_minimizer(f_sup, (d_out, n))) \
             < rel_tol
 

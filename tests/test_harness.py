@@ -358,6 +358,16 @@ def test_cli_grid_budget_below_one_is_stage_tagged(tmp_path, capsys, extra,
     assert capsys.readouterr().err.startswith("error[grid]: grid budget")
 
 
+@pytest.mark.parametrize("folds", ["1", "0", "-3"])
+def test_cli_grid_folds_below_two_is_stage_tagged(tmp_path, capsys, folds):
+    cfg = _write_benchmark_config(
+        tmp_path / "cfg.txt", method="pca",
+        extra=["grid.dims=2,4", f"grid.folds={folds}"])
+    assert cli_main(["grid", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error[grid]: config key grid.folds={folds} must be >= 2\n")
+
+
 def test_grid_explicitly_empty_candidates_rejected():
     cfg = benchmark_config(seed=7, method="pca", **{"grid.dims": ""})
     with pytest.raises(InputError, match="candidates"):
@@ -439,6 +449,18 @@ def test_cli_generate_and_segment(tmp_path, capsys):
     assert cli_main(["segment", "--config", cfg, "--out", str(seg_out)]) == 0
     ids = (seg_out / "segments.txt").read_text().strip().split("\n")
     assert len(ids) == 256
+
+
+def test_cli_render_map_of_truth_labels_is_truth_ppm(tmp_path):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="raw")
+    gen, rm_out = tmp_path / "gen", tmp_path / "rm"
+    assert cli_main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    assert cli_main(["render-map", "--config", cfg, "--out", str(rm_out),
+                     "--predictions", str(gen / "labels.txt")]) == 0
+    truth = (gen / "truth.ppm").read_bytes()
+    assert truth.startswith(b"P6\n16 16\n255\n")
+    assert len(truth) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+    assert (rm_out / "map.ppm").read_bytes() == truth
 
 
 def test_cli_fit_transform_evaluate_render(tmp_path):

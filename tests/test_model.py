@@ -8,7 +8,7 @@ from bench_utils import (benchmark_config, fast_admm, small_hyper,
 from oracle_utils import frob_rel_err, quadratic_minimizer, random_laplacian
 from progsub import (InputError, ProjectionStack, finetune_projection,
                      fit_readout, fit_stack, objective_value, pretrain_layer,
-                     transform, update_features, update_features_supervised)
+                     transform, update_features, prediction_terms)
 from progsub.graphs import compute_graph_gram
 from progsub.harness import prepare_data
 from progsub.pretrain import reconstruction_objective
@@ -120,7 +120,7 @@ def test_supervised_features_reduces_to_plain_when_alpha_zero():
     r = rng.standard_normal((2, 3))
     y = rng.standard_normal((2, 6))
     px = state.proj @ x
-    got = update_features_supervised(state, x, px, r, y, alpha=0.0)
+    got = update_features(state, x, px, prediction_terms(r, y, alpha=0.0))
     assert np.allclose(got, update_features(state, x, px), atol=0, rtol=0)
 
 
@@ -130,7 +130,8 @@ def test_supervised_features_penalty_dominance():
     x = rng.standard_normal((4, 6))
     r = rng.standard_normal((2, 3))
     y = rng.standard_normal((2, 6))
-    got = update_features_supervised(state, x, state.proj @ x, r, y, alpha=1.0)
+    got = update_features(state, x, state.proj @ x,
+                          prediction_terms(r, y, alpha=1.0))
     assert np.max(np.abs(got - state.proj @ x)) < 1e-4
 
 
@@ -148,7 +149,8 @@ def test_supervised_features_matches_oracle():
                 + inner(state.dual_feats, h - state.proj @ x)
                 + 0.5 * state.penalty * sq(h - state.proj @ x))
 
-    got = update_features_supervised(state, x, state.proj @ x, r, y, alpha)
+    got = update_features(state, x, state.proj @ x,
+                          prediction_terms(r, y, alpha))
     want = quadratic_minimizer(f, (3, 6))
     assert frob_rel_err(got, want) < 1e-8
 
@@ -161,9 +163,9 @@ def test_supervised_features_mask_splits_columns():
     y = rng.standard_normal((2, 6))
     mask = np.array([True, False, True, True, False, True])
     px = state.proj @ x
-    got = update_features_supervised(state, x, px, r, y, 0.8,
-                                     labeled_cols=mask)
-    full = update_features_supervised(state, x, px, r, y, 0.8)
+    got = update_features(state, x, px,
+                          prediction_terms(r, y, 0.8, labeled_cols=mask))
+    full = update_features(state, x, px, prediction_terms(r, y, 0.8))
     plain = update_features(state, x, px)
     assert np.allclose(got[:, mask], full[:, mask], atol=1e-12)
     assert np.allclose(got[:, ~mask], plain[:, ~mask], atol=1e-12)

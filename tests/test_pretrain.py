@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import progsub.pretrain
 from oracle_utils import (ball_quadratic_minimizer, fd_gradient_norm,
                           frob_rel_err, nonneg_quadratic_minimizer,
                           quadratic_minimizer, random_laplacian)
@@ -114,7 +115,7 @@ def test_update_projection_zero_numerator():
     x = rng.standard_normal((3, 5))
     lap = random_laplacian(rng, 5)
     out = update_projection(state, x, x @ x.T,
-                            compute_graph_gram(x, lap), 0.3)
+                            0.3 * compute_graph_gram(x, lap))
     assert np.allclose(out, 0.0)
 
 
@@ -129,7 +130,7 @@ def test_update_projection_scalar_case():
     )
     x = np.array([[2.0]])
     out = update_projection(state, x, x @ x.T,
-                            compute_graph_gram(x, np.zeros((1, 1))), 0.0)
+                            0.0 * compute_graph_gram(x, np.zeros((1, 1))))
     assert out[0, 0] == pytest.approx(24.0 / 13.0, rel=1e-9)
 
 
@@ -140,7 +141,7 @@ def test_update_projection_matches_first_order_oracle():
     lap = random_laplacian(rng, 5)
     eta = 0.4
     got = update_projection(state, x, x @ x.T,
-                            compute_graph_gram(x, lap), eta)
+                            eta * compute_graph_gram(x, lap))
     want = quadratic_minimizer(projection_block_objective(state, x, lap, eta),
                                (2, 2))
     assert frob_rel_err(got, want) < 1e-8
@@ -152,12 +153,12 @@ def test_update_projection_numerator_linearity():
     x = rng.standard_normal((4, 6))
     lap = random_laplacian(rng, 6)
     once = update_projection(state, x, x @ x.T,
-                             compute_graph_gram(x, lap), 0.2)
+                             0.2 * compute_graph_gram(x, lap))
     for name in ("feats", "decoder", "nonneg", "normed", "dual_feats",
                  "dual_decoder", "dual_nonneg", "dual_normed"):
         setattr(state, name, 2.0 * getattr(state, name))
     twice = update_projection(state, x, x @ x.T,
-                              compute_graph_gram(x, lap), 0.2)
+                              0.2 * compute_graph_gram(x, lap))
     assert np.allclose(twice, 2.0 * once, rtol=1e-12, atol=1e-12)
 
 
@@ -324,7 +325,7 @@ def test_each_smooth_update_has_vanishing_gradient():
     lap = random_laplacian(rng, 4)
 
     theta_star = update_projection(state, x, x @ x.T,
-                                   compute_graph_gram(x, lap), 0.5)
+                                   0.5 * compute_graph_gram(x, lap))
     assert fd_gradient_norm(projection_block_objective(state, x, lap, 0.5),
                             theta_star) < 1e-6
 
@@ -494,3 +495,26 @@ def test_traced_objective_matches_exact_objective(variant):
                                          supervision)
         assert report.objective_trace[-1] == exact
         assert full.objective_trace[k - 1] == exact
+
+
+@pytest.mark.parametrize("max_iters", [1, 7])
+def test_run_admm_builds_prediction_terms_once(monkeypatch, max_iters):
+    """The supervised features update reads the run's fixed prediction
+    terms; run_admm builds them once, not once per iteration."""
+    calls = []
+    real = progsub.pretrain.prediction_terms
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(progsub.pretrain, "prediction_terms", counting)
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((5, 12))
+    supervision = (rng.standard_normal((2, 3)), rng.standard_normal((2, 12)),
+                   0.7, rng.random(12) < 0.5)
+    _, report = run_admm(x, None, 0.3 * rng.standard_normal((3, 5)), 0.0,
+                         AdmmConfig(eps=1e-300, max_iters=max_iters),
+                         supervision)
+    assert report.iterations == max_iters
+    assert len(calls) == 1
