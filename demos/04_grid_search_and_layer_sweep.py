@@ -2,8 +2,8 @@
 """Hyperparameter selection: cross-validated grid search and a layer sweep.
 
 Runs a small stratified-CV grid over the subspace dimension and kernel
-bandwidth for the PCA baseline (cheap), then refits the progressive model
-at several depths and tabulates test metrics per depth.
+bandwidth for the LPP baseline (cheap, and it reads both), then refits the
+progressive model at several depths and tabulates test metrics per depth.
 """
 
 from progsub.harness import (ExperimentConfig, PRESETS, grid_search_cv,
@@ -12,7 +12,7 @@ from progsub.harness import (ExperimentConfig, PRESETS, grid_search_cv,
 
 def main():
     mapping = dict(PRESETS["synth-benchmark"])
-    mapping["method"] = "pca"
+    mapping["method"] = "lpp"
     mapping["grid.dims"] = "2,4,6,8"
     mapping["grid.sigma"] = "0.1,0.5"
     config = ExperimentConfig.from_mapping(mapping, seed=7)

@@ -14,10 +14,11 @@ from .metrics import (ConfusionMatrix, MetricsReport, compute_metrics,
                       confusion, nn_classify)
 from .model import (FitReport, ProjectionStack, finetune_projection,
                     fit_readout, fit_stack, objective_value, transform)
-from .pretrain import (AdmmState, PretrainReport, prediction_terms,
-                       pretrain_layer, prox_nonneg, prox_unit_ball,
-                       update_decoder, update_duals, update_features,
-                       update_nonneg, update_normed, update_projection)
+from .pretrain import (AdmmState, LayerTerms, PretrainReport,
+                       constraint_gaps, prediction_terms, pretrain_layer,
+                       prox_nonneg, prox_unit_ball, update_decoder,
+                       update_duals, update_features, update_nonneg,
+                       update_normed, update_projection)
 from .superpixels import (Segmentation, segment_count, slic_segment,
                           superpixel_stream)
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -28,10 +29,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmmConfig", "AdmmState", "ConfusionMatrix", "FitReport",
     "FormatError", "GraphBundle", "HyperParams", "InputError",
-    "LinearEmbedding", "MetricsReport", "NumericalError",
+    "LayerTerms", "LinearEmbedding", "MetricsReport", "NumericalError",
     "PipelineError", "PretrainReport", "ProjectionStack",
     "SampleSplit", "Segmentation", "SyntheticSpec", "alignment_graph",
-    "assemble_fused", "compute_metrics", "confusion", "finetune_projection",
+    "assemble_fused", "compute_metrics", "confusion", "constraint_gaps",
+    "finetune_projection",
     "fit_readout", "fit_stack", "generate_synthetic", "knn_heat_graph",
     "laplacian", "lpp_fit", "nn_classify",
     "objective_value", "one_hot_encode", "pca_fit", "prediction_terms",

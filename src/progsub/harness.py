@@ -507,6 +507,13 @@ def _stratified_folds(labels, train_idx, n_folds, rng):
 
 _GRID_FIELDS = ("alpha", "beta", "gamma", "eta", "sigma", "knn_k", "dims",
                 "layers")
+# the grid parameters each method reads (pca and lpp only the last dims)
+_METHOD_PARAMS = {
+    "raw": (),
+    "pca": ("dims",),
+    "lpp": ("dims", "knn_k", "sigma"),
+    "progsub": _GRID_FIELDS,
+}
 
 
 def _apply_cell(hyper, cell):
@@ -544,21 +551,17 @@ def _cv_score(config, data, hyper, folds):
     return float(np.mean(oas))
 
 
-def grid_search_cv(config):
-    """Exhaustive (optionally budget-capped) grid search with stratified CV.
-
-    Falls back to the published tuning ranges (DEFAULT_GRID) when the config
-    names no grid.<param> keys. Returns (best HyperParams, table rows); rows
-    are (cell dict, mean OA). Ties keep the lexicographically-first cell in
-    enumeration order.
-    """
+def _grid_cells(config):
+    """(parameter names, cells) of a grid search: the config's grid.<param>
+    lists, or DEFAULT_GRID, restricted to the parameters the method reads,
+    crossed, then thinned to the budget."""
     grid = dict(config.grid or DEFAULT_GRID)
     for key in grid:
         if key not in _GRID_FIELDS:
             raise InputError(f"unknown grid parameter {key!r}; have {_GRID_FIELDS}")
         if not str(grid[key]).strip():
             raise InputError(f"grid parameter {key} has no candidates")
-    names = sorted(grid)
+    names = sorted(k for k in grid if k in _METHOD_PARAMS[config.method])
     candidates = [[v.strip() for v in str(grid[k]).split(",") if v.strip()]
                   for k in names]
     if any(not c for c in candidates):
@@ -573,7 +576,19 @@ def grid_search_cv(config):
             .astype(int)
         )
         cells = [cells[i] for i in take]
+    return names, cells
 
+
+def grid_search_cv(config):
+    """Exhaustive (optionally budget-capped) grid search with stratified CV.
+
+    Falls back to the published tuning ranges (DEFAULT_GRID) when the config
+    names no grid.<param> keys, and crosses only the parameters the method
+    reads (raw: none, so one cell). Returns (best HyperParams, table rows);
+    rows are (cell dict, mean OA). Ties keep the lexicographically-first
+    cell in enumeration order.
+    """
+    names, cells = _grid_cells(config)
     data = prepare_data(config)
     train_idx = data.split.train_indices
     _, class_sizes = np.unique(data.labels[train_idx], return_counts=True)
@@ -593,9 +608,9 @@ def grid_search_cv(config):
 
     best_hyper = _apply_cell(config.hyper, best[0])
     if config.out_dir is not None:
-        lines = [",".join(names) + ",mean_oa"]
+        lines = [",".join(names + ["mean_oa"])]
         for cell, score in rows:
-            lines.append(",".join(cell[k] for k in names) + f",{score!r}")
+            lines.append(",".join([cell[k] for k in names] + [repr(score)]))
         best_lines = [f"{k}={best[0][k]}" for k in names]
         best_lines.append(f"mean_oa={best[1]!r}")
         write_files(config.out_dir, {"grid.csv": "\n".join(lines) + "\n",

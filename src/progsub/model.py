@@ -23,8 +23,9 @@ from .embedding import lpp_fit
 from .errors import InputError, NumericalError
 from .graphs import (GraphBundle, alignment_graph, assemble_fused,
                      compute_graph_gram, knn_heat_graph)
-from .pretrain import (RIDGE, layer_terms, prediction_term, pretrain_layer,
-                       reconstruction_objective, run_admm, solve_spd)
+from .pretrain import (RIDGE, LayerTerms, layer_terms, prediction_term,
+                       pretrain_layer, reconstruction_objective, run_admm,
+                       solve_spd)
 from .types import AdmmConfig, matrix_values, one_hot_encode
 
 
@@ -126,7 +127,7 @@ def fit_readout(projections, xt, yt, alpha, gamma, labeled_cols=None):
 
 
 def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
-                        labeled_cols=None, x_prev=None):
+                        labeled_cols=None, terms=None):
     """Re-solve one layer's projection with every other layer fixed.
 
     Runs the same ADMM loop as pre-training with the prediction term wired
@@ -134,8 +135,10 @@ def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
     is accepted only if it does not raise the layer objective (the solver is
     a fixed-point method, not a descent method, so a restarted run can land
     on a slightly worse stationary point); otherwise the entry projection
-    object itself is returned. `layer` is 1-based. Returns (projection,
-    report).
+    object itself is returned. `layer` is 1-based. `terms` is the LayerTerms
+    of the layer's input under `lf`, reused (and filled) across runs; when
+    it is None one is built from `xt` pushed through the layers below.
+    Returns (projection, report).
     """
     cfg = cfg if cfg is not None else AdmmConfig()
     idx = layer - 1
@@ -143,22 +146,21 @@ def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
         raise InputError(f"layer must be in 1..{stack.depth}, got {layer}")
     if stack.readout is None:
         raise InputError("fine-tuning needs a fitted readout")
-    if x_prev is None:
+    if terms is None:
         x_prev = chain_apply(stack.projections[:idx], matrix_values(xt))
-    x_prev = matrix_values(x_prev)
+        terms = LayerTerms(x_prev, None if hp.beta == 0.0 or lf is None
+                           else compute_graph_gram(x_prev, lf))
     readout_chain = stack.readout
     for j in range(stack.depth - 1, idx, -1):
         readout_chain = readout_chain @ stack.projections[j]
     supervision = (readout_chain, np.asarray(yt, dtype=np.float64), hp.alpha,
                    labeled_cols)
-    gram = None if hp.beta == 0.0 or lf is None else compute_graph_gram(
-        x_prev, lf)
     entry = stack.projections[idx]
-    candidate, report = run_admm(x_prev, gram, entry, hp.beta, cfg,
+    candidate, report = run_admm(terms, entry, hp.beta, cfg,
                                  supervision=supervision)
     # the last traced objective is the layer objective at the candidate
-    entry_val = reconstruction_objective(entry, x_prev, gram, hp.beta,
-                                         supervision)
+    entry_val = reconstruction_objective(entry, terms.x, terms.graph_gram,
+                                         hp.beta, supervision)
     if report.objective_trace[-1] > entry_val:
         return entry, report
     return candidate, report
@@ -233,13 +235,22 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
     labeled2 = np.concatenate([labeled, labeled])
     mask = None if labeled2.all() else labeled2
 
-    # greedy layerwise initialization
+    # greedy layerwise initialization; terms[l] holds the fixed terms of
+    # layer l+1's input xs[l] (Grams and factored projection systems) for
+    # every ADMM run on it, and is rebuilt when that input changes
     pretrain_reports = []
     projections = []
     xs = [xt]
+    terms = []
+
+    def input_terms(x_in):
+        return LayerTerms(x_in, compute_graph_gram(x_in, lf))
+
     for l in range(hp.layers):
         init = lpp_fit(xs[-1], lf, degrees, hp.dims[l])
-        proj, rep = pretrain_layer(xs[-1], lf, init.projection, hp.eta, cfg)
+        terms.append(input_terms(xs[-1]))
+        proj, rep = pretrain_layer(xs[-1], lf, init.projection, hp.eta, cfg,
+                                   terms=terms[l])
         projections.append(proj)
         pretrain_reports.append(rep)
         xs.append(proj @ xs[-1])
@@ -257,9 +268,11 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
             trace.append(current)
         sweep_reports = []
         for l in range(1, hp.layers + 1):
+            if terms[l - 1] is None:
+                terms[l - 1] = input_terms(xs[l - 1])
             proj, rep = finetune_projection(
                 l, stack, xt, yt, lf, hp, cfg, labeled_cols=mask,
-                x_prev=xs[l - 1],
+                terms=terms[l - 1],
             )
             sweep_reports.append(rep)
             if proj is stack.projections[l - 1]:
@@ -274,6 +287,8 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
                 projections, stack, current = trial, trial_stack, candidate
                 for j in range(l, hp.layers + 1):
                     xs[j] = projections[j - 1] @ xs[j - 1]
+                # the inputs of the layers above changed
+                terms[l:] = [None] * (hp.layers - l)
         finetune_reports.append(sweep_reports)
         if not np.isfinite(current):
             raise NumericalError(f"non-finite objective at outer iteration {outer}")

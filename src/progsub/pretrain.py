@@ -16,7 +16,7 @@ loop with the label-prediction term added (see run_admm).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InputError, NumericalError
 from .graphs import compute_graph_gram
@@ -89,19 +89,38 @@ def solve_spd(lhs, rhs):
     NumericalError when lhs is not positive definite or the solution is not
     finite (LAPACK passes NaN and inf through without an error).
     """
+    return solve_factored(spd_factor(lhs), rhs)
+
+
+def spd_factor(lhs):
+    """Upper Cholesky factor of a symmetric positive-definite lhs (upper
+    triangle read), for solve_factored; raises NumericalError as solve_spd.
+
+    A 1x1 system comes back as it is: scipy.linalg.solve divides it instead
+    of factoring it, and solve_factored keeps its bits.
+    """
     if lhs.shape == (1, 1):
-        # scipy.linalg.solve divides a 1x1 system instead of factoring it;
-        # keep its bits
         if not lhs[0, 0] > 0.0:
             raise _solve_error(lhs)
-        out = rhs / lhs
+        return lhs
+    factor, info = dpotrf(lhs, clean=0)
+    if info != 0:
+        raise _solve_error(lhs)
+    return factor
+
+
+def solve_factored(factor, rhs):
+    """Solve lhs @ out = rhs given factor = spd_factor(lhs), with the bits of
+    scipy.linalg.solve(lhs, rhs, assume_a="pos"), whose dposv is dpotrf
+    followed by dpotrs."""
+    if factor.shape == (1, 1):
+        out = rhs / factor
     else:
-        _, out, info = dposv(lhs, rhs)
-        if info != 0:
-            raise _solve_error(lhs)
+        # dpotrs reports only malformed arguments, which a factor cannot be
+        out, _ = dpotrs(factor, rhs)
     if not np.isfinite(out).all():
         raise NumericalError("non-finite solution in block solve")
-    # dposv returns Fortran order; the products downstream round
+    # LAPACK returns Fortran order; the products downstream round
     # differently by layout, so hand back the C order solve() returned
     return np.ascontiguousarray(out)
 
@@ -114,23 +133,56 @@ def _solve_error(lhs):
     )
 
 
-def update_projection(state, x, data_gram, graph_term):
-    """Closed-form projection update, given X X' of the layer input and the
-    weighted graph term w X L X'.
+class LayerTerms:
+    """Fixed terms of one layer input, shared by every ADMM run on it.
+
+    Holds the input X (d_in x n), X X', the unweighted graph term X L X'
+    (None for no graph) and, keyed by (graph weight w, penalty mu), the
+    factor of each projection system w X L X' + 3 mu X X' + (mu + RIDGE) I.
+    Every run climbs the same penalty ladder, so pre-training and each
+    fine-tune of a layer factor a system once between them. The factors
+    take d_in x d_in floats per distinct (w, mu): at most one per rung of
+    the ladder and weight in use.
+    """
+
+    def __init__(self, x, graph_gram=None):
+        self.x = matrix_values(x)
+        d_in = self.x.shape[0]
+        if graph_gram is not None and np.shape(graph_gram) != (d_in, d_in):
+            raise InputError(f"graph Gram matrix has shape "
+                             f"{np.shape(graph_gram)}, expected {(d_in, d_in)}")
+        self.data_gram = self.x @ self.x.T
+        self.graph_gram = graph_gram
+        self._factors = {}
+
+    def projection_factor(self, weight, mu):
+        """spd_factor of w X L X' + 3 mu X X' + (mu + RIDGE) I."""
+        key = (weight, mu)
+        factor = self._factors.get(key)
+        if factor is None:
+            system = np.multiply(self.data_gram, 3.0 * mu)
+            if self.graph_gram is not None:
+                system += weight * self.graph_gram
+            factor = spd_factor(_add_to_diagonal(system, mu + RIDGE))
+            self._factors[key] = factor
+        return factor
+
+
+def update_projection(state, terms, weight):
+    """Closed-form projection update on the layer input of `terms` (a
+    LayerTerms) with graph weight w.
 
     T <- (mu*(feats + nonneg + normed) X' + mu*decoder + their duals folded
     in the same pattern) * (w X L X' + 3 mu X X' + mu I)^{-1}
     """
     mu = state.penalty
-    xT = x.T
+    xT = terms.x.T
     num = (
         mu * ((state.feats + state.nonneg + state.normed) @ xT + state.decoder)
         + (state.dual_feats + state.dual_nonneg + state.dual_normed) @ xT
         + state.dual_decoder
     )
-    denom = np.multiply(data_gram, 3.0 * mu)
-    denom += graph_term
-    return solve_spd(_add_to_diagonal(denom, mu + RIDGE), num.T).T
+    return solve_factored(terms.projection_factor(weight, mu), num.T).T
 
 
 def _add_to_diagonal(mat, value):
@@ -202,15 +254,22 @@ def update_normed(state, px):
     return prox_unit_ball(px - state.dual_normed / state.penalty)
 
 
-def update_duals(state, px):
-    """Dual ascent for all four constraints, with px = TX; returns the new
-    duals."""
+def constraint_gaps(state, px):
+    """The four constraint differences (feats - TX, decoder - T,
+    nonneg - TX, normed - TX), with px = TX."""
+    return (state.feats - px, state.decoder - state.proj,
+            state.nonneg - px, state.normed - px)
+
+
+def update_duals(state, gaps):
+    """Dual ascent for all four constraints, with gaps from constraint_gaps;
+    returns the new duals."""
     mu = state.penalty
     return (
-        state.dual_feats + mu * (state.feats - px),
-        state.dual_decoder + mu * (state.decoder - state.proj),
-        state.dual_nonneg + mu * (state.nonneg - px),
-        state.dual_normed + mu * (state.normed - px),
+        state.dual_feats + mu * gaps[0],
+        state.dual_decoder + mu * gaps[1],
+        state.dual_nonneg + mu * gaps[2],
+        state.dual_normed + mu * gaps[3],
     )
 
 
@@ -249,15 +308,18 @@ def layer_terms(proj, x, graph_gram=None, emb=None):
     """Unweighted terms of one layer: (||X - T'TX||^2, tr(T XLX' T'), TX).
 
     The graph term is 0 when no Gram matrix XLX' is given. `emb` is TX when
-    the caller already has it.
+    the caller already has it. The residual is formed and squared inside
+    the buffer of T'TX, so the d_in x n work allocates one array.
     """
     if emb is None:
         emb = proj @ x
-    resid = x - proj.T @ emb
+    resid = proj.T @ emb
+    np.subtract(x, resid, out=resid)
+    np.multiply(resid, resid, out=resid)
     graph = 0.0
     if graph_gram is not None:
         graph = float(np.sum((proj @ graph_gram) * proj))
-    return float(np.sum(resid * resid)), graph, emb
+    return float(np.sum(resid)), graph, emb
 
 
 def prediction_term(supervision, emb):
@@ -290,31 +352,26 @@ def reconstruction_objective(proj, x, graph_gram, graph_weight,
     return value
 
 
-def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
+def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     """Shared ADMM engine; returns (projection, PretrainReport).
 
-    `graph_gram` is the layer's X L X' (d_in x d_in), or None for no graph
-    term. `supervision=(readout_chain, y, alpha, labeled_cols)` adds the
+    `terms` is the LayerTerms of the layer input; its graph term (None for
+    none) enters with weight `graph_weight`, and the projection systems it
+    factors stay in it for the next run on the same input.
+    `supervision=(readout_chain, y, alpha, labeled_cols)` adds the
     prediction term alpha/2 ||Y - R T X||^2 over the labeled columns
     (boolean mask, or None for all) to the features update and the traced
     objective; the fine-tuning phase passes it, pre-training does not. The
-    terms every iteration reuses (w X L X', alpha R'R, alpha R'Y) are built
+    prediction terms every iteration reuses (alpha R'R, alpha R'Y) are built
     once per run.
     """
-    x = matrix_values(x)
+    x = terms.x
     d_in = x.shape[0]
     if proj0.shape[1] != d_in:
         raise InputError(
             f"initial projection expects {proj0.shape[1]} input rows, data "
             f"has {d_in}"
         )
-    if graph_gram is None:
-        graph_gram = np.zeros((d_in, d_in))
-    if np.shape(graph_gram) != (d_in, d_in):
-        raise InputError(f"graph Gram matrix has shape {np.shape(graph_gram)}"
-                         f", expected {(d_in, d_in)}")
-    data_gram = x @ x.T
-    graph_term = graph_weight * graph_gram
     prediction = None if supervision is None else prediction_terms(
         *supervision)
     state = AdmmState.initial(proj0, x, cfg.mu0)
@@ -324,27 +381,23 @@ def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
     for t in range(cfg.max_iters):
         mu_used = state.penalty
         try:
-            state.proj = update_projection(state, x, data_gram, graph_term)
+            state.proj = update_projection(state, terms, graph_weight)
             px = state.proj @ x
             state.feats = update_features(state, x, px, prediction)
             state.decoder = update_decoder(state, x)
             state.nonneg = update_nonneg(state, px)
             state.normed = update_normed(state, px)
+            gaps = constraint_gaps(state, px)
             (state.dual_feats, state.dual_decoder, state.dual_nonneg,
-             state.dual_normed) = update_duals(state, px)
+             state.dual_normed) = update_duals(state, gaps)
         except NumericalError as exc:
             raise NumericalError(
                 f"non-finite value at ADMM iteration {t}: {exc}"
             ) from exc
         state.penalty = min(cfg.rho * state.penalty, cfg.mu_max)
 
-        residuals = (
-            float(np.linalg.norm(state.feats - px)),
-            float(np.linalg.norm(state.decoder - state.proj)),
-            float(np.linalg.norm(state.nonneg - px)),
-            float(np.linalg.norm(state.normed - px)),
-        )
-        obj = reconstruction_objective(state.proj, x, graph_gram,
+        residuals = tuple(float(np.linalg.norm(gap)) for gap in gaps)
+        obj = reconstruction_objective(state.proj, x, terms.graph_gram,
                                        graph_weight, supervision, px)
         if not np.isfinite(obj) or not all(np.isfinite(r) for r in residuals):
             raise NumericalError(f"non-finite value at ADMM iteration {t}")
@@ -363,15 +416,21 @@ def run_admm(x, graph_gram, proj0, graph_weight, cfg, supervision=None):
     return state.proj, report
 
 
-def pretrain_layer(x, lap, proj0, eta, cfg=None):
+def pretrain_layer(x, lap, proj0, eta, cfg=None, terms=None):
     """Train one layer's projection on its input block (no label term).
 
     Returns the projection and the run report. `x` is the layer input
     (d_in x n), `lap` the fused graph Laplacian over its columns, `proj0`
-    the initial projection (d_out x d_in).
+    the initial projection (d_out x d_in). `terms` is the LayerTerms of `x`
+    and `lap` to reuse (and fill) across runs; a fresh one is built when it
+    is None.
     """
     cfg = cfg if cfg is not None else AdmmConfig()
-    x = matrix_values(x)
-    graph_gram = None if lap is None else compute_graph_gram(x, lap)
-    return run_admm(x, graph_gram, np.asarray(proj0, dtype=np.float64),
-                    float(eta), cfg)
+    if terms is None:
+        x = matrix_values(x)
+        terms = LayerTerms(
+            x, None if lap is None else compute_graph_gram(x, lap))
+    elif terms.x is not x:
+        raise InputError("layer terms were built for another layer input")
+    return run_admm(terms, np.asarray(proj0, dtype=np.float64), float(eta),
+                    cfg)

@@ -178,8 +178,11 @@ def slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10
         raise InputError(f"max_iters must be >= 1, got {max_iters}")
     feats = values
     if values.shape[0] > _N_REDUCED:
-        # component signs do not move squared distances or segment means
-        feats = pca_fit(values, min(_N_REDUCED, n)).transform(values)
+        # neither the component signs nor the offset P @ mean, which moves
+        # every pixel and every segment mean alike, changes a squared
+        # distance, so the cube is projected as it is: pca_fit centers it
+        # once, block by block, for the covariance
+        feats = pca_fit(values, min(_N_REDUCED, n)).projection @ values
     pts = np.ascontiguousarray(feats.T)
     rows = np.arange(n) // width
     cols = np.arange(n) % width

@@ -26,6 +26,7 @@ from progsub.graphs import (alignment_graph, assemble_fused,
 from progsub.harness import prepare_data, run_experiment
 from progsub.metrics import ConfusionMatrix
 from progsub.model import ProjectionStack
+from progsub.pretrain import LayerTerms
 from test_metrics import _direct_formulas
 from test_pretrain import inner, projection_block_objective, random_state, sq
 
@@ -66,8 +67,8 @@ def test_criterion_1_closed_form_updates_match_oracles():
         chain = rng.standard_normal((n_cls, d_out))
         y = rng.standard_normal((n_cls, n))
 
-        got = update_projection(state, x, x @ x.T,
-                                eta * compute_graph_gram(x, lap))
+        got = update_projection(
+            state, LayerTerms(x, compute_graph_gram(x, lap)), eta)
         want = quadratic_minimizer(
             projection_block_objective(state, x, lap, eta), (d_out, d_in)
         )

@@ -50,6 +50,23 @@ def test_pca_eigenvalues_nonincreasing_and_variance_ordered():
     assert np.all(np.diff(variances) <= 1e-8)
 
 
+@pytest.mark.parametrize("n", [300, 9000])
+def test_pca_blocked_covariance_matches_direct_covariance(n):
+    # the covariance is accumulated over column blocks of 512; one block
+    # keeps the bits of the direct product, several stay within rounding
+    x = np.random.default_rng(8).random((7, n))
+    centered = x - x.mean(axis=1)[:, None]
+    vals, vecs = np.linalg.eigh((centered @ centered.T) / n)
+    emb = pca_fit(x, 3)
+    if n <= 512:
+        assert np.array_equal(emb.eigenvalues, vals[::-1][:3])
+    else:
+        assert np.allclose(emb.eigenvalues, vals[::-1][:3], rtol=1e-12,
+                           atol=0)
+        assert np.allclose(np.abs(emb.projection @ vecs[:, ::-1][:, :3]),
+                           np.eye(3), atol=1e-9)
+
+
 def test_pca_rejects_large_d_out():
     with pytest.raises(InputError):
         pca_fit(np.zeros((3, 5)), 4)

@@ -13,8 +13,8 @@ from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
 from progsub.formats import save_cube, save_labels
 from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
-                             _apply_cell, _stage, _stratified_folds,
-                             grid_search_cv, layer_sweep,
+                             _apply_cell, _grid_cells, _stage,
+                             _stratified_folds, grid_search_cv, layer_sweep,
                              load_config, load_data, make_split,
                              parse_config_text, prepare_data, run_experiment)
 
@@ -384,9 +384,33 @@ def test_grid_defaults_to_published_ranges_when_unset():
     _, rows = grid_search_cv(cfg)
     assert len(rows) == 3
     for cell, _ in rows:
-        assert set(cell) == {"alpha", "beta", "dims", "gamma", "knn_k",
-                             "sigma"}
+        # pca reads dims alone of the published parameters
+        assert set(cell) == {"dims"}
         assert cell["dims"] in DEFAULT_GRID["dims"].split(",")
+
+
+@pytest.mark.parametrize("method,names,n_cells", [
+    ("raw", [], 1),
+    ("pca", ["dims"], 5),
+    ("lpp", ["dims", "knn_k", "sigma"], 125),
+    ("progsub", sorted(DEFAULT_GRID), 5 ** 6),
+])
+def test_grid_crosses_only_parameters_the_method_reads(method, names,
+                                                       n_cells):
+    got, cells = _grid_cells(benchmark_config(seed=7, method=method))
+    assert got == names
+    assert len(cells) == n_cells
+    assert all(sorted(cell) == names for cell in cells)
+
+
+def test_grid_raw_cross_validates_one_cell(tmp_path):
+    # raw reads no grid parameter: one cell, not all 15625 of DEFAULT_GRID
+    cfg = benchmark_config(seed=7, method="raw", out_dir=str(tmp_path))
+    best, rows = grid_search_cv(cfg)
+    assert [cell for cell, _ in rows] == [{}]
+    assert best == cfg.hyper
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert lines[0] == "mean_oa" and len(lines) == 2
 
 
 def test_grid_cell_setting_layers_keeps_its_dims():

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,8 @@ from progsub import (InputError, ProjectionStack, finetune_projection,
                      fit_readout, fit_stack, objective_value, pretrain_layer,
                      transform, update_features, prediction_terms)
 from progsub.graphs import compute_graph_gram
-from progsub.harness import prepare_data
-from progsub.pretrain import reconstruction_objective
+from progsub.harness import prepare_data, run_experiment
+from progsub.pretrain import LayerTerms, reconstruction_objective
 from test_pretrain import inner, random_state, sq
 
 
@@ -405,3 +408,75 @@ def test_fit_stack_with_unlabeled_columns_runs():
     trace = report.objective_trace
     for a, b in zip(trace, trace[1:]):
         assert b <= a + 1e-8 * abs(a)
+
+
+# ---------------------------------------------------- per-layer terms cache
+
+def test_desk_fit_factors_each_projection_system_once(monkeypatch):
+    # dpotrf also factors the features and decoder systems in solve_spd;
+    # count the calls made for projection systems
+    requested, factored, inside = [], [], []
+    real_factor = progsub.pretrain.LayerTerms.projection_factor
+    real_dpotrf = progsub.pretrain.dpotrf
+
+    def recording(terms, weight, mu):
+        layer_input = hashlib.sha256(terms.x.tobytes()).hexdigest()
+        requested.append((layer_input, terms.x.shape, weight, mu))
+        inside.append(True)
+        try:
+            return real_factor(terms, weight, mu)
+        finally:
+            inside.pop()
+
+    def counting_dpotrf(*args, **kwargs):
+        if inside:
+            factored.append(args[0].shape)
+        return real_dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(progsub.pretrain.LayerTerms, "projection_factor",
+                        recording)
+    monkeypatch.setattr(progsub.pretrain, "dpotrf", counting_dpotrf)
+    run_experiment(benchmark_config(seed=7, layers=2))
+    assert len(factored) == len(set(requested))
+    # pre-training and every fine-tune of a layer share its factors
+    assert len(requested) > 2 * len(factored)
+
+
+def test_accepted_layer1_step_rebuilds_layer2_terms(monkeypatch, tmp_path):
+    real_pretrain = progsub.model.pretrain_layer
+    real_finetune = progsub.model.finetune_projection
+    pretrained = []
+    layer2_inputs_after_step = []
+
+    def pretrain(x, lap, proj0, eta, cfg, terms):
+        proj, report = real_pretrain(x, lap, proj0, eta, cfg, terms=terms)
+        pretrained.append(proj)
+        return proj, report
+
+    def finetune(layer, stack, xt, *args, terms, **kwargs):
+        if layer == 2 and stack.projections[0] is not pretrained[0]:
+            # the layer-2 terms hold the input below the accepted step
+            assert np.array_equal(terms.x, stack.projections[0] @ xt)
+            layer2_inputs_after_step.append(terms.x)
+        return real_finetune(layer, stack, xt, *args, terms=terms, **kwargs)
+
+    def fresh_pretrain(x, lap, proj0, eta, cfg, terms):
+        return real_pretrain(x, lap, proj0, eta, cfg)
+
+    def fresh_finetune(layer, stack, xt, yt, lf, *args, terms, **kwargs):
+        fresh = LayerTerms(terms.x, compute_graph_gram(terms.x, lf))
+        return real_finetune(layer, stack, xt, yt, lf, *args, terms=fresh,
+                             **kwargs)
+
+    outputs = {}
+    for name, hooks in (("cached", (pretrain, finetune)),
+                        ("fresh", (fresh_pretrain, fresh_finetune))):
+        monkeypatch.setattr(progsub.model, "pretrain_layer", hooks[0])
+        monkeypatch.setattr(progsub.model, "finetune_projection", hooks[1])
+        _, artifacts = run_experiment(benchmark_config(
+            seed=7, layers=2, out_dir=str(tmp_path / name)))
+        outputs[name] = {key: Path(path).read_bytes()
+                         for key, path in artifacts.items()}
+    assert layer2_inputs_after_step
+    assert "pretrain_layer2.csv" in outputs["cached"]
+    assert outputs["cached"] == outputs["fresh"]

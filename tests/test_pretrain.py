@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,12 +13,13 @@ from oracle_utils import (ball_quadratic_minimizer, fd_gradient_norm,
                           frob_rel_err, nonneg_quadratic_minimizer,
                           quadratic_minimizer, random_laplacian)
 from progsub import (AdmmConfig, AdmmState, InputError, NumericalError,
-                     pretrain_layer, prox_nonneg, prox_unit_ball,
-                     update_decoder, update_duals, update_features,
-                     update_nonneg, update_normed, update_projection)
+                     constraint_gaps, pretrain_layer, prox_nonneg,
+                     prox_unit_ball, update_decoder, update_duals,
+                     update_features, update_nonneg, update_normed,
+                     update_projection)
 from progsub.graphs import compute_graph_gram
-from progsub.pretrain import (RIDGE, reconstruction_objective, run_admm,
-                              solve_spd)
+from progsub.pretrain import (RIDGE, LayerTerms, reconstruction_objective,
+                              run_admm, solve_factored, solve_spd, spd_factor)
 
 
 def random_state(rng, d_out, d_in, n, mu=1.0):
@@ -114,8 +117,8 @@ def test_update_projection_zero_numerator():
         setattr(state, name, np.zeros_like(getattr(state, name)))
     x = rng.standard_normal((3, 5))
     lap = random_laplacian(rng, 5)
-    out = update_projection(state, x, x @ x.T,
-                            0.3 * compute_graph_gram(x, lap))
+    out = update_projection(
+        state, LayerTerms(x, compute_graph_gram(x, lap)), 0.3)
     assert np.allclose(out, 0.0)
 
 
@@ -129,8 +132,8 @@ def test_update_projection_scalar_case():
         penalty=1.0,
     )
     x = np.array([[2.0]])
-    out = update_projection(state, x, x @ x.T,
-                            0.0 * compute_graph_gram(x, np.zeros((1, 1))))
+    out = update_projection(
+        state, LayerTerms(x, compute_graph_gram(x, np.zeros((1, 1)))), 0.0)
     assert out[0, 0] == pytest.approx(24.0 / 13.0, rel=1e-9)
 
 
@@ -140,8 +143,8 @@ def test_update_projection_matches_first_order_oracle():
     x = rng.standard_normal((2, 5))
     lap = random_laplacian(rng, 5)
     eta = 0.4
-    got = update_projection(state, x, x @ x.T,
-                            eta * compute_graph_gram(x, lap))
+    got = update_projection(
+        state, LayerTerms(x, compute_graph_gram(x, lap)), eta)
     want = quadratic_minimizer(projection_block_objective(state, x, lap, eta),
                                (2, 2))
     assert frob_rel_err(got, want) < 1e-8
@@ -152,13 +155,13 @@ def test_update_projection_numerator_linearity():
     state = random_state(rng, 3, 4, 6, mu=1.3)
     x = rng.standard_normal((4, 6))
     lap = random_laplacian(rng, 6)
-    once = update_projection(state, x, x @ x.T,
-                             0.2 * compute_graph_gram(x, lap))
+    once = update_projection(
+        state, LayerTerms(x, compute_graph_gram(x, lap)), 0.2)
     for name in ("feats", "decoder", "nonneg", "normed", "dual_feats",
                  "dual_decoder", "dual_nonneg", "dual_normed"):
         setattr(state, name, 2.0 * getattr(state, name))
-    twice = update_projection(state, x, x @ x.T,
-                              0.2 * compute_graph_gram(x, lap))
+    twice = update_projection(
+        state, LayerTerms(x, compute_graph_gram(x, lap)), 0.2)
     assert np.allclose(twice, 2.0 * once, rtol=1e-12, atol=1e-12)
 
 
@@ -299,18 +302,18 @@ def test_update_duals_fixed_point_and_arithmetic():
     px = state.proj @ x
     state.feats, state.nonneg, state.normed = px.copy(), px.copy(), px.copy()
     state.decoder = state.proj.copy()
-    new = update_duals(state, state.proj @ x)
+    new = update_duals(state, constraint_gaps(state, state.proj @ x))
     assert np.array_equal(new[0], state.dual_feats)
     assert np.array_equal(new[1], state.dual_decoder)
     assert np.array_equal(new[2], state.dual_nonneg)
     assert np.array_equal(new[3], state.dual_normed)
 
     state.feats = px + 1.0
-    new = update_duals(state, state.proj @ x)
+    new = update_duals(state, constraint_gaps(state, state.proj @ x))
     assert np.allclose(new[0], state.dual_feats + 1.0)
 
     state = random_state(rng, 2, 3, 5, mu=0.6)
-    new = update_duals(state, state.proj @ x)
+    new = update_duals(state, constraint_gaps(state, state.proj @ x))
     px = state.proj @ x
     assert np.allclose(new[2],
                        state.dual_nonneg + 0.6 * (state.nonneg - px))
@@ -324,8 +327,8 @@ def test_each_smooth_update_has_vanishing_gradient():
     x = rng.standard_normal((3, 4))
     lap = random_laplacian(rng, 4)
 
-    theta_star = update_projection(state, x, x @ x.T,
-                                   0.5 * compute_graph_gram(x, lap))
+    theta_star = update_projection(
+        state, LayerTerms(x, compute_graph_gram(x, lap)), 0.5)
     assert fd_gradient_norm(projection_block_objective(state, x, lap, 0.5),
                             theta_star) < 1e-6
 
@@ -403,7 +406,7 @@ def test_run_admm_raises_on_nonfinite():
     x = rng.standard_normal((3, 8)) * 1e200
     with np.errstate(all="ignore"), pytest.raises(NumericalError,
                                                   match="iteration"):
-        run_admm(x, None, rng.standard_normal((2, 3)) * 1e200, 0.0,
+        run_admm(LayerTerms(x), rng.standard_normal((2, 3)) * 1e200, 0.0,
                  AdmmConfig(max_iters=5))
 
 
@@ -411,8 +414,8 @@ def test_run_admm_rejects_graph_gram_of_wrong_shape():
     rng = np.random.default_rng(21)
     x = rng.standard_normal((3, 8))
     with pytest.raises(InputError, match="Gram"):
-        run_admm(x, np.zeros((8, 8)), rng.standard_normal((2, 3)), 0.1,
-                 AdmmConfig(max_iters=5))
+        run_admm(LayerTerms(x, np.zeros((8, 8))),
+                 rng.standard_normal((2, 3)), 0.1, AdmmConfig(max_iters=5))
 
 
 # ------------------------------------------------------------- SPD solve
@@ -434,6 +437,25 @@ def test_solve_spd_matches_scipy_solve_bit_for_bit(n, m, order):
     got = solve_spd(lhs, rhs)
     assert got.flags.c_contiguous
     assert np.array_equal(got, scipy.linalg.solve(lhs, rhs, assume_a="pos"))
+
+
+@pytest.mark.parametrize("m", [1, 7, 320, 2000])
+@pytest.mark.parametrize("n", [1, 5, 12, 20, 100, 200])
+def test_factored_solve_has_the_bits_of_dposv(n, m):
+    # solve_spd and the cached projection factors keep the bits of
+    # scipy's dposv because dposv is dpotrf followed by dpotrs
+    rng = np.random.default_rng(2000 * n + m)
+    g = rng.standard_normal((n, n + 3))
+    lhs = g @ g.T + (0.25 + RIDGE) * np.eye(n)
+    rhs = rng.standard_normal((n, m))
+    _, want, info = dposv(lhs, rhs)
+    assert info == 0
+    factor, info = dpotrf(lhs, clean=0)
+    got, _ = dpotrs(factor, rhs)
+    assert np.array_equal(got, want)
+    got = solve_factored(spd_factor(lhs), rhs)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, solve_spd(lhs, rhs))
 
 
 def _broken_system(case):
@@ -462,6 +484,8 @@ def test_solve_spd_raises_numerical_error(case):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="block solve"):
             solve_spd(lhs, rhs)
+        with pytest.raises(NumericalError, match="block solve"):
+            solve_factored(spd_factor(lhs), rhs)
 
 
 # ----------------------------------------------------- traced objective
@@ -484,7 +508,7 @@ def test_traced_objective_matches_exact_objective(variant):
                        rng.random(n) < 0.6)
 
     def run(k):
-        return run_admm(x, graph_gram, proj0, weight,
+        return run_admm(LayerTerms(x, graph_gram), proj0, weight,
                         AdmmConfig(eps=1e-300, max_iters=k), supervision)
 
     _, full = run(iters)
@@ -513,8 +537,30 @@ def test_run_admm_builds_prediction_terms_once(monkeypatch, max_iters):
     x = rng.standard_normal((5, 12))
     supervision = (rng.standard_normal((2, 3)), rng.standard_normal((2, 12)),
                    0.7, rng.random(12) < 0.5)
-    _, report = run_admm(x, None, 0.3 * rng.standard_normal((3, 5)), 0.0,
-                         AdmmConfig(eps=1e-300, max_iters=max_iters),
+    _, report = run_admm(LayerTerms(x), 0.3 * rng.standard_normal((3, 5)),
+                         0.0, AdmmConfig(eps=1e-300, max_iters=max_iters),
                          supervision)
     assert report.iterations == max_iters
     assert len(calls) == 1
+
+
+def test_run_admm_allocates_one_input_sized_array_per_iteration():
+    """The objective's residual X - T'TX is formed and squared in the buffer
+    of T'TX. Building the difference and its square as new arrays holds two
+    input-sized temporaries at once and exceeds the bound."""
+    rng = np.random.default_rng(25)
+    d_in, d_out, n = 200, 20, 2000
+    x = rng.random((d_in, n)) / 10.0
+    proj0 = 0.1 * rng.standard_normal((d_out, d_in))
+    cfg = AdmmConfig(max_iters=3)
+    terms = LayerTerms(x)
+    run_admm(terms, proj0, 0.0, cfg)  # factor the systems outside the trace
+    tracemalloc.start()
+    try:
+        run_admm(terms, proj0, 0.0, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the state and its replacements take about one x-sized block at
+    # d_out = d_in / 10 (2.04 blocks measured; the two-temporary form: 3.03)
+    assert peak < 2.5 * x.nbytes

@@ -151,6 +151,20 @@ def test_slic_memory_is_linear_in_pixels():
     assert peak < 4 * 2 ** 20
 
 
+def test_slic_holds_no_centered_copy_of_the_cube():
+    # the PCA reduction centers the cube once, in column blocks, and the
+    # features are projected from the cube itself; a centered copy of the
+    # whole cube would alone take cube.nbytes (the peak was 16.8 MB here)
+    cube = np.random.default_rng(3).random((64, 256 * 128))
+    tracemalloc.start()
+    try:
+        slic_segment(cube, 256, 128, segment_count(256 * 128, 0.01))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cube.nbytes / 2
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_slic_segments_cube_with_fewer_pixels_than_components(width):
     # five bands reduce to min(3, pixel count) principal components
