@@ -68,7 +68,7 @@ def _single_blas_thread():
 # the flags whose argparse dest is the config key they stand for; a flag that
 # is given replaces the file's value before parsing, as a later line would
 _KEY_FLAGS = ("seed", "out", "grid.budget", "run.include_unlabeled",
-              "sweep.layers")
+              "run.dump_graphs", "sweep.layers")
 
 _INCLUDE_UNLABELED = {"--include-unlabeled-in-graph": dict(
     dest="run.include_unlabeled", action="store_const", const="true",
@@ -96,8 +96,10 @@ def _build_parser():
     add("generate", "write a synthetic cube, labels, and truth map")
     add("segment", "segment the cube and write per-pixel segment ids")
     add("fit", "train, evaluate, and write the full artifact set",
-        **{"--dump-graphs": dict(action="store_true",
-                                 help="also dump the training pixel graph")},
+        **{"--dump-graphs": dict(
+            dest="run.dump_graphs", action="store_const", const="true",
+            help="also write the graphs the fit was trained on (sets "
+                 "run.dump_graphs=true)")},
         **_INCLUDE_UNLABELED)
     add("transform", "project a cube through a trained model", **_MODEL)
     add("evaluate", "re-evaluate a trained model on the config's split",
@@ -162,7 +164,6 @@ def _cmd_segment(args):
 def _cmd_fit(args):
     config = _load(args)
     _require_out(config, "fit")
-    config.dump_graphs = args.dump_graphs
     metrics, artifacts = run_experiment(config)
     print(f"fit[{config.method}]: oa={metrics.oa:.4f} aa={metrics.aa:.4f} "
           f"kappa={metrics.kappa:.4f} ({len(artifacts)} artifacts)")

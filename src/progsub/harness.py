@@ -122,7 +122,7 @@ class ExperimentConfig:
     grid_budget: int
     grid_folds: int
     sweep_layers: list
-    dump_graphs: bool = False
+    dump_graphs: bool
 
     @classmethod
     def from_mapping(cls, mapping, seed=None, out_dir=None):
@@ -197,6 +197,7 @@ class ExperimentConfig:
         grid = {key.split(".", 1)[1]: mapping.pop(key)
                 for key in list(mapping) if key.startswith("grid.")}
         include = _get(mapping, "run.include_unlabeled", _bool, False)
+        dump_graphs = _get(mapping, "run.dump_graphs", _bool, False)
         per_class = _get(mapping, "split.train_per_class", int, 10)
         if per_class < 1:
             raise InputError(f"config key split.train_per_class={per_class} "
@@ -233,6 +234,7 @@ class ExperimentConfig:
             grid_budget=grid_budget,
             grid_folds=grid_folds,
             sweep_layers=_get(mapping, "sweep.layers", _int_list, [1, 2, 3]),
+            dump_graphs=dump_graphs,
         )
         if mapping:
             raise InputError(

@@ -89,22 +89,27 @@ def transform(stack, x_new):
     return chain_apply(stack.projections, values)
 
 
-def objective_value(stack, xt, yt, lf, hp, labeled_cols=None):
-    """Full training objective at the current stack (readout required)."""
+def objective_value(stack, inputs, yt, hp, labeled_cols=None):
+    """Full training objective at the current stack (readout required).
+
+    `inputs` holds one LayerTerms per layer: the layer's input X_{l-1} and
+    its graph term X_{l-1} L X_{l-1}' (None for no graph).
+    """
     if stack.readout is None:
         raise InputError("objective needs a fitted readout")
+    if len(inputs) != stack.depth:
+        raise InputError(
+            f"{len(inputs)} layer inputs for a {stack.depth}-layer stack")
     recon = 0.0
     graph = 0.0
-    cur = matrix_values(xt)
-    for proj in stack.projections:
-        gram = None if hp.beta == 0.0 or lf is None else compute_graph_gram(
-            cur, lf)
-        layer_recon, layer_graph, cur = layer_terms(proj, cur, gram)
+    for proj, terms in zip(stack.projections, inputs):
+        layer_recon, layer_graph, emb = layer_terms(proj, terms.x,
+                                                    terms.graph_gram)
         recon += layer_recon
         graph += layer_graph
     predict = prediction_term(
         (stack.readout, np.asarray(yt, dtype=np.float64), hp.alpha,
-         labeled_cols), cur)
+         labeled_cols), emb)
     ridge = float(np.sum(stack.readout * stack.readout))
     return (0.5 * recon + predict + 0.5 * hp.beta * graph
             + 0.5 * hp.gamma * ridge)
@@ -126,8 +131,8 @@ def fit_readout(projections, xt, yt, alpha, gamma, labeled_cols=None):
     return solve_spd(lhs, rhs.T).T
 
 
-def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
-                        labeled_cols=None, terms=None):
+def finetune_projection(layer, stack, yt, hp, terms, cfg=None,
+                        labeled_cols=None):
     """Re-solve one layer's projection with every other layer fixed.
 
     Runs the same ADMM loop as pre-training with the prediction term wired
@@ -136,8 +141,7 @@ def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
     a fixed-point method, not a descent method, so a restarted run can land
     on a slightly worse stationary point); otherwise the entry projection
     object itself is returned. `layer` is 1-based. `terms` is the LayerTerms
-    of the layer's input under `lf`, reused (and filled) across runs; when
-    it is None one is built from `xt` pushed through the layers below.
+    of the layer's input, reused (and filled) across runs.
     Returns (projection, report).
     """
     cfg = cfg if cfg is not None else AdmmConfig()
@@ -146,10 +150,6 @@ def finetune_projection(layer, stack, xt, yt, lf, hp, cfg=None,
         raise InputError(f"layer must be in 1..{stack.depth}, got {layer}")
     if stack.readout is None:
         raise InputError("fine-tuning needs a fitted readout")
-    if terms is None:
-        x_prev = chain_apply(stack.projections[:idx], matrix_values(xt))
-        terms = LayerTerms(x_prev, None if hp.beta == 0.0 or lf is None
-                           else compute_graph_gram(x_prev, lf))
     readout_chain = stack.readout
     for j in range(stack.depth - 1, idx, -1):
         readout_chain = readout_chain @ stack.projections[j]
@@ -235,25 +235,20 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
     labeled2 = np.concatenate([labeled, labeled])
     mask = None if labeled2.all() else labeled2
 
-    # greedy layerwise initialization; terms[l] holds the fixed terms of
-    # layer l+1's input xs[l] (Grams and factored projection systems) for
-    # every ADMM run on it, and is rebuilt when that input changes
+    # greedy layerwise initialization; terms[l] holds layer l+1's input and
+    # its fixed terms (Grams and factored projection systems) for pre-training,
+    # every fine-tune, the readout and the objective
     pretrain_reports = []
     projections = []
-    xs = [xt]
     terms = []
-
-    def input_terms(x_in):
-        return LayerTerms(x_in, compute_graph_gram(x_in, lf))
-
     for l in range(hp.layers):
-        init = lpp_fit(xs[-1], lf, degrees, hp.dims[l])
-        terms.append(input_terms(xs[-1]))
-        proj, rep = pretrain_layer(xs[-1], lf, init.projection, hp.eta, cfg,
+        x_in = xt if l == 0 else projections[-1] @ terms[-1].x
+        terms.append(LayerTerms(x_in, compute_graph_gram(x_in, lf)))
+        init = lpp_fit(x_in, lf, degrees, hp.dims[l])
+        proj, rep = pretrain_layer(x_in, lf, init.projection, hp.eta, cfg,
                                    terms=terms[l])
         projections.append(proj)
         pretrain_reports.append(rep)
-        xs.append(proj @ xs[-1])
 
     # alternating fine-tuning; trace[0] is the objective at the pre-trained
     # projections, which is where the first sweep starts
@@ -261,34 +256,34 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
     finetune_reports = []
     termination = "max_outer_iters"
     for outer in range(1, hp.max_outer_iters + 1):
-        readout = fit_readout(projections, xt, yt, hp.alpha, hp.gamma, mask)
+        readout = fit_readout(projections[-1:], terms[-1].x, yt, hp.alpha,
+                              hp.gamma, mask)
         stack = ProjectionStack(tuple(projections), readout)
-        current = objective_value(stack, xt, yt, lf, hp, mask)
+        current = objective_value(stack, terms, yt, hp, mask)
         if not trace:
             trace.append(current)
         sweep_reports = []
         for l in range(1, hp.layers + 1):
-            if terms[l - 1] is None:
-                terms[l - 1] = input_terms(xs[l - 1])
-            proj, rep = finetune_projection(
-                l, stack, xt, yt, lf, hp, cfg, labeled_cols=mask,
-                terms=terms[l - 1],
-            )
+            proj, rep = finetune_projection(l, stack, yt, hp, terms[l - 1],
+                                            cfg, labeled_cols=mask)
             sweep_reports.append(rep)
             if proj is stack.projections[l - 1]:
                 continue  # step rejected: the stack is unchanged
             trial = projections[:l - 1] + [proj] + projections[l:]
             trial_stack = ProjectionStack(tuple(trial), readout)
-            candidate = objective_value(trial_stack, xt, yt, lf, hp, mask)
+            # the step changes the inputs of the layers above it
+            trial_terms = terms[:l]
+            for j in range(l, hp.layers):
+                x_in = trial[j - 1] @ trial_terms[-1].x
+                trial_terms.append(LayerTerms(x_in,
+                                              compute_graph_gram(x_in, lf)))
+            candidate = objective_value(trial_stack, trial_terms, yt, hp, mask)
             # a layer step may lower its own objective yet raise the
             # downstream reconstruction terms; block descent keeps the
             # previous projection in that case
             if not candidate > current:
                 projections, stack, current = trial, trial_stack, candidate
-                for j in range(l, hp.layers + 1):
-                    xs[j] = projections[j - 1] @ xs[j - 1]
-                # the inputs of the layers above changed
-                terms[l:] = [None] * (hp.layers - l)
+                terms = trial_terms
         finetune_reports.append(sweep_reports)
         if not np.isfinite(current):
             raise NumericalError(f"non-finite objective at outer iteration {outer}")

@@ -338,18 +338,14 @@ def reconstruction_objective(proj, x, graph_gram, graph_weight,
         1/2 ||X - T'TX||^2 + alpha/2 ||Y - R T X||^2 + w/2 tr(T XLX' T')
 
     The prediction term needs `supervision` (see run_admm); the graph term
-    is dropped when w is 0 or `graph_gram` is None. `emb` is TX when the
-    caller already has it.
+    is 0 when `graph_gram` is None. `emb` is TX when the caller already has
+    it.
     """
-    if graph_weight == 0.0:
-        graph_gram = None
     recon, graph, emb = layer_terms(proj, x, graph_gram, emb)
     value = 0.5 * recon
     if supervision is not None:
         value += prediction_term(supervision, emb)
-    if graph_gram is not None:
-        value += 0.5 * graph_weight * graph
-    return value
+    return value + 0.5 * graph_weight * graph
 
 
 def run_admm(terms, proj0, graph_weight, cfg, supervision=None):

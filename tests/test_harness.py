@@ -653,6 +653,22 @@ def test_cli_echo_reproduces_include_unlabeled_fit(tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
+def test_cli_echo_reproduces_dump_graphs_fit(tmp_path):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt")
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli_main(["fit", "--config", cfg, "--out", str(first),
+                     "--dump-graphs"]) == 0
+    assert "run.dump_graphs=true" in (
+        first / "config.echo.txt").read_text().splitlines()
+    assert cli_main(["fit", "--config", str(first / "config.echo.txt"),
+                     "--out", str(again)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert "graph_wf.txt" in names
+    assert sorted(p.name for p in again.iterdir()) == names
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
 def test_cli_sweep_layers_bad_list_is_stage_tagged(tmp_path, capsys):
     cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="raw")
     assert cli_main(["sweep-layers", "--config", cfg, "--layers", "1,x"]) == 1

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from progsub import (InputError, compute_metrics, confusion, nn_classify)
 from progsub.metrics import ConfusionMatrix
@@ -37,6 +40,39 @@ def test_nn_tie_breaks_to_lowest_index():
     train = np.array([[1.0, 1.0, 2.0]])
     preds = nn_classify(train, [3, 1, 2], np.array([[1.0]]))
     assert preds.tolist() == [3]
+
+
+def test_nn_blocks_match_the_full_distance_matrix():
+    # 300 training columns give 54-row blocks, so 500 test columns span ten;
+    # each training column appears twice with different labels and the
+    # first copy must win
+    rng = np.random.default_rng(2)
+    base = np.round(rng.standard_normal((3, 150)), 1)
+    train = np.hstack([base, base])
+    labels = np.arange(1, 301)
+    test = np.hstack([base[:, rng.integers(0, 150, size=250)],
+                      np.round(rng.standard_normal((3, 250)), 1)])
+    full = labels[np.argmin(cdist(test.T, train.T, "sqeuclidean"), axis=1)]
+    preds = nn_classify(train, labels, test)
+    assert preds.dtype == np.int64
+    assert np.array_equal(preds, full)
+    assert (preds[:250] <= 150).all()
+    assert nn_classify(train, labels, np.zeros((3, 0))).shape == (0,)
+
+
+def test_nn_memory_stays_below_the_full_distance_matrix():
+    rng = np.random.default_rng(3)
+    train = rng.standard_normal((5, 400))
+    test = rng.standard_normal((5, 4000))
+    labels = np.arange(1, 401)
+    full_bytes = 4000 * 400 * 8
+    tracemalloc.start()
+    try:
+        nn_classify(train, labels, test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_bytes / 8
 
 
 def test_nn_rejects_empty_and_mismatched():

@@ -31,12 +31,17 @@ def _hyper_for_objective(alpha=1.0, beta=0.0, gamma=1.0):
     return small_hyper(m=1, d=2, alpha=alpha, beta=beta, gamma=gamma)
 
 
+def _input_terms(x, lf):
+    """A layer input's LayerTerms as fit_stack builds them."""
+    return LayerTerms(x, compute_graph_gram(x, lf))
+
+
 def test_objective_identity_stack_is_zero():
     stack = ProjectionStack((np.eye(3),), np.zeros((2, 3)))
     xt = np.random.default_rng(0).standard_normal((3, 8))
     yt = np.zeros((2, 8))
     hp = _hyper_for_objective()
-    assert objective_value(stack, xt, yt, None, hp) == 0.0
+    assert objective_value(stack, [LayerTerms(xt)], yt, hp) == 0.0
 
 
 def test_objective_prediction_term_only():
@@ -46,7 +51,7 @@ def test_objective_prediction_term_only():
     yt = rng.standard_normal((2, 8))
     hp = _hyper_for_objective(alpha=0.7)
     expected = 0.5 * 0.7 * float(np.sum(yt * yt))
-    assert objective_value(stack, xt, yt, None, hp) == pytest.approx(
+    assert objective_value(stack, [LayerTerms(xt)], yt, hp) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -69,8 +74,17 @@ def test_objective_matches_direct_summation_oracle():
     graph = float(np.trace(x1 @ lf @ x1.T) + np.trace(x2 @ lf @ x2.T))
     ridge = sq(readout)
     expected = 0.5 * recon + 0.4 * predict + 0.15 * graph + 0.25 * ridge
-    got = objective_value(stack, xt, yt, lf, hp)
+    inputs = [_input_terms(xt, lf), _input_terms(x1, lf)]
+    got = objective_value(stack, inputs, yt, hp)
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_objective_needs_one_input_per_layer():
+    stack = ProjectionStack((np.eye(3), np.eye(3)), np.zeros((2, 3)))
+    xt = np.zeros((3, 4))
+    with pytest.raises(InputError, match="2-layer"):
+        objective_value(stack, [LayerTerms(xt)], np.zeros((2, 4)),
+                        small_hyper(m=2, d=3))
 
 
 # ---------------------------------------------------------------- readout
@@ -202,8 +216,8 @@ def test_finetune_single_layer_objective_decreases():
     readout = fit_readout([proj], xt, yt, hp.alpha, hp.gamma)
     stack = ProjectionStack((proj,), readout)
     entry = _layer_objective(proj, xt, readout, yt, lf, hp)
-    new_proj, report = finetune_projection(1, stack, xt, yt, lf, hp,
-                                           fast_admm())
+    new_proj, report = finetune_projection(1, stack, yt, hp,
+                                           _input_terms(xt, lf), fast_admm())
     exit_val = _layer_objective(new_proj, xt, readout, yt, lf, hp)
     assert exit_val <= entry + 1e-10 * abs(entry)
 
@@ -228,7 +242,10 @@ def test_finetune_builds_graph_gram_once(monkeypatch):
                                                  hp.gamma))
     calls = _counting(monkeypatch, progsub.model, "compute_graph_gram")
     calls += _counting(monkeypatch, progsub.pretrain, "compute_graph_gram")
-    finetune_projection(1, stack, xt, yt, lf, hp, fast_admm())
+    terms = LayerTerms(xt, progsub.model.compute_graph_gram(xt, lf))
+    # every fine-tune of the layer reads the one Gram of its input
+    for _ in range(2):
+        finetune_projection(1, stack, yt, hp, terms, fast_admm())
     assert len(calls) == 1
 
 
@@ -241,7 +258,8 @@ def test_finetune_alpha_zero_reproduces_pretrain_path():
     cfg = fast_admm(max_iters=60)
     pre, _ = pretrain_layer(x, lf, theta0, hp.beta, cfg)
     stack = ProjectionStack((theta0,), np.zeros((2, 2)))
-    fine, _ = finetune_projection(1, stack, x, np.zeros((2, 10)), lf, hp, cfg)
+    fine, _ = finetune_projection(1, stack, np.zeros((2, 10)), hp,
+                                  _input_terms(x, lf), cfg)
     assert np.allclose(fine, pre, atol=1e-14, rtol=0)
 
 
@@ -264,7 +282,8 @@ def test_finetune_middle_layer_objective_decreases():
     stack = ProjectionStack((t1, t2), readout)
     chain = readout @ t2
     entry = _layer_objective(t1, xt, chain, yt, lf, hp)
-    new_t1, _ = finetune_projection(1, stack, xt, yt, lf, hp, cfg)
+    new_t1, _ = finetune_projection(1, stack, yt, hp, _input_terms(xt, lf),
+                                    cfg)
     exit_val = _layer_objective(new_t1, xt, chain, yt, lf, hp)
     assert exit_val <= entry + 1e-10 * abs(entry)
 
@@ -445,28 +464,32 @@ def test_desk_fit_factors_each_projection_system_once(monkeypatch):
 def test_accepted_layer1_step_rebuilds_layer2_terms(monkeypatch, tmp_path):
     real_pretrain = progsub.model.pretrain_layer
     real_finetune = progsub.model.finetune_projection
-    pretrained = []
+    pretrained, graphs, fit_inputs = [], [], []
     layer2_inputs_after_step = []
 
     def pretrain(x, lap, proj0, eta, cfg, terms):
         proj, report = real_pretrain(x, lap, proj0, eta, cfg, terms=terms)
         pretrained.append(proj)
+        graphs.append(lap)
         return proj, report
 
-    def finetune(layer, stack, xt, *args, terms, **kwargs):
-        if layer == 2 and stack.projections[0] is not pretrained[0]:
+    def finetune(layer, stack, yt, hp, terms, *args, **kwargs):
+        if layer == 1:
+            fit_inputs.append(terms.x)
+        elif not np.array_equal(stack.projections[0], pretrained[0]):
             # the layer-2 terms hold the input below the accepted step
-            assert np.array_equal(terms.x, stack.projections[0] @ xt)
+            assert np.array_equal(terms.x,
+                                  stack.projections[0] @ fit_inputs[-1])
             layer2_inputs_after_step.append(terms.x)
-        return real_finetune(layer, stack, xt, *args, terms=terms, **kwargs)
+        return real_finetune(layer, stack, yt, hp, terms, *args, **kwargs)
 
     def fresh_pretrain(x, lap, proj0, eta, cfg, terms):
+        graphs.append(lap)
         return real_pretrain(x, lap, proj0, eta, cfg)
 
-    def fresh_finetune(layer, stack, xt, yt, lf, *args, terms, **kwargs):
-        fresh = LayerTerms(terms.x, compute_graph_gram(terms.x, lf))
-        return real_finetune(layer, stack, xt, yt, lf, *args, terms=fresh,
-                             **kwargs)
+    def fresh_finetune(layer, stack, yt, hp, terms, *args, **kwargs):
+        fresh = _input_terms(terms.x, graphs[-1])
+        return real_finetune(layer, stack, yt, hp, fresh, *args, **kwargs)
 
     outputs = {}
     for name, hooks in (("cached", (pretrain, finetune)),
@@ -480,3 +503,40 @@ def test_accepted_layer1_step_rebuilds_layer2_terms(monkeypatch, tmp_path):
     assert layer2_inputs_after_step
     assert "pretrain_layer2.csv" in outputs["cached"]
     assert outputs["cached"] == outputs["fresh"]
+
+
+def test_fit_builds_each_layer_graph_gram_once(monkeypatch):
+    # the fit's LayerTerms list is the one owner of every layer input's
+    # X L X': each is formed once, when its LayerTerms is built, and the
+    # objective reads them instead of forming its own
+    built, grams, in_objective = [], [], []
+    real_terms = progsub.model.LayerTerms
+    real_gram = progsub.model.compute_graph_gram
+    real_objective = progsub.model.objective_value
+
+    def terms(x, graph_gram=None):
+        built.append(x.shape)
+        return real_terms(x, graph_gram)
+
+    def gram(x, lap):
+        grams.append(bool(in_objective))
+        return real_gram(x, lap)
+
+    def objective(*args, **kwargs):
+        in_objective.append(True)
+        try:
+            return real_objective(*args, **kwargs)
+        finally:
+            in_objective.pop()
+
+    monkeypatch.setattr(progsub.model, "LayerTerms", terms)
+    monkeypatch.setattr(progsub.model, "compute_graph_gram", gram)
+    monkeypatch.setattr(progsub.model, "objective_value", objective)
+    pretrain_grams = _counting(monkeypatch, progsub.pretrain,
+                               "compute_graph_gram")
+    run_experiment(benchmark_config(seed=7, layers=2))
+    # pre-training's two, then the layer-2 input of each layer-1 candidate
+    assert len(built) > 2
+    assert len(grams) == len(built)
+    assert not any(grams)
+    assert not pretrain_grams

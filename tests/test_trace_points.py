@@ -4,6 +4,7 @@ the benchmark's own self-test."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -20,3 +21,11 @@ def test_every_trace_wrap_point_is_a_callable_attribute(monkeypatch):
     for module_name, attr, _hook in spans.WRAP_POINTS:
         module = importlib.import_module(f"progsub.{module_name}")
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_finetune_hook_reads_layer_and_stack_by_position():
+    # the fine-tune count hook reads the traced call's args[0] and args[1]
+    import progsub.model
+    params = list(inspect.signature(
+        progsub.model.finetune_projection).parameters)
+    assert params[:2] == ["layer", "stack"]
