@@ -97,8 +97,7 @@ def load_cube(header_path, payload_path):
     return values, header.width, header.height
 
 
-def save_cube(header_path, payload_path, feats, width, height, dtype="f64le",
-              scale=None):
+def save_cube(header_path, payload_path, feats, width, height, dtype="f64le"):
     """Write a pixel matrix as header + BSQ payload (inverse of load_cube)."""
     values = matrix_values(feats)
     bands, n = values.shape
@@ -106,15 +105,10 @@ def save_cube(header_path, payload_path, feats, width, height, dtype="f64le",
         raise InputError(
             f"matrix has {n} columns but width*height = {width * height}"
         )
-    header = CubeHeader(width, height, bands, dtype=dtype, scale=scale)
-    out = values
-    if scale is not None:
-        out = out * scale
-    payload = np.ascontiguousarray(out.astype(_DTYPES[dtype])).tobytes()
+    header = CubeHeader(width, height, bands, dtype=dtype)
+    payload = np.ascontiguousarray(values.astype(_DTYPES[dtype])).tobytes()
     doc = {"width": width, "height": height, "bands": bands, "dtype": dtype,
            "interleave": "bsq"}
-    if scale is not None:
-        doc["scale"] = scale
     with open(header_path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
@@ -123,7 +117,7 @@ def save_cube(header_path, payload_path, feats, width, height, dtype="f64le",
     return header
 
 
-def load_labels(path, n_pixels, n_classes=None):
+def load_labels(path, n_pixels):
     """Read an int64 array, one label per line: 0 unlabeled, 1..L a class."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln.strip() != ""]
@@ -139,10 +133,6 @@ def load_labels(path, n_pixels, n_classes=None):
             raise FormatError(f"label line {i} is not an integer: {ln!r}") from exc
         if v < 0:
             raise FormatError(f"label line {i} is negative: {v}")
-        if n_classes is not None and v > n_classes:
-            raise FormatError(
-                f"label line {i} is {v}, above the class count {n_classes}"
-            )
         labels.append(v)
     return np.array(labels, dtype=np.int64)
 

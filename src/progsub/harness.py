@@ -45,8 +45,8 @@ PRESETS = {
         "synthetic.blob": "5", "seed": "7",
         "split.train_per_class": "10",
         "model.alpha": "1.0", "model.beta": "0.1", "model.gamma": "0.1",
-        "model.eta": "0.1", "model.layers": "2", "model.dims": "5",
-        "model.knn_k": "8", "model.sigma": "0.5",
+        "model.layers": "2", "model.dims": "5", "model.knn_k": "8",
+        "model.sigma": "0.5",
     },
 }
 
@@ -157,24 +157,21 @@ class ExperimentConfig:
                 separation=_get(mapping, "synthetic.separation", float, 1.0),
                 noise=_get(mapping, "synthetic.noise", float, 0.3),
                 blob_size=_get(mapping, "synthetic.blob", int, 5),
-                seed=_get(mapping, "synthetic.seed", int, seed),
+                seed=seed,
             )
 
         layers = _get(mapping, "model.layers", int, 1)
         dims = _get(mapping, "model.dims", _int_list, [10])
         if len(dims) == 1:
             dims = dims * layers
-        beta = _get(mapping, "model.beta", float, 0.1)
         hyper = HyperParams(
             alpha=_get(mapping, "model.alpha", float, 1.0),
-            beta=beta,
+            beta=_get(mapping, "model.beta", float, 0.1),
             gamma=_get(mapping, "model.gamma", float, 0.1),
-            eta=_get(mapping, "model.eta", float, beta),
             layers=layers,
             dims=tuple(dims),
             knn_k=_get(mapping, "model.knn_k", int, 10),
             sigma=_get(mapping, "model.sigma", float, 0.1),
-            zeta=_get(mapping, "model.zeta", float, 1e-4),
             max_outer_iters=_get(mapping, "model.max_outer", int, 50),
             superpixel_fraction=_get(
                 mapping, "model.superpixel_fraction", float, 0.10
@@ -442,20 +439,28 @@ def write_files(out_dir, files):
     return paths
 
 
-def run_experiment(config):
-    """End-to-end run; returns (MetricsReport, artifacts dict)."""
-    data = prepare_data(config)
+def _fit_and_score(config, data, hyper):
+    """Fit on prepared data's split and score it; returns (MetricsReport,
+    model stack or None, fit report or None, predicted class of every
+    pixel)."""
     split = data.split
     if split.test_indices.size == 0:
         raise PipelineError("split", InputError("split produced no test samples"))
 
     with _stage("fit"):
         embed, stack, report = _fit_method(
-            config, data, split.train_indices, split.unlabeled_indices,
-            config.hyper
+            config, data, split.train_indices, split.unlabeled_indices, hyper
         )
 
     metrics, preds_all = score_embedding(data, embed)
+    return metrics, stack, report, preds_all
+
+
+def run_experiment(config):
+    """End-to-end run; returns (MetricsReport, artifacts dict)."""
+    data = prepare_data(config)
+    metrics, stack, report, preds_all = _fit_and_score(config, data,
+                                                       config.hyper)
     artifacts = {}
     if config.out_dir is not None:
         with _stage("write"):
@@ -507,8 +512,7 @@ def _stratified_folds(labels, train_idx, n_folds, rng):
     return [f for f in folds if f.size]
 
 
-_GRID_FIELDS = ("alpha", "beta", "gamma", "eta", "sigma", "knn_k", "dims",
-                "layers")
+_GRID_FIELDS = ("alpha", "beta", "gamma", "sigma", "knn_k", "dims", "layers")
 # the grid parameters each method reads (pca and lpp only the last dims)
 _METHOD_PARAMS = {
     "raw": (),
@@ -621,15 +625,16 @@ def grid_search_cv(config):
 
 
 def layer_sweep(config, m_list=None):
-    """Refit with each layer count; returns rows of (m, oa, aa, kappa)."""
+    """Refit with each layer count on data prepared once; returns rows of
+    (m, oa, aa, kappa)."""
     m_list = list(m_list if m_list is not None else config.sweep_layers)
     if not m_list:
         raise InputError("layer sweep needs at least one layer count")
+    data = prepare_data(config)
     rows = []
     for m in m_list:
         hyper = _apply_cell(config.hyper, {"layers": m})
-        sub = replace(config, hyper=hyper, out_dir=None)
-        metrics, _ = run_experiment(sub)
+        metrics = _fit_and_score(config, data, hyper)[0]
         rows.append((int(m), metrics.oa, metrics.aa, metrics.kappa))
     if config.out_dir is not None:
         lines = ["m,oa,aa,kappa"]

@@ -28,6 +28,9 @@ from .pretrain import (RIDGE, LayerTerms, layer_terms, prediction_term,
                        solve_spd)
 from .types import AdmmConfig, matrix_values, one_hot_encode
 
+# the outer loop stops once the objective changes by less than this share
+_OUTER_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class ProjectionStack:
@@ -245,7 +248,7 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
         x_in = xt if l == 0 else projections[-1] @ terms[-1].x
         terms.append(LayerTerms(x_in, compute_graph_gram(x_in, lf)))
         init = lpp_fit(x_in, lf, degrees, hp.dims[l])
-        proj, rep = pretrain_layer(x_in, lf, init.projection, hp.eta, cfg,
+        proj, rep = pretrain_layer(x_in, lf, init.projection, hp.beta, cfg,
                                    terms=terms[l])
         projections.append(proj)
         pretrain_reports.append(rep)
@@ -289,7 +292,7 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
             raise NumericalError(f"non-finite objective at outer iteration {outer}")
         trace.append(current)
         prev = trace[-2]
-        if prev == 0.0 or abs(current - prev) / abs(prev) < hp.zeta:
+        if prev == 0.0 or abs(current - prev) / abs(prev) < _OUTER_TOL:
             termination = "converged"
             break
 

@@ -61,17 +61,15 @@ class HyperParams:
     alpha: float
     beta: float
     gamma: float
-    eta: float
     layers: int
     dims: tuple
     knn_k: int
     sigma: float
-    zeta: float = 1e-4
     max_outer_iters: int = 50
     superpixel_fraction: float = 0.10
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "eta"):
+        for name in ("alpha", "beta", "gamma"):
             v = float(getattr(self, name))
             if v < 0.0 or not np.isfinite(v):
                 raise InputError(f"{name} must be finite and >= 0, got {v}")
@@ -93,9 +91,6 @@ class HyperParams:
         if not (float(self.sigma) > 0.0):
             raise InputError(f"sigma must be > 0, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
-        if not (float(self.zeta) > 0.0):
-            raise InputError(f"zeta must be > 0, got {self.zeta}")
-        object.__setattr__(self, "zeta", float(self.zeta))
         if int(self.max_outer_iters) < 1:
             raise InputError(
                 f"max_outer_iters must be >= 1, got {self.max_outer_iters}"

@@ -23,7 +23,7 @@ def two_gaussians_fixture(seed=0, n_per_class=20, dim=6):
 
 
 def small_hyper(m=1, d=3, **overrides):
-    base = dict(alpha=1.0, beta=0.1, gamma=0.1, eta=0.1, layers=m,
+    base = dict(alpha=1.0, beta=0.1, gamma=0.1, layers=m,
                 dims=tuple([d] * m), knn_k=5, sigma=0.5)
     base.update(overrides)
     return HyperParams(**base)

@@ -1,6 +1,9 @@
 import importlib.util
+import itertools
 import os
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +16,14 @@ from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
 from progsub.formats import save_cube, save_labels
 from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
-                             _apply_cell, _grid_cells, _stage,
+                             _GRID_FIELDS, _apply_cell, _grid_cells, _stage,
                              _stratified_folds, grid_search_cv, layer_sweep,
                              load_config, load_data, make_split,
                              parse_config_text, prepare_data, run_experiment)
 
-BENCH_RUN = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_RUN = ROOT / "benchmarks" / "run.py"
+README = ROOT / "README.md"
 
 
 def test_parse_config_text():
@@ -82,9 +87,42 @@ def test_config_accepts_zero_slic_compactness():
     assert cfg.slic_compactness == 0.0
 
 
-def test_config_eta_defaults_to_beta():
-    cfg = ExperimentConfig.from_mapping({"model.beta": "0.25"})
-    assert cfg.hyper.eta == 0.25
+def test_config_rejects_removed_knobs():
+    # beta is the one graph weight, the outer stop a model constant and the
+    # synthetic cube's seed the run's seed
+    for key in ("model.eta", "model.zeta", "synthetic.seed"):
+        with pytest.raises(InputError, match=f"unknown config key.*{key}"):
+            ExperimentConfig.from_mapping({"preset": "synth-benchmark",
+                                           key: "1"})
+    cfg = benchmark_config(seed=7, **{"grid.eta": "0.1"})
+    with pytest.raises(InputError, match="unknown grid parameter 'eta'"):
+        _grid_cells(cfg)
+
+
+def test_readme_config_table_lists_the_keys_the_parser_reads(monkeypatch):
+    read = set()
+    real_get = progsub.harness._get
+
+    def recording(mapping, key, cast, default):
+        read.add(key)
+        return real_get(mapping, key, cast, default)
+
+    monkeypatch.setattr(progsub.harness, "_get", recording)
+    ExperimentConfig.from_mapping({"preset": "synth-benchmark"})
+    parsed = read | {"preset"} | {f"grid.{p}" for p in _GRID_FIELDS}
+
+    lines = README.read_text().split("### Config keys", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    documented = set()
+    # skip the header and separator rows
+    for row in itertools.takewhile(lambda line: line.startswith("|"),
+                                   lines[start + 2:]):
+        namespace, keys = [c.strip() for c in row.strip("|").split("|")]
+        prefix = namespace.strip("`*") if namespace.startswith("`") else ""
+        # parenthesized notes may quote values or commands, not keys
+        names = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", keys))
+        documented |= {prefix + name for name in names}
+    assert documented == parsed
 
 
 def test_config_rejects_keys_nothing_reads():
@@ -446,6 +484,26 @@ def test_layer_sweep_full_depth_range(tmp_path):
     for _, oa, aa, kappa in rows:
         assert 0.0 <= oa <= 1.0 and 0.0 <= aa <= 1.0 and -1.0 <= kappa <= 1.0
     assert (tmp_path / "layer_sweep.csv").exists()
+
+
+def test_layer_sweep_prepares_data_once(monkeypatch):
+    calls = []
+    for name in ("generate_synthetic", "slic_segment"):
+        fn = getattr(progsub.harness, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(progsub.harness, name, counted)
+    cfg = _sweep_config()
+    rows = layer_sweep(cfg, [1, 2, 3])
+    assert sorted(calls) == ["generate_synthetic", "slic_segment"]
+    # each row is the one a full run at that depth scores
+    for m, oa, aa, kappa in rows:
+        metrics, _ = run_experiment(
+            replace(cfg, hyper=_apply_cell(cfg.hyper, {"layers": m})))
+        assert (oa, aa, kappa) == (metrics.oa, metrics.aa, metrics.kappa)
 
 
 def test_layer_sweep_deterministic():

@@ -274,10 +274,10 @@ def test_finetune_middle_layer_objective_decreases():
     hp = small_hyper(m=2, d=3, dims=(3, 3))
     cfg = fast_admm()
     t1, _ = pretrain_layer(xt, lf, np.linalg.qr(
-        rng.standard_normal((6, 3)))[0].T, hp.eta, cfg)
+        rng.standard_normal((6, 3)))[0].T, hp.beta, cfg)
     x1 = t1 @ xt
     t2, _ = pretrain_layer(x1, lf, np.linalg.qr(
-        rng.standard_normal((3, 3)))[0].T, hp.eta, cfg)
+        rng.standard_normal((3, 3)))[0].T, hp.beta, cfg)
     readout = fit_readout([t1, t2], xt, yt, hp.alpha, hp.gamma)
     stack = ProjectionStack((t1, t2), readout)
     chain = readout @ t2
@@ -359,6 +359,20 @@ def test_fit_stack_transform_consistency():
     for proj in stack.projections:
         full = proj @ full
     assert np.allclose(train_cols, full[:, : x.shape[1]], atol=1e-12, rtol=0)
+
+
+def test_fit_stack_pretrains_with_beta(monkeypatch):
+    # one graph weight: beta weighs the graph term in pre-training too
+    real_pretrain = progsub.model.pretrain_layer
+    weights = []
+
+    def recording(x, lap, proj0, weight, cfg, terms):
+        weights.append(weight)
+        return real_pretrain(x, lap, proj0, weight, cfg, terms=terms)
+
+    monkeypatch.setattr(progsub.model, "pretrain_layer", recording)
+    _fit_fixture(m=2, beta=0.3)
+    assert weights == [0.3, 0.3]
 
 
 def test_fit_stack_fits_readout_once_per_sweep(monkeypatch):

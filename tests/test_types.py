@@ -41,7 +41,7 @@ def test_one_hot_column_sums_property(labels):
 
 
 def _valid_hyper(**overrides):
-    base = dict(alpha=1.0, beta=0.1, gamma=0.1, eta=0.1, layers=2,
+    base = dict(alpha=1.0, beta=0.1, gamma=0.1, layers=2,
                 dims=(4, 4), knn_k=5, sigma=0.5)
     base.update(overrides)
     return base
@@ -50,7 +50,9 @@ def _valid_hyper(**overrides):
 def test_hyper_params_accepts_valid():
     hp = HyperParams(**_valid_hyper())
     assert hp.dims == (4, 4)
-    assert hp.zeta == 1e-4
+    assert hp.max_outer_iters == 50
+    # beta is the one graph weight; the outer stop is a model constant
+    assert not hasattr(hp, "eta") and not hasattr(hp, "zeta")
 
 
 @pytest.mark.parametrize("bad", [
@@ -60,7 +62,7 @@ def test_hyper_params_accepts_valid():
     dict(dims=(4, 0)),
     dict(layers=0, dims=()),
     dict(alpha=-0.5),
-    dict(zeta=0.0),
+    dict(max_outer_iters=0),
     dict(superpixel_fraction=0.0),
     dict(superpixel_fraction=1.5),
     dict(knn_k=0),
