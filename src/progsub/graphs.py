@@ -15,6 +15,8 @@ from .errors import InputError
 from .types import matrix_values
 
 _SYM_TOL = 1e-10
+# knn_heat_graph takes its distances in row blocks of at most this many
+_BLOCK_FLOATS = 1 << 16
 
 
 def _check_symmetric(w, name):
@@ -28,6 +30,8 @@ def knn_heat_graph(feats, k, sigma):
 
     W[i, j] = exp(-||x_i - x_j||^2 / (2 sigma^2)) when j is one of i's k
     Euclidean nearest neighbors, then W <- max(W, W.T); diagonal forced to 0.
+    Distances are taken in row blocks of at most _BLOCK_FLOATS entries, so
+    memory grows with n k, not n^2.
     """
     x = matrix_values(feats)
     n = x.shape[1]
@@ -35,18 +39,39 @@ def knn_heat_graph(feats, k, sigma):
         raise InputError(f"need 1 <= k < n, got k={k} for n={n} samples")
     if not (sigma > 0):
         raise InputError(f"sigma must be > 0, got {sigma}")
-    d2 = cdist(x.T, x.T, "sqeuclidean")
-    np.fill_diagonal(d2, np.inf)
-    # stable sort keeps neighbor choice index-deterministic under ties
-    neigh = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    pts = x.T
+    neigh = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
+    step = max(1, _BLOCK_FLOATS // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        d2 = cdist(pts[start:stop], pts, "sqeuclidean")
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        neigh[start:stop], dist[start:stop] = _nearest(d2, k)
     rows = np.repeat(np.arange(n), k)
-    cols = neigh.ravel()
-    weights = np.exp(-d2[rows, cols] / (2.0 * sigma * sigma))
-    w = sp.coo_matrix((weights, (rows, cols)), shape=(n, n)).tocsr()
+    weights = np.exp(-dist.ravel() / (2.0 * sigma * sigma))
+    w = sp.coo_matrix((weights, (rows, neigh.ravel())), shape=(n, n)).tocsr()
     w = w.maximum(w.T)
     w.setdiag(0.0)
     w.eliminate_zeros()
     return w
+
+
+def _nearest(d2, k):
+    """Columns and values of the k smallest entries of each row of d2, the
+    first k of a stable argsort: by value, ties to the lower index."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below = d2 < kth
+    # every entry below the k-th value is taken; of those equal to it, the
+    # lowest-indexed ones fill the row
+    tied = d2 == kth
+    room = k - np.count_nonzero(below, axis=1)[:, None]
+    take = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    cols = np.nonzero(take)[1].reshape(-1, k)     # ascending in each row
+    vals = np.take_along_axis(d2, cols, axis=1)
+    order = np.argsort(vals, axis=1, kind="stable")
+    return (np.take_along_axis(cols, order, axis=1),
+            np.take_along_axis(vals, order, axis=1))
 
 
 def alignment_graph(segment_ids):

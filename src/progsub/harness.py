@@ -626,10 +626,14 @@ def grid_search_cv(config):
 
 def layer_sweep(config, m_list=None):
     """Refit with each layer count on data prepared once; returns rows of
-    (m, oa, aa, kappa)."""
+    (m, oa, aa, kappa). Only a method that reads `layers` can be swept."""
     m_list = list(m_list if m_list is not None else config.sweep_layers)
     if not m_list:
         raise InputError("layer sweep needs at least one layer count")
+    if "layers" not in _METHOD_PARAMS[config.method]:
+        raise InputError(
+            f"method {config.method!r} reads no layer count, so every depth "
+            "would fit the same model; only progsub reads layers")
     data = prepare_data(config)
     rows = []
     for m in m_list:

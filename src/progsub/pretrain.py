@@ -13,10 +13,11 @@ dual ascent under a geometrically growing penalty. Fine-tuning runs the same
 loop with the label-prediction term added (see run_admm).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
 from .errors import InputError, NumericalError
 from .graphs import compute_graph_gram
@@ -37,7 +38,8 @@ def prox_nonneg(mat):
 
 def prox_unit_ball(mat):
     """Rescale every column with Euclidean norm > 1 back onto the unit sphere."""
-    norms = np.linalg.norm(mat, axis=0)
+    # np.linalg.norm(mat, axis=0)'s own formula, without its dispatch
+    norms = np.sqrt(np.add.reduce(mat * mat, axis=0))
     scale = np.where(norms > 1.0, norms, 1.0)
     return mat / scale
 
@@ -88,8 +90,16 @@ def solve_spd(lhs, rhs):
     wrapper's per-call validation and condition estimate. Raises
     NumericalError when lhs is not positive definite or the solution is not
     finite (LAPACK passes NaN and inf through without an error).
+
+    One dposv call, which is dpotrf followed by dpotrs: the same bits as
+    solve_factored(spd_factor(lhs), rhs).
     """
-    return solve_factored(spd_factor(lhs), rhs)
+    if lhs.shape == (1, 1):
+        return solve_factored(spd_factor(lhs), rhs)
+    _, out, info = dposv(lhs, rhs)
+    if info != 0:
+        raise _solve_error(lhs)
+    return _finite_c_order(out)
 
 
 def spd_factor(lhs):
@@ -118,6 +128,10 @@ def solve_factored(factor, rhs):
     else:
         # dpotrs reports only malformed arguments, which a factor cannot be
         out, _ = dpotrs(factor, rhs)
+    return _finite_c_order(out)
+
+
+def _finite_c_order(out):
     if not np.isfinite(out).all():
         raise NumericalError("non-finite solution in block solve")
     # LAPACK returns Fortran order; the products downstream round
@@ -185,9 +199,15 @@ def update_projection(state, terms, weight):
     return solve_factored(terms.projection_factor(weight, mu), num.T).T
 
 
+def _frobenius(mat):
+    """np.linalg.norm(mat) of a matrix, by the same dot product."""
+    flat = mat.ravel(order="K")
+    return math.sqrt(flat @ flat)
+
+
 def _add_to_diagonal(mat, value):
-    """mat + value * I, computed in place on a square mat."""
-    mat.flat[::mat.shape[0] + 1] += value
+    """mat + value * I, computed in place on a square C-ordered mat."""
+    mat.ravel()[::mat.shape[0] + 1] += value
     return mat
 
 
@@ -211,21 +231,26 @@ def update_features(state, x, px, prediction=None):
     labeled columns:
         (alpha R'R + GG' + mu I)^{-1} (alpha R'Y + GX + mu TX - D1)
     with R the composed downstream readout; the other columns keep the
-    plain update.
+    plain update. Every column of a triangular solve is independent, so the
+    plain update solves all columns at once and the labeled ones are then
+    overwritten, with the bits of solving each block on its own.
     """
     mu = state.penalty
     g = state.decoder
     lhs = _add_to_diagonal(g @ g.T, mu + RIDGE)
-    rhs = g @ x + mu * px - state.dual_feats
+    rhs = g @ x
+    rhs += mu * px
+    rhs -= state.dual_feats
     if prediction is None:
         return solve_spd(lhs, rhs)
     rtr, rty, labeled = prediction
     if labeled is None:
-        return solve_spd(lhs + rtr, rhs + rty)
-    out = np.empty_like(rhs)
-    out[:, labeled] = solve_spd(lhs + rtr, rhs[:, labeled] + rty)
-    if not labeled.all():
-        out[:, ~labeled] = solve_spd(lhs, rhs[:, ~labeled])
+        lhs += rtr
+        rhs += rty
+        return solve_spd(lhs, rhs)
+    out = solve_spd(lhs, rhs)
+    lhs += rtr
+    out[:, labeled] = solve_spd(lhs, rhs[:, labeled] + rty)
     return out
 
 
@@ -239,7 +264,9 @@ def update_decoder(state, x):
     mu = state.penalty
     f = state.feats
     lhs = _add_to_diagonal(f @ f.T, mu + RIDGE)
-    rhs = f @ x.T + mu * state.proj - state.dual_decoder
+    rhs = f @ x.T
+    rhs += mu * state.proj
+    rhs -= state.dual_decoder
     return solve_spd(lhs, rhs)
 
 
@@ -275,7 +302,8 @@ def update_duals(state, gaps):
 
 @dataclass
 class PretrainReport:
-    """Residual / penalty / objective trace of one ADMM run."""
+    """Residual / penalty / objective trace of one ADMM run (see run_admm
+    for which rows hold the objective)."""
 
     converged: bool
     trace: list = field(repr=False)
@@ -360,6 +388,13 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     objective; the fine-tuning phase passes it, pre-training does not. The
     prediction terms every iteration reuses (alpha R'R, alpha R'Y) are built
     once per run.
+
+    The report holds one trace row per iteration. A pre-training run
+    evaluates the layer objective at every iteration, since its trace is
+    written out (pretrain_layer<l>.csv). A fine-tune run's trace is read
+    only at its last row (by finetune_projection's guard), so it evaluates
+    the objective once, at the iterate it returns, and leaves the column
+    None on the rows before.
     """
     x = terms.x
     d_in = x.shape[0]
@@ -373,7 +408,6 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     state = AdmmState.initial(proj0, x, cfg.mu0)
 
     trace = []
-    converged = False
     for t in range(cfg.max_iters):
         mu_used = state.penalty
         try:
@@ -392,14 +426,18 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
             ) from exc
         state.penalty = min(cfg.rho * state.penalty, cfg.mu_max)
 
-        residuals = tuple(float(np.linalg.norm(gap)) for gap in gaps)
-        obj = reconstruction_objective(state.proj, x, terms.graph_gram,
-                                       graph_weight, supervision, px)
-        if not np.isfinite(obj) or not all(np.isfinite(r) for r in residuals):
+        residuals = tuple(map(_frobenius, gaps))
+        if not all(map(math.isfinite, residuals)):
             raise NumericalError(f"non-finite value at ADMM iteration {t}")
+        converged = all(r < cfg.eps for r in residuals)
+        obj = None
+        if supervision is None or converged or t == cfg.max_iters - 1:
+            obj = reconstruction_objective(state.proj, x, terms.graph_gram,
+                                           graph_weight, supervision, px)
+            if not math.isfinite(obj):
+                raise NumericalError(f"non-finite value at ADMM iteration {t}")
         trace.append((t, *residuals, mu_used, obj))
-        if all(r < cfg.eps for r in residuals):
-            converged = True
+        if converged:
             break
 
     report = PretrainReport(

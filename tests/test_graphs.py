@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.spatial.distance import cdist
 
+import progsub.graphs
 from progsub import (InputError, alignment_graph, assemble_fused,
                      knn_heat_graph, laplacian)
-from progsub.graphs import coordinate_dump
+from progsub.graphs import _nearest, coordinate_dump
 
 
 def test_knn_two_identical_points():
@@ -37,6 +42,82 @@ def test_knn_matches_brute_force_oracle():
             expected[i, j] = np.exp(-d2 / (2 * sigma ** 2))
     expected = np.maximum(expected, expected.T)
     assert np.allclose(w, expected, atol=1e-15)
+
+
+def _full_sort_knn_graph(x, k, sigma):
+    """knn_heat_graph from the full distance matrix and a stable argsort of
+    each row, as it was built before it took its distances in row blocks."""
+    n = x.shape[1]
+    d2 = cdist(x.T, x.T, "sqeuclidean")
+    np.fill_diagonal(d2, np.inf)
+    neigh = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    rows = np.repeat(np.arange(n), k)
+    cols = neigh.ravel()
+    weights = np.exp(-d2[rows, cols] / (2.0 * sigma * sigma))
+    w = sp.coo_matrix((weights, (rows, cols)), shape=(n, n)).tocsr()
+    w = w.maximum(w.T)
+    w.setdiag(0.0)
+    w.eliminate_zeros()
+    return w
+
+
+def _knn_inputs(kind, rng, d, n):
+    if kind == "random":
+        return rng.standard_normal((d, n))
+    if kind == "duplicated columns":
+        # groups of equal columns, like pixels of one segment in the stream
+        base = rng.standard_normal((d, n // 6 + 1))
+        return base[:, rng.integers(0, base.shape[1], n)]
+    # small integer coordinates: many equal distances at every rank
+    return rng.integers(0, 3, (d, n)).astype(np.float64)
+
+
+@pytest.mark.parametrize("block", [7, 150, 1 << 16])
+@pytest.mark.parametrize("kind", ["random", "duplicated columns",
+                                  "integer grid"])
+@pytest.mark.parametrize("k", [1, 4, 10])
+def test_knn_blocked_graph_has_the_bits_of_the_full_sort(monkeypatch, kind,
+                                                         k, block):
+    # rows per block: 1 at block = 7; 2 and 3 at 150, each with a shorter
+    # last block; every row in one block at 1 << 16
+    monkeypatch.setattr(progsub.graphs, "_BLOCK_FLOATS", block)
+    rng = np.random.default_rng(k * 100 + len(kind))
+    for d, n in ((3, 61), (5, 40)):
+        x = _knn_inputs(kind, rng, d, n)
+        got = knn_heat_graph(x, k, 0.7)
+        want = _full_sort_knn_graph(x, k, 0.7)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicated columns",
+                                  "integer grid"])
+@pytest.mark.parametrize("k", [1, 3, 9, 29])
+def test_nearest_is_the_head_of_a_stable_argsort(kind, k):
+    rng = np.random.default_rng(k)
+    x = _knn_inputs(kind, rng, 2, 30)
+    d2 = cdist(x[:, :11].T, x.T, "sqeuclidean")
+    d2[np.arange(11), np.arange(11)] = np.inf
+    cols, vals = _nearest(d2, k)
+    want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    assert cols.dtype == np.int64
+    assert np.array_equal(cols, want)
+    assert np.array_equal(vals, np.take_along_axis(d2, want, axis=1))
+
+
+def test_knn_memory_stays_below_the_full_distance_matrix():
+    rng = np.random.default_rng(4)
+    n = 2000
+    x = rng.standard_normal((3, n))
+    full_bytes = n * n * 8      # one n x n float64 or int64 array
+    tracemalloc.start()
+    try:
+        knn_heat_graph(x, 10, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_bytes / 8
 
 
 def test_knn_rejects_large_k():

@@ -506,6 +506,26 @@ def test_layer_sweep_prepares_data_once(monkeypatch):
         assert (oa, aa, kappa) == (metrics.oa, metrics.aa, metrics.kappa)
 
 
+@pytest.mark.parametrize("method", ["raw", "pca", "lpp"])
+def test_layer_sweep_rejects_a_method_without_layers(method, monkeypatch):
+    # raw, pca and lpp read no layer count: a sweep would write the same
+    # row at every depth, so it is refused before any data is prepared
+    monkeypatch.setattr(progsub.harness, "prepare_data", None)
+    with pytest.raises(InputError, match=f"method '{method}' reads no "
+                       "layer count.*only progsub reads layers"):
+        layer_sweep(_sweep_config(method=method), [1, 2])
+
+
+def test_cli_sweep_layers_rejects_a_method_without_layers(tmp_path, capsys):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="pca")
+    out = tmp_path / "sw"
+    assert cli_main(["sweep-layers", "--config", cfg, "--out", str(out),
+                     "--layers", "1,2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error[sweep]: method 'pca' reads no layer count")
+    assert not (out / "layer_sweep.csv").exists()
+
+
 def test_layer_sweep_deterministic():
     a = layer_sweep(_sweep_config(), [1, 2])
     b = layer_sweep(_sweep_config(), [1, 2])
@@ -596,7 +616,8 @@ def test_cli_grid_and_sweep(tmp_path):
     assert cli_main(["grid", "--config", cfg, "--out",
                      str(tmp_path / "grid")]) == 0
     assert (tmp_path / "grid" / "grid.csv").exists()
-    assert cli_main(["sweep-layers", "--config", cfg, "--out",
+    sweep_cfg = _write_benchmark_config(tmp_path / "sweep.txt")
+    assert cli_main(["sweep-layers", "--config", sweep_cfg, "--out",
                      str(tmp_path / "sw"), "--layers", "1"]) == 0
     assert (tmp_path / "sw" / "layer_sweep.csv").exists()
 

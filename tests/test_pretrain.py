@@ -18,8 +18,9 @@ from progsub import (AdmmConfig, AdmmState, InputError, NumericalError,
                      update_features, update_nonneg, update_normed,
                      update_projection)
 from progsub.graphs import compute_graph_gram
-from progsub.pretrain import (RIDGE, LayerTerms, reconstruction_objective,
-                              run_admm, solve_factored, solve_spd, spd_factor)
+from progsub.pretrain import (RIDGE, LayerTerms, prediction_terms,
+                              reconstruction_objective, run_admm,
+                              solve_factored, solve_spd, spd_factor)
 
 
 def random_state(rng, d_out, d_in, n, mu=1.0):
@@ -198,6 +199,50 @@ def test_update_features_matches_normal_equations_oracle():
     got = update_features(state, x, state.proj @ x)
     want = quadratic_minimizer(f, (3, 6))
     assert frob_rel_err(got, want) < 1e-8
+
+
+def _gather_scatter_features(state, x, px, prediction):
+    """The masked features update as it read before it solved every column
+    with the plain system: gather each block, solve it, scatter it back."""
+    def solve(lhs, rhs):
+        factor, _ = dpotrf(lhs, clean=0)
+        return np.ascontiguousarray(dpotrs(factor, rhs)[0])
+
+    mu = state.penalty
+    g = state.decoder
+    lhs = g @ g.T
+    lhs.flat[::lhs.shape[0] + 1] += mu + RIDGE
+    rhs = g @ x + mu * px - state.dual_feats
+    rtr, rty, labeled = prediction
+    out = np.empty_like(rhs)
+    out[:, labeled] = solve(lhs + rtr, rhs[:, labeled] + rty)
+    if not labeled.all():
+        out[:, ~labeled] = solve(lhs, rhs[:, ~labeled])
+    return out
+
+
+@pytest.mark.parametrize("n_labeled", ["one", "a ninth", "most",
+                                       "all but one"])
+@pytest.mark.parametrize("d_out, d_in, n", [(5, 12, 120), (20, 100, 1692),
+                                            (20, 200, 320)])
+def test_masked_features_update_has_the_gather_scatter_bits(d_out, d_in, n,
+                                                            n_labeled):
+    # (5, 12, 120): desk; (20, 100, 1692): semisup, about 1 column in 9
+    # labeled; (20, 200, 320): scene
+    rng = np.random.default_rng(d_in * n)
+    count = {"one": 1, "a ninth": n // 9, "most": (7 * n) // 10,
+             "all but one": n - 1}[n_labeled]
+    labeled = np.zeros(n, dtype=bool)
+    labeled[rng.choice(n, count, replace=False)] = True
+    state = random_state(rng, d_out, d_in, n, mu=0.37)
+    x = rng.random((d_in, n))
+    px = state.proj @ x
+    prediction = prediction_terms(rng.standard_normal((4, d_out)),
+                                  rng.random((4, n)), 0.7, labeled)
+    got = update_features(state, x, px, prediction)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _gather_scatter_features(state, x, px,
+                                                        prediction))
 
 
 def test_update_decoder_trivial_cases():
@@ -458,6 +503,28 @@ def test_factored_solve_has_the_bits_of_dposv(n, m):
     assert np.array_equal(got, solve_spd(lhs, rhs))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n, m", SPD_SHAPES)
+def test_solve_spd_has_the_bits_of_dpotrf_then_dpotrs(n, m, order):
+    rng = np.random.default_rng(3000 * n + m)
+    g = rng.standard_normal((n, n + 3))
+    lhs = g @ g.T + (0.25 + RIDGE) * np.eye(n)
+    rhs = np.asarray(rng.standard_normal((n, m)), order=order)
+    if n == 1:
+        want = rhs / lhs
+    else:
+        factor, info = dpotrf(lhs, clean=0)
+        assert info == 0
+        want, _ = dpotrs(factor, rhs)
+    lhs_before, rhs_before = lhs.copy(), rhs.copy()
+    got = solve_spd(lhs, rhs)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    # the inputs are left as they were
+    assert np.array_equal(lhs, lhs_before)
+    assert np.array_equal(rhs, rhs_before)
+
+
 def _broken_system(case):
     lhs, rhs = np.diag([2.0, 1.0, 3.0]), np.ones((3, 4))
     if case == "not SPD":
@@ -488,12 +555,27 @@ def test_solve_spd_raises_numerical_error(case):
             solve_factored(spd_factor(lhs), rhs)
 
 
+@pytest.mark.parametrize("case", ["not SPD", "singular", "NaN matrix",
+                                  "inf matrix", "NaN rhs", "inf rhs",
+                                  "1x1 not SPD", "1x1 NaN"])
+def test_solve_spd_errors_match_the_factored_solve(case):
+    lhs, rhs = _broken_system(case)
+    messages = []
+    for solve in (solve_spd, lambda a, b: solve_factored(spd_factor(a), b)):
+        with pytest.raises(NumericalError) as err:
+            solve(lhs, rhs)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 # ----------------------------------------------------- traced objective
 
 @pytest.mark.parametrize("variant", ["graph", "supervised", "no graph"])
 def test_traced_objective_matches_exact_objective(variant):
-    """Every traced entry is the exact reconstruction_objective of the
-    projection at that iteration, although run_admm reuses its own TX."""
+    """The last traced entry is the exact reconstruction_objective of the
+    projection a run returns, although run_admm reuses its own TX. A
+    pre-training run (no supervision) traces it at every iteration; a
+    fine-tune run only at its last."""
     rng = np.random.default_rng(23)
     d_in, d_out, n, iters, weight = 6, 3, 14, 12, 0.4
     x = rng.standard_normal((d_in, n)) / 3.0
@@ -518,7 +600,63 @@ def test_traced_objective_matches_exact_objective(variant):
         exact = reconstruction_objective(proj, x, graph_gram, weight,
                                          supervision)
         assert report.objective_trace[-1] == exact
-        assert full.objective_trace[k - 1] == exact
+        if supervision is None:
+            assert full.objective_trace[k - 1] == exact
+
+
+@pytest.mark.parametrize("max_iters", [1, 9])
+@pytest.mark.parametrize("supervised", [False, True])
+def test_fine_tune_run_evaluates_the_layer_objective_once(
+        monkeypatch, supervised, max_iters):
+    """A pre-training run writes its objective trace, so it evaluates the
+    layer terms at every iteration; a fine-tune run's trace is read only at
+    its last row, so it evaluates them once, at the iterate it returns.
+    Every row keeps its residuals and penalty."""
+    calls = []
+    real = progsub.pretrain.layer_terms
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(progsub.pretrain, "layer_terms", counting)
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((5, 12)) / 3.0
+    supervision = None
+    if supervised:
+        supervision = (rng.standard_normal((2, 3)),
+                       rng.standard_normal((2, 12)), 0.7,
+                       rng.random(12) < 0.5)
+    proj, report = run_admm(LayerTerms(x), 0.3 * rng.standard_normal((3, 5)),
+                            0.0, AdmmConfig(eps=1e-300, max_iters=max_iters),
+                            supervision)
+    assert report.iterations == max_iters
+    assert len(calls) == (1 if supervised else max_iters)
+    objectives = report.objective_trace
+    assert all(v is not None for v in objectives[-1:])
+    if supervised:
+        assert objectives[:-1] == [None] * (max_iters - 1)
+    for row in report.trace:
+        assert all(np.isfinite(v) for v in row[1:6])
+    monkeypatch.undo()
+    assert objectives[-1] == reconstruction_objective(proj, x, None, 0.0,
+                                                      supervision)
+
+
+def test_converged_fine_tune_run_evaluates_its_last_iterate():
+    """A fine-tune run that converges before max_iters holds the exact layer
+    objective of the projection it returns on its last row."""
+    rng = np.random.default_rng(27)
+    x = rng.random((4, 10)) / 4.0
+    supervision = (rng.standard_normal((2, 2)), rng.standard_normal((2, 10)),
+                   0.5, None)
+    cfg = AdmmConfig(eps=1e-4, max_iters=500)
+    proj, report = run_admm(LayerTerms(x), 0.3 * rng.standard_normal((2, 4)),
+                            0.0, cfg, supervision)
+    assert report.converged and report.iterations < cfg.max_iters
+    assert report.objective_trace[-1] == reconstruction_objective(
+        proj, x, None, 0.0, supervision)
+    assert report.objective_trace.count(None) == report.iterations - 1
 
 
 @pytest.mark.parametrize("max_iters", [1, 7])
