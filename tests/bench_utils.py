@@ -43,3 +43,23 @@ def benchmark_config(seed=7, method="progsub", layers=2, out_dir=None,
     mapping["model.layers"] = str(layers)
     mapping.update({k: str(v) for k, v in extra.items()})
     return ExperimentConfig.from_mapping(mapping, seed=seed, out_dir=out_dir)
+
+
+def desk_file_config(tmp_path, seed, out_dir=None):
+    """The desk benchmark read from files, as benchmarks/run.py feeds it:
+    the seed's synthetic cube and labels written with save_cube and
+    save_labels, named by data.* keys next to the synthetic-benchmark
+    preset."""
+    from progsub.formats import save_cube, save_labels
+    from progsub.synthetic import generate_synthetic
+
+    spec = benchmark_config(seed=seed).synthetic
+    cube, labels, width, height = generate_synthetic(spec)
+    paths = {key: str(tmp_path / name) for key, name in (
+        ("data.cube_header", "cube.json"), ("data.cube_payload", "cube.raw"),
+        ("data.labels", "labels.txt"))}
+    save_cube(paths["data.cube_header"], paths["data.cube_payload"], cube,
+              width, height)
+    save_labels(paths["data.labels"], labels)
+    return ExperimentConfig.from_mapping(
+        {"preset": "synth-benchmark", **paths}, seed=seed, out_dir=out_dir)

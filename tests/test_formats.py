@@ -69,6 +69,44 @@ def test_load_cube_unknown_dtype(tmp_path):
         load_cube(*_write_cube(tmp_path, doc, b"\x00\x00"))
 
 
+def test_load_cube_header_not_an_object(tmp_path):
+    with pytest.raises(FormatError, match="cube.json is not a JSON object"):
+        load_cube(*_write_cube(tmp_path, [1, 1, 1], b""))
+
+
+def test_load_cube_header_missing_key_is_named(tmp_path):
+    doc = {"width": 1, "height": 1, "dtype": "f64le"}
+    with pytest.raises(FormatError, match="missing key 'bands'"):
+        load_cube(*_write_cube(tmp_path, doc, b"\x00" * 8))
+
+
+@pytest.mark.parametrize("dims", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
+def test_load_cube_header_nonpositive_dims(tmp_path, dims):
+    doc = dict(zip(("width", "height", "bands"), dims))
+    with pytest.raises(FormatError, match="cube dims must be positive"):
+        load_cube(*_write_cube(tmp_path, doc, b""))
+
+
+def test_load_cube_header_unknown_interleave(tmp_path):
+    doc = {"width": 1, "height": 1, "bands": 1, "interleave": "bip"}
+    with pytest.raises(FormatError, match="unknown interleave 'bip'"):
+        load_cube(*_write_cube(tmp_path, doc, b"\x00" * 8))
+
+
+@pytest.mark.parametrize("scale", [0.0, -2.0])
+def test_load_cube_header_nonpositive_scale(tmp_path, scale):
+    doc = {"width": 1, "height": 1, "bands": 1, "scale": scale}
+    with pytest.raises(FormatError, match="scale must be positive"):
+        load_cube(*_write_cube(tmp_path, doc, b"\x00" * 8))
+
+
+def test_save_cube_rejects_column_count_mismatch(tmp_path):
+    with pytest.raises(InputError, match="5 columns but width\\*height = 6"):
+        save_cube(tmp_path / "h.json", tmp_path / "p.raw",
+                  np.zeros((2, 5)), 3, 2)
+    assert not (tmp_path / "h.json").exists()
+
+
 def test_cube_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(3)
     values = rng.standard_normal((6, 12))  # 4x3x6 cube

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import progsub.harness
-from bench_utils import benchmark_config, small_hyper
+from bench_utils import benchmark_config, desk_file_config, small_hyper
 from oracle_utils import reference_make_split, reference_stratified_folds
 from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
@@ -648,6 +648,24 @@ def test_cli_fit_rejects_nonfinite_cube(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error[load]: ")
     assert "cube.raw has non-finite values" in err
+
+
+def test_data_files_give_the_synthetic_run_bytes(tmp_path, monkeypatch):
+    # the benchmark runs desk from files; only the config echo may differ
+    _, synth = run_experiment(benchmark_config(seed=3,
+                                               out_dir=tmp_path / "synth"))
+    config = desk_file_config(tmp_path, 3, out_dir=tmp_path / "files")
+
+    def no_synthetic(spec):
+        raise AssertionError("the data.* keys were not read")
+
+    monkeypatch.setattr(progsub.harness, "generate_synthetic", no_synthetic)
+    _, files = run_experiment(config)
+    assert list(files) == list(synth)
+    for name in synth:
+        if name != "config.echo.txt":
+            assert (Path(files[name]).read_bytes()
+                    == Path(synth[name]).read_bytes()), name
 
 
 def test_load_data_cube_is_read_only():
