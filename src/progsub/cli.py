@@ -12,8 +12,8 @@ import sys
 
 from . import formats
 from .errors import FormatError, InputError, NumericalError, PipelineError
-from .harness import (class_map_ppm, layer_sweep, grid_search_cv, load_config,
-                      load_data, metrics_csv, run_experiment, score_embedding,
+from .harness import (layer_sweep, grid_search_cv, load_config, load_data,
+                      metrics_csv, run_experiment, score_embedding,
                       segment_data, split_data, write_files)
 from .model import transform as stack_transform
 
@@ -142,8 +142,8 @@ def _cmd_generate(args):
                       os.path.join(out, "cube.raw"),
                       cube, width, height)
     formats.save_labels(os.path.join(out, "labels.txt"), labels)
-    write_files(out, {"truth.ppm": class_map_ppm(labels, width, height,
-                                                 int(labels.max()))})
+    write_files(out, {"truth.ppm": formats.render_class_map(
+        labels, width, height, int(labels.max()))})
     print(f"generate: wrote {width}x{height}x{cube.shape[0]} cube, "
           f"{labels.max()} classes -> {out}")
     return 0
@@ -192,8 +192,9 @@ def _cmd_evaluate(args):
     metrics, preds_all = score_embedding(
         data, lambda v: stack_transform(stack, v))
     write_files(out, {"metrics.csv": metrics_csv(metrics),
-                      "map.ppm": class_map_ppm(preds_all, data.width,
-                                               data.height, data.n_classes)})
+                      "map.ppm": formats.render_class_map(
+                          preds_all, data.width, data.height,
+                          data.n_classes)})
     print(f"evaluate: oa={metrics.oa:.4f} aa={metrics.aa:.4f} "
           f"kappa={metrics.kappa:.4f}")
     return 0
@@ -221,7 +222,7 @@ def _cmd_render_map(args):
     data = load_data(config)
     preds = formats.load_labels(args.predictions, data.width * data.height)
     n_classes = max(int(preds.max()), data.n_classes)
-    paths = write_files(out, {"map.ppm": class_map_ppm(
+    paths = write_files(out, {"map.ppm": formats.render_class_map(
         preds, data.width, data.height, n_classes)})
     print(f"render-map: wrote {paths['map.ppm']}")
     return 0

@@ -7,7 +7,6 @@ binary container. Every writer/reader pair round-trips bit-exactly.
 
 import json
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,58 +19,30 @@ MODEL_MAGIC = b"SSTK"
 MODEL_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CubeHeader:
-    """Shape and encoding of a raw cube payload."""
-
-    width: int
-    height: int
-    bands: int
-    dtype: str = "f64le"
-    interleave: str = "bsq"
-    scale: float = None
-
-    def __post_init__(self):
-        if min(self.width, self.height, self.bands) < 1:
-            raise FormatError(
-                f"cube dims must be positive, got {self.width}x{self.height}"
-                f"x{self.bands}"
-            )
-        if self.dtype not in _DTYPES:
-            raise FormatError(f"unknown dtype {self.dtype!r}, expected f32le/f64le")
-        if self.interleave != "bsq":
-            raise FormatError(f"unknown interleave {self.interleave!r}, expected bsq")
-        if self.scale is not None and not (float(self.scale) > 0):
-            raise FormatError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def n_pixels(self):
-        return self.width * self.height
-
-    @property
-    def payload_bytes(self):
-        return self.n_pixels * self.bands * np.dtype(_DTYPES[self.dtype]).itemsize
-
-
-def read_cube_header(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"cannot parse cube header {path}: {exc}") from exc
-    if not isinstance(raw, dict):
+def _cube_header(path, doc):
+    """Validate a cube header document; returns (width, height, bands,
+    numpy dtype of the payload, scale or None)."""
+    if not isinstance(doc, dict):
         raise FormatError(f"cube header {path} is not a JSON object")
     try:
-        return CubeHeader(
-            width=int(raw["width"]),
-            height=int(raw["height"]),
-            bands=int(raw["bands"]),
-            dtype=str(raw.get("dtype", "f64le")),
-            interleave=str(raw.get("interleave", "bsq")),
-            scale=None if raw.get("scale") is None else float(raw["scale"]),
-        )
+        width, height, bands = (int(doc["width"]), int(doc["height"]),
+                                int(doc["bands"]))
     except KeyError as exc:
         raise FormatError(f"cube header {path} is missing key {exc}") from exc
+    dtype = str(doc.get("dtype", "f64le"))
+    interleave = str(doc.get("interleave", "bsq"))
+    scale = None if doc.get("scale") is None else float(doc["scale"])
+    if min(width, height, bands) < 1:
+        raise FormatError(
+            f"cube dims must be positive, got {width}x{height}x{bands}"
+        )
+    if dtype not in _DTYPES:
+        raise FormatError(f"unknown dtype {dtype!r}, expected f32le/f64le")
+    if interleave != "bsq":
+        raise FormatError(f"unknown interleave {interleave!r}, expected bsq")
+    if scale is not None and not (scale > 0):
+        raise FormatError(f"scale must be positive, got {scale}")
+    return width, height, bands, _DTYPES[dtype], scale
 
 
 def load_cube(header_path, payload_path):
@@ -80,41 +51,47 @@ def load_cube(header_path, payload_path):
     Column index = row * width + col (raster order); values are divided by
     the header's scale when one is present.
     """
-    header = read_cube_header(header_path)
+    try:
+        with open(header_path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise FormatError(
+            f"cannot parse cube header {header_path}: {exc}") from exc
+    width, height, bands, dtype, scale = _cube_header(header_path, doc)
     with open(payload_path, "rb") as fh:
         payload = fh.read()
-    if len(payload) != header.payload_bytes:
+    expected = width * height * bands * np.dtype(dtype).itemsize
+    if len(payload) != expected:
         raise FormatError(
             f"payload length mismatch for {payload_path}: expected "
-            f"{header.payload_bytes} bytes, got {len(payload)}"
+            f"{expected} bytes, got {len(payload)}"
         )
-    flat = np.frombuffer(payload, dtype=_DTYPES[header.dtype])
-    values = flat.reshape(header.bands, header.n_pixels).astype(np.float64)
-    if header.scale is not None:
-        values = values / header.scale
+    flat = np.frombuffer(payload, dtype=dtype)
+    values = flat.reshape(bands, width * height).astype(np.float64)
+    if scale is not None:
+        values = values / scale
     if not np.all(np.isfinite(values)):
         raise FormatError(f"cube payload {payload_path} has non-finite values")
-    return values, header.width, header.height
+    return values, width, height
 
 
-def save_cube(header_path, payload_path, feats, width, height, dtype="f64le"):
-    """Write a pixel matrix as header + BSQ payload (inverse of load_cube)."""
+def save_cube(header_path, payload_path, feats, width, height):
+    """Write a pixel matrix as header + f64le BSQ payload (inverse of
+    load_cube)."""
     values = matrix_values(feats)
     bands, n = values.shape
     if n != width * height:
         raise InputError(
             f"matrix has {n} columns but width*height = {width * height}"
         )
-    header = CubeHeader(width, height, bands, dtype=dtype)
-    payload = np.ascontiguousarray(values.astype(_DTYPES[dtype])).tobytes()
-    doc = {"width": width, "height": height, "bands": bands, "dtype": dtype,
+    doc = {"width": width, "height": height, "bands": bands, "dtype": "f64le",
            "interleave": "bsq"}
+    _cube_header(header_path, doc)
     with open(header_path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
     with open(payload_path, "wb") as fh:
-        fh.write(payload)
-    return header
+        fh.write(np.asarray(values, dtype="<f8").tobytes())
 
 
 def load_labels(path, n_pixels):
@@ -143,74 +120,44 @@ def save_labels(path, labels):
             fh.write(f"{int(v)}\n")
 
 
-@dataclass(frozen=True)
-class ClassPalette:
-    """Class id -> (r, g, b) byte triple; class 0 (unlabeled) is black."""
-
-    colors: dict
-
-    def __post_init__(self):
-        colors = {}
-        for cls, rgb in self.colors.items():
-            cls = int(cls)
-            rgb = tuple(int(c) for c in rgb)
-            if cls < 1:
-                raise InputError(f"palette classes start at 1, got {cls}")
-            if len(rgb) != 3 or any(not (0 <= c <= 255) for c in rgb):
-                raise InputError(f"bad color {rgb} for class {cls}")
-            colors[cls] = rgb
-        if len(set(colors.values())) != len(colors):
-            raise InputError("palette colors must be distinct per class")
-        if (0, 0, 0) in colors.values():
-            raise InputError("black is reserved for unlabeled pixels")
-        object.__setattr__(self, "colors", colors)
-
-    def lookup(self, cls):
-        if cls == 0:
-            return (0, 0, 0)
-        try:
-            return self.colors[cls]
-        except KeyError:
-            raise InputError(f"class {cls} has no palette entry") from None
+# class map colours: classes 1..20 take these, later ones the hue rule in
+# render_class_map, whose hue repeats every 256 classes
+_CLASS_COLORS = np.array([
+    (228, 26, 28), (55, 126, 184), (77, 175, 74), (152, 78, 163),
+    (255, 127, 0), (255, 255, 51), (166, 86, 40), (247, 129, 191),
+    (153, 153, 153), (66, 206, 227), (31, 120, 180), (178, 223, 138),
+    (251, 154, 153), (253, 191, 111), (202, 178, 214), (106, 61, 154),
+    (255, 255, 179), (177, 89, 40), (0, 92, 49), (94, 60, 108),
+])
+MAX_MAP_CLASSES = len(_CLASS_COLORS) + 256
 
 
-def default_palette(n_classes):
-    """A deterministic palette of visually-spread distinct colors."""
-    base = [
-        (228, 26, 28), (55, 126, 184), (77, 175, 74), (152, 78, 163),
-        (255, 127, 0), (255, 255, 51), (166, 86, 40), (247, 129, 191),
-        (153, 153, 153), (66, 206, 227), (31, 120, 180), (178, 223, 138),
-        (251, 154, 153), (253, 191, 111), (202, 178, 214), (106, 61, 154),
-        (255, 255, 179), (177, 89, 40), (0, 92, 49), (94, 60, 108),
-    ]
-    colors = {}
-    for c in range(1, n_classes + 1):
-        if c <= len(base):
-            colors[c] = base[c - 1]
-        else:
-            # spread further hues deterministically
-            h = (c * 47) % 256
-            colors[c] = (h, (h * 3 + 85) % 256, (h * 7 + 170) % 256)
-    return ClassPalette(colors)
+def render_class_map(ids, width, height, n_classes):
+    """Render per-pixel class ids as a binary PPM (P6, maxval 255).
 
-
-def render_class_map(predictions, width, height, palette):
-    """Render per-pixel class ids as a binary PPM (P6, maxval 255)."""
-    ids = np.asarray(predictions, dtype=np.int64).ravel()
+    Ids run over 0..n_classes; 0 (unlabeled) is black, and every class has
+    its own colour up to MAX_MAP_CLASSES classes.
+    """
+    ids = np.asarray(ids, dtype=np.int64).ravel()
     if ids.size != width * height:
         raise InputError(
             f"got {ids.size} predictions for {width}x{height} pixels"
         )
+    if n_classes > MAX_MAP_CLASSES:
+        raise InputError(f"class maps have distinct colours for at most "
+                         f"{MAX_MAP_CLASSES} classes, got {n_classes}")
     # checked before the table lookup, where a negative id would wrap around
-    known = np.isin(ids, [0, *palette.colors])
+    known = (ids >= 0) & (ids <= n_classes)
     if not known.all():
         i = int(np.argmin(known))
         raise InputError(f"pixel {i} has unknown class id {ids[i]}")
-    table = np.zeros((max(palette.colors, default=0) + 1, 3), dtype=np.uint8)
-    for cls, rgb in palette.colors.items():
-        table[cls] = rgb  # row 0 stays black for unlabeled pixels
+    h = np.arange(n_classes + 1) * 47 % 256
+    table = np.column_stack([h, (h * 3 + 85) % 256, (h * 7 + 170) % 256])
+    base = _CLASS_COLORS[:n_classes]
+    table[1:1 + len(base)] = base
+    table[0] = 0  # unlabeled
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    return header + table[ids].tobytes()
+    return header + table.astype(np.uint8)[ids].tobytes()
 
 
 def dump_model_bytes(stack):
@@ -271,11 +218,6 @@ def parse_model_bytes(blob):
         raise FormatError(f"model file has {len(blob) - off} trailing bytes")
     readout = mats.pop() if has_readout else None
     return ProjectionStack(tuple(mats), readout)
-
-
-def save_model(path, stack):
-    with open(path, "wb") as fh:
-        fh.write(dump_model_bytes(stack))
 
 
 def load_model(path):

@@ -83,20 +83,14 @@ def alignment_graph(segment_ids):
     ids = np.asarray(segment_ids, dtype=np.int64).ravel()
     if ids.size == 0:
         raise InputError("segment id list is empty")
-    rows = []
-    cols = []
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-    for members in np.split(order, boundaries):
-        grid = np.meshgrid(members, members, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    # W = M M' for the pixel x segment membership matrix M
+    segs, member = np.unique(ids, return_inverse=True)
     n = ids.size
-    w = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    return w.tocsr()
+    m = sp.csr_matrix((np.ones(n), (np.arange(n), member)),
+                      shape=(n, segs.size))
+    w = (m @ m.T).tocsr()
+    w.sort_indices()
+    return w
 
 
 def compute_graph_gram(x, lap):

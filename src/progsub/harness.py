@@ -416,12 +416,6 @@ def metrics_csv(metrics):
     return header + "\n" + metrics.csv_row() + "\n"
 
 
-def class_map_ppm(ids, width, height, n_classes):
-    """PPM class map of one class id per pixel, colors for 1..n_classes."""
-    palette = formats.default_palette(max(n_classes, 1))
-    return formats.render_class_map(ids, width, height, palette)
-
-
 def write_files(out_dir, files):
     """Write {name: text or bytes} into out_dir in order; returns
     {name: path}."""
@@ -488,8 +482,8 @@ def _write_artifacts(config, data, metrics, stack, report, preds_all):
         files["convergence.csv"] = "outer_iter,objective\n"
     if stack is not None:
         files["model.bin"] = formats.dump_model_bytes(stack)
-    files["map.ppm"] = class_map_ppm(preds_all, data.width, data.height,
-                                     data.n_classes)
+    files["map.ppm"] = formats.render_class_map(preds_all, data.width,
+                                                data.height, data.n_classes)
     files["predictions.txt"] = "".join(f"{int(p)}\n" for p in preds_all)
     if config.dump_graphs and report is not None:
         # the graphs the fit was trained on, unlabeled columns included

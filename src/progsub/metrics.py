@@ -63,10 +63,6 @@ class ConfusionMatrix:
     def n_classes(self):
         return self.counts.shape[0]
 
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
 
 def confusion(true_labels, predicted, n_classes=None):
     """Tally a confusion matrix from 1-based class labels."""

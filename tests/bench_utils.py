@@ -3,7 +3,8 @@ benchmark used by the model tests and the acceptance suite."""
 
 import numpy as np
 
-from progsub import AdmmConfig, HyperParams
+from progsub import AdmmConfig, HyperParams, generate_synthetic
+from progsub.formats import save_cube, save_labels
 from progsub.harness import ExperimentConfig, PRESETS
 
 
@@ -50,9 +51,6 @@ def desk_file_config(tmp_path, seed, out_dir=None):
     the seed's synthetic cube and labels written with save_cube and
     save_labels, named by data.* keys next to the synthetic-benchmark
     preset."""
-    from progsub.formats import save_cube, save_labels
-    from progsub.synthetic import generate_synthetic
-
     spec = benchmark_config(seed=seed).synthetic
     cube, labels, width, height = generate_synthetic(spec)
     paths = {key: str(tmp_path / name) for key, name in (

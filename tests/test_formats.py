@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from progsub import FormatError, InputError, ProjectionStack
-from progsub.formats import (ClassPalette, default_palette, dump_model_bytes,
-                             load_cube, load_labels, load_model,
-                             parse_model_bytes, render_class_map, save_cube,
-                             save_labels, save_model)
+from progsub.formats import (dump_model_bytes, load_cube, load_labels,
+                             load_model, parse_model_bytes, render_class_map,
+                             save_cube, save_labels)
 
 
 def _write_cube(tmp_path, doc, payload):
@@ -116,13 +115,11 @@ def test_cube_round_trip_bit_identical(tmp_path):
     assert np.array_equal(back, values)
 
 
-def test_cube_round_trip_f32(tmp_path):
-    rng = np.random.default_rng(4)
-    values = rng.standard_normal((3, 8)).astype(np.float32).astype(np.float64)
-    save_cube(tmp_path / "h.json", tmp_path / "p.raw",
-              values, 4, 2, dtype="f32le")
-    back, _, _ = load_cube(tmp_path / "h.json", tmp_path / "p.raw")
-    assert np.array_equal(back, values)
+def test_save_cube_writes_f64le(tmp_path):
+    values = np.array([[0.1, -2.0]])
+    save_cube(tmp_path / "h.json", tmp_path / "p.raw", values, 2, 1)
+    assert json.loads((tmp_path / "h.json").read_text())["dtype"] == "f64le"
+    assert (tmp_path / "p.raw").read_bytes() == struct.pack("<2d", 0.1, -2.0)
 
 
 def test_load_labels_basic(tmp_path):
@@ -158,45 +155,67 @@ def test_labels_round_trip(tmp_path):
     assert np.array_equal(load_labels(tmp_path / "l.txt", 40), labels)
 
 
+# the first 20 class colours of every class map
+BASE_COLORS = [
+    (228, 26, 28), (55, 126, 184), (77, 175, 74), (152, 78, 163),
+    (255, 127, 0), (255, 255, 51), (166, 86, 40), (247, 129, 191),
+    (153, 153, 153), (66, 206, 227), (31, 120, 180), (178, 223, 138),
+    (251, 154, 153), (253, 191, 111), (202, 178, 214), (106, 61, 154),
+    (255, 255, 179), (177, 89, 40), (0, 92, 49), (94, 60, 108),
+]
+
+
+def _map_colors(ids, n_classes):
+    out = render_class_map(ids, len(ids), 1, n_classes)
+    header = f"P6\n{len(ids)} 1\n255\n".encode("ascii")
+    assert out.startswith(header)
+    body = out[len(header):]
+    return [tuple(body[i:i + 3]) for i in range(0, len(body), 3)]
+
+
 def test_render_map_single_red_pixel():
-    palette = ClassPalette({1: (255, 0, 0)})
-    out = render_class_map([1], 1, 1, palette)
-    assert out == b"P6\n1 1\n255\n\xff\x00\x00"
+    out = render_class_map([1], 1, 1, 1)
+    assert out == b"P6\n1 1\n255\n\xe4\x1a\x1c"
 
 
 def test_render_map_unlabeled_black():
-    palette = ClassPalette({1: (255, 0, 0)})
-    out = render_class_map([0, 0], 2, 1, palette)
+    out = render_class_map([0, 0], 2, 1, 1)
     assert out.endswith(b"\x00" * 6)
     assert out.startswith(b"P6\n2 1\n255\n")
 
 
 def test_render_map_per_pixel_lookup_oracle():
     rng = np.random.default_rng(11)
-    palette = default_palette(5)
     preds = [int(v) for v in rng.integers(0, 6, size=40)]
-    out = render_class_map(preds, 8, 5, palette)
-    header = b"P6\n8 5\n255\n"
-    assert out.startswith(header)
-    body = out[len(header):]
-    assert len(body) == 3 * 40
-    for i, p in enumerate(preds):
-        assert tuple(body[3 * i: 3 * i + 3]) == palette.lookup(p)
+    table = _map_colors(list(range(6)), 5)
+    assert _map_colors(preds, 5) == [table[p] for p in preds]
+
+
+def test_render_map_colors_distinct_up_to_276_classes():
+    for n in range(1, 277):
+        colors = _map_colors(list(range(n + 1)), n)
+        assert colors[0] == (0, 0, 0)
+        assert colors[1:21] == BASE_COLORS[:n]
+        assert len(set(colors)) == n + 1, n
+
+
+def test_render_map_hue_rule_after_base_colors():
+    colors = _map_colors(list(range(23)), 22)
+    for c in (21, 22):
+        h = c * 47 % 256
+        assert colors[c] == (h, (h * 3 + 85) % 256, (h * 7 + 170) % 256)
+
+
+def test_render_map_rejects_277_classes():
+    with pytest.raises(InputError, match="at most 276 classes, got 277"):
+        render_class_map([1], 1, 1, 277)
 
 
 def test_render_map_unknown_class_names_pixel():
-    palette = ClassPalette({1: (255, 0, 0)})
-    # -1 must not wrap around to the last palette entry
-    for preds in ([1, 5], [1, -1]):
-        with pytest.raises(InputError, match="pixel 1"):
-            render_class_map(preds, 2, 1, palette)
-
-
-def test_palette_rejects_duplicates_and_black():
-    with pytest.raises(InputError):
-        ClassPalette({1: (1, 2, 3), 2: (1, 2, 3)})
-    with pytest.raises(InputError):
-        ClassPalette({1: (0, 0, 0)})
+    # -1 must not wrap around to the last table row
+    for preds in ([1, 6], [1, -1]):
+        with pytest.raises(InputError, match="pixel 1 has unknown class id"):
+            render_class_map(preds, 2, 1, 5)
 
 
 def test_model_round_trip_identity():
@@ -221,7 +240,7 @@ def test_model_round_trip_random_stack(tmp_path):
          rng.standard_normal((3, 4))),
         rng.standard_normal((6, 3)),
     )
-    save_model(tmp_path / "m.bin", stack)
+    (tmp_path / "m.bin").write_bytes(dump_model_bytes(stack))
     back = load_model(tmp_path / "m.bin")
     assert len(back.projections) == 3
     for a, b in zip(stack.projections, back.projections):

@@ -161,6 +161,37 @@ def test_alignment_square_pattern_is_idempotent():
     assert np.array_equal(w2 != 0, w != 0)
 
 
+def _alignment_loop(segment_ids):
+    """Reference: one meshgrid of member pairs per segment, then COO->CSR."""
+    ids = np.asarray(segment_ids, dtype=np.int64).ravel()
+    order = np.argsort(ids, kind="stable")
+    boundaries = np.flatnonzero(np.diff(ids[order])) + 1
+    rows, cols = [], []
+    for members in np.split(order, boundaries):
+        grid = np.meshgrid(members, members, indexing="ij")
+        rows.append(grid[0].ravel())
+        cols.append(grid[1].ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    n = ids.size
+    return sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                         shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_alignment_bit_equal_to_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    # dense, sparse and negative segment ids
+    low, span = [(0, 4), (0, 10 * n), (-50, 60)][seed % 3]
+    ids = rng.integers(low, low + span, size=n)
+    got, want = alignment_graph(ids), _alignment_loop(ids)
+    assert got.format == "csr" and got.shape == want.shape
+    assert got.has_sorted_indices
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
 def test_laplacian_two_node_edge():
     lap = laplacian(np.array([[0.0, 1.0], [1.0, 0.0]])).toarray()
     assert np.array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
