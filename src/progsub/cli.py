@@ -6,63 +6,15 @@ sweep-layers, render-map. Exit code 0 on success; any stage failure prints
 """
 
 import argparse
-import ctypes
 import os
 import sys
 
 from . import formats
 from .errors import FormatError, InputError, NumericalError, PipelineError
 from .harness import (layer_sweep, grid_search_cv, load_config, load_data,
-                      metrics_csv, run_experiment, score_embedding,
-                      segment_data, split_data, write_files)
+                      metrics_csv, pin_blas_threads, run_experiment,
+                      score_embedding, segment_data, split_data, write_files)
 from .model import transform as stack_transform
-
-
-# thread-count setters of the OpenBLAS builds in numpy and scipy wheels
-# (the "64_" suffix marks the 64-bit-integer build) and of a system OpenBLAS
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_",
-                     "openblas_set_num_threads")
-
-
-def _loaded_openblas():
-    """Paths of the OpenBLAS libraries mapped into this process, read from
-    /proc/self/maps; empty where that file does not exist."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8",
-                  errors="replace") as fh:
-            rows = [line.split(None, 5) for line in fh]
-    except OSError:
-        return []
-    return sorted({row[5].strip() for row in rows
-                   if len(row) == 6 and "openblas" in row[5]})
-
-
-def _single_blas_thread():
-    """Run every loaded OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS
-    or OMP_NUM_THREADS chose a count.
-
-    Every matrix in a fit is small, so extra BLAS threads only spin against
-    each other: on a 2-vCPU machine a 145x145x200 scene fit took 54 s with
-    2 threads and 3.5 s with 1. Only the CLI does this; library callers
-    keep the thread count they set.
-    """
-    if os.environ.get("OPENBLAS_NUM_THREADS") or \
-            os.environ.get("OMP_NUM_THREADS"):
-        return
-    for path in _loaded_openblas():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
 
 
 # the flags whose argparse dest is the config key they stand for; a flag that
@@ -241,7 +193,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    _single_blas_thread()
+    # not restored: the process exits after one command
+    pin_blas_threads()
     parser = _build_parser()
     args = parser.parse_args(argv)
     stage, handler = _COMMANDS[args.command]

@@ -6,6 +6,7 @@ binary container. Every writer/reader pair round-trips bit-exactly.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -19,19 +20,36 @@ MODEL_MAGIC = b"SSTK"
 MODEL_VERSION = 1
 
 
+def _header_number(path, doc, key, test, wanted):
+    """doc[key] as a float, when it is a number or a numeric string (not a
+    bool) that passes `test`; FormatError naming the header and key if not."""
+    value = doc[key]
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not test(number):
+        raise FormatError(
+            f"cube header {path}: {key} must be {wanted}, got {value!r}")
+    return number
+
+
 def _cube_header(path, doc):
     """Validate a cube header document; returns (width, height, bands,
     numpy dtype of the payload, scale or None)."""
     if not isinstance(doc, dict):
         raise FormatError(f"cube header {path} is not a JSON object")
     try:
-        width, height, bands = (int(doc["width"]), int(doc["height"]),
-                                int(doc["bands"]))
+        width, height, bands = (
+            int(_header_number(path, doc, key, float.is_integer,
+                               "a whole number"))
+            for key in ("width", "height", "bands"))
     except KeyError as exc:
         raise FormatError(f"cube header {path} is missing key {exc}") from exc
     dtype = str(doc.get("dtype", "f64le"))
     interleave = str(doc.get("interleave", "bsq"))
-    scale = None if doc.get("scale") is None else float(doc["scale"])
+    scale = None if doc.get("scale") is None else _header_number(
+        path, doc, "scale", lambda v: 0 < v < math.inf, "positive and finite")
     if min(width, height, bands) < 1:
         raise FormatError(
             f"cube dims must be positive, got {width}x{height}x{bands}"
@@ -40,8 +58,6 @@ def _cube_header(path, doc):
         raise FormatError(f"unknown dtype {dtype!r}, expected f32le/f64le")
     if interleave != "bsq":
         raise FormatError(f"unknown interleave {interleave!r}, expected bsq")
-    if scale is not None and not (scale > 0):
-        raise FormatError(f"scale must be positive, got {scale}")
     return width, height, bands, _DTYPES[dtype], scale
 
 
@@ -163,9 +179,6 @@ def render_class_map(ids, width, height, n_classes):
 def dump_model_bytes(stack):
     """Serialize a projection stack (and optional readout) to bytes."""
     mats = list(stack.projections)
-    for m in mats:
-        if not np.all(np.isfinite(m)):
-            raise InputError("cannot save a stack with non-finite entries")
     head = bytearray()
     head += MODEL_MAGIC
     head += struct.pack("<I", MODEL_VERSION)
@@ -217,7 +230,10 @@ def parse_model_bytes(blob):
     if off != len(blob):
         raise FormatError(f"model file has {len(blob) - off} trailing bytes")
     readout = mats.pop() if has_readout else None
-    return ProjectionStack(tuple(mats), readout)
+    try:
+        return ProjectionStack(tuple(mats), readout)
+    except InputError as exc:
+        raise FormatError(f"model file holds no valid stack: {exc}") from exc
 
 
 def load_model(path):

@@ -8,6 +8,7 @@ output byte with the same numpy, scipy and BLAS builds and BLAS thread count.
 """
 
 import contextlib
+import ctypes
 import itertools
 import os
 from dataclasses import dataclass, field, replace
@@ -260,6 +261,64 @@ def _stage(name):
         raise PipelineError(name, exc) from exc
 
 
+# thread-count calls of the OpenBLAS builds in numpy and scipy wheels (the
+# "64_" suffix marks the 64-bit-integer build) and of a system OpenBLAS
+_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_",
+                   "scipy_openblas_{}_num_threads",
+                   "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def openblas_thread_calls():
+    """(get, set) thread-count calls of each OpenBLAS mapped into this
+    process, as /proc/self/maps lists them; empty without that file."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            rows = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    calls = []
+    for path in sorted({row[5].strip() for row in rows
+                        if len(row) == 6 and "openblas" in row[5]}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        name = next((n for n in _OPENBLAS_CALLS
+                     if hasattr(lib, n.format("set"))), None)
+        if name is not None:
+            getter, setter = (getattr(lib, name.format(op))
+                              for op in ("get", "set"))
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            calls.append((getter, setter))
+    return calls
+
+
+def pin_blas_threads():
+    """Put every loaded OpenBLAS on one thread unless OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS is set; returns the (setter, count) pairs it replaced.
+    One thread runs a fit's small matrices fastest and keeps its bits."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") or \
+            os.environ.get("OMP_NUM_THREADS"):
+        return []
+    replaced = [(setter, getter())
+                for getter, setter in openblas_thread_calls()]
+    for setter, _ in replaced:
+        setter(1)
+    return replaced
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """pin_blas_threads, then the caller's counts back, also on a raise."""
+    replaced = pin_blas_threads()
+    try:
+        yield
+    finally:
+        for setter, count in replaced:
+            setter(count)
+
+
 def make_split(labels, train_per_class, unlabeled_fraction, rng):
     """Stratified split: fixed train count per class, optional pretend-
     unlabeled share of the remainder, rest is test. File-level zeros stay
@@ -450,6 +509,7 @@ def _fit_and_score(config, data, hyper):
     return metrics, stack, report, preds_all
 
 
+@_one_blas_thread()
 def run_experiment(config):
     """End-to-end run; returns (MetricsReport, artifacts dict)."""
     data = prepare_data(config)
@@ -579,6 +639,7 @@ def _grid_cells(config):
     return names, cells
 
 
+@_one_blas_thread()
 def grid_search_cv(config):
     """Exhaustive (optionally budget-capped) grid search with stratified CV.
 
@@ -618,6 +679,7 @@ def grid_search_cv(config):
     return best_hyper, rows
 
 
+@_one_blas_thread()
 def layer_sweep(config, m_list=None):
     """Refit with each layer count on data prepared once; returns rows of
     (m, oa, aa, kappa). Only a method that reads `layers` can be swept."""

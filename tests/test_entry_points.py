@@ -41,24 +41,11 @@ def test_demo_runs(script, tmp_path):
 # Reports the thread count of every loaded OpenBLAS before and after the CLI
 # ran a command (one that fails fast on a missing config file).
 _BLAS_PROBE = """
-import ctypes, json, sys
-from progsub import cli
+import json, sys
+from progsub import cli, harness
 
 def counts():
-    out = []
-    for path in cli._loaded_openblas():
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes = []
-                getter.restype = ctypes.c_int
-                out.append(getter())
-                break
-    return out
+    return [get() for get, _ in harness.openblas_thread_calls()]
 
 before = counts()
 code = cli.main(["fit", "--config", sys.argv[1]])

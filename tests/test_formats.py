@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -86,16 +87,38 @@ def test_load_cube_header_nonpositive_dims(tmp_path, dims):
         load_cube(*_write_cube(tmp_path, doc, b""))
 
 
+@pytest.mark.parametrize("value", [1.7, True, "abc", "1.5", [1], None,
+                                   float("nan")])
+@pytest.mark.parametrize("key", ["width", "bands"])
+def test_load_cube_header_dims_must_be_whole_numbers(tmp_path, key, value):
+    doc = {"width": 1, "height": 1, "bands": 1, key: value}
+    with pytest.raises(FormatError, match=re.escape(
+            f"cube.json: {key} must be a whole number, got {value!r}")):
+        load_cube(*_write_cube(tmp_path, doc, b"\x00" * 8))
+
+
+@pytest.mark.parametrize("width", [2, 2.0, "2", " 2 ", "2.0"])
+def test_load_cube_header_whole_number_forms_read_alike(tmp_path, width):
+    doc = {"width": width, "height": 1, "bands": 1}
+    values, w, h = load_cube(*_write_cube(tmp_path, doc,
+                                          struct.pack("<2d", 1.0, 2.0)))
+    assert (w, h) == (2, 1) and type(w) is int
+    assert values.tolist() == [[1.0, 2.0]]
+
+
 def test_load_cube_header_unknown_interleave(tmp_path):
     doc = {"width": 1, "height": 1, "bands": 1, "interleave": "bip"}
     with pytest.raises(FormatError, match="unknown interleave 'bip'"):
         load_cube(*_write_cube(tmp_path, doc, b"\x00" * 8))
 
 
-@pytest.mark.parametrize("scale", [0.0, -2.0])
+# json writes inf and nan as Infinity and NaN, which json.load reads back
+@pytest.mark.parametrize("scale", [0.0, -2.0, float("inf"), float("nan"),
+                                   "x", True, [2.0]])
 def test_load_cube_header_nonpositive_scale(tmp_path, scale):
     doc = {"width": 1, "height": 1, "bands": 1, "scale": scale}
-    with pytest.raises(FormatError, match="scale must be positive"):
+    with pytest.raises(FormatError, match=re.escape(
+            f"cube.json: scale must be positive and finite, got {scale!r}")):
         load_cube(*_write_cube(tmp_path, doc, b"\x00" * 8))
 
 
@@ -256,6 +279,18 @@ def test_model_version_mismatch():
         parse_model_bytes(bytes(blob))
     with pytest.raises(FormatError, match="magic"):
         parse_model_bytes(b"XXXX" + bytes(blob[4:]))
+
+
+# the identity stack's 29-byte header, then its 2x2 projection and 3x2
+# readout as float64
+@pytest.mark.parametrize("offset, what", [(29, "layer 1 projection"),
+                                          (29 + 32, "readout")])
+def test_model_file_with_a_nan_entry_is_a_format_error(offset, what):
+    blob = bytearray(dump_model_bytes(
+        ProjectionStack((np.eye(2),), np.ones((3, 2)))))
+    blob[offset:offset + 8] = struct.pack("<d", np.nan)
+    with pytest.raises(FormatError, match=f"model file .*{what} is not"):
+        parse_model_bytes(bytes(blob))
 
 
 @settings(max_examples=25, deadline=None)

@@ -650,6 +650,20 @@ def test_cli_fit_rejects_nonfinite_cube(tmp_path, capsys, bad):
     assert "cube.raw has non-finite values" in err
 
 
+def test_cli_fit_names_a_bad_cube_header_value(tmp_path, capsys):
+    header = tmp_path / "cube.json"
+    header.write_text('{"width": "abc", "height": 1, "bands": 1}')
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"method=raw\ndata.cube_header={header}\n"
+                   f"data.cube_payload={tmp_path}/cube.raw\n"
+                   f"data.labels={tmp_path}/labels.txt\n")
+    assert cli_main(["fit", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error[load]: cube header {header}: width must be a whole number, "
+        "got 'abc'\n")
+
+
 def test_data_files_give_the_synthetic_run_bytes(tmp_path, monkeypatch):
     # the benchmark runs desk from files; only the config echo may differ
     _, synth = run_experiment(benchmark_config(seed=3,

@@ -25,6 +25,16 @@ def test_stack_validates_chainability():
         ProjectionStack((np.eye(3),), np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stack_rejects_nonfinite_projections_and_readout(bad):
+    proj = np.eye(2)
+    proj[1, 0] = bad
+    with pytest.raises(InputError, match="layer 1 projection is not a finite"):
+        ProjectionStack((proj,))
+    with pytest.raises(InputError, match="readout is not finite"):
+        ProjectionStack((np.eye(2),), np.full((3, 2), bad))
+
+
 # ------------------------------------------------------------- objective
 
 def _hyper_for_objective(alpha=1.0, beta=0.0, gamma=1.0):
