@@ -11,8 +11,8 @@ import sys
 
 from . import formats
 from .errors import FormatError, InputError, NumericalError, PipelineError
-from .harness import (layer_sweep, grid_search_cv, load_config, load_data,
-                      metrics_csv, pin_blas_threads, run_experiment,
+from .harness import (_one_blas_thread, layer_sweep, grid_search_cv,
+                      load_config, load_data, metrics_csv, run_experiment,
                       score_embedding, segment_data, split_data, write_files)
 from .model import transform as stack_transform
 
@@ -193,13 +193,12 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    # not restored: the process exits after one command
-    pin_blas_threads()
     parser = _build_parser()
     args = parser.parse_args(argv)
     stage, handler = _COMMANDS[args.command]
     try:
-        return handler(args)
+        with _one_blas_thread():
+            return handler(args)
     except PipelineError as exc:
         print(f"error[{exc.stage}]: {exc.cause}", file=sys.stderr)
         return 1

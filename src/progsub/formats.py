@@ -51,13 +51,14 @@ def _cube_header(path, doc):
     scale = None if doc.get("scale") is None else _header_number(
         path, doc, "scale", lambda v: 0 < v < math.inf, "positive and finite")
     if min(width, height, bands) < 1:
-        raise FormatError(
-            f"cube dims must be positive, got {width}x{height}x{bands}"
-        )
+        raise FormatError(f"cube header {path}: cube dims must be positive, "
+                          f"got {width}x{height}x{bands}")
     if dtype not in _DTYPES:
-        raise FormatError(f"unknown dtype {dtype!r}, expected f32le/f64le")
+        raise FormatError(f"cube header {path}: unknown dtype {dtype!r}, "
+                          "expected f32le/f64le")
     if interleave != "bsq":
-        raise FormatError(f"unknown interleave {interleave!r}, expected bsq")
+        raise FormatError(f"cube header {path}: unknown interleave "
+                          f"{interleave!r}, expected bsq")
     return width, height, bands, _DTYPES[dtype], scale
 
 

@@ -178,13 +178,10 @@ class ExperimentConfig:
                 mapping, "model.superpixel_fraction", float, 0.10
             ),
         )
-        admm = AdmmConfig(
-            mu0=_get(mapping, "admm.mu0", float, 1e-3),
-            mu_max=_get(mapping, "admm.mu_max", float, 1e6),
-            rho=_get(mapping, "admm.rho", float, 2.0),
-            eps=_get(mapping, "admm.eps", float, 1e-6),
-            max_iters=_get(mapping, "admm.max_iters", int, 500),
-        )
+        # admm.<field> for every AdmmConfig field, cast to its default's type
+        admm = AdmmConfig(**{
+            name: _get(mapping, f"admm.{name}", type(default), default)
+            for name, default in vars(AdmmConfig()).items()})
         grid_budget = _get(mapping, "grid.budget", int, None)
         grid_folds = _get(mapping, "grid.folds", int, 10)
         if grid_folds < 2:

@@ -104,9 +104,14 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """Penalty schedule and stopping rule for the per-layer ADMM solver."""
+    """Penalty schedule and stopping rule for the per-layer ADMM solver.
 
-    mu0: float = 1e-3
+    Every run, pre-training and each fine-tune step, starts at penalty mu0.
+    Starting far lower (1e-3) lets the first iterations drag a warm-started
+    projection away from where it began, so a run takes more iterations and
+    ends at a worse point more often."""
+
+    mu0: float = 0.3
     mu_max: float = 1e6
     rho: float = 2.0
     eps: float = 1e-6

@@ -1,5 +1,5 @@
-"""The library's entry points run OpenBLAS on one thread and hand the
-caller's thread counts back, as the CLI's pin does for a whole process.
+"""The library's entry points and the CLI's commands run OpenBLAS on one
+thread and hand the caller's thread counts back.
 
 Every test starts from 2 threads per loaded OpenBLAS with both thread
 variables removed, so a pin to 1 and the restore after it both show.
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from bench_utils import benchmark_config
-from progsub import PipelineError, harness
+from progsub import PipelineError, cli, harness
 from progsub.harness import ExperimentConfig
 from test_golden_semisup import DIGESTS, SEMISUP_CONFIG
 
@@ -54,11 +54,13 @@ def _spy(monkeypatch, name, calls):
     return seen
 
 
+SMALL_DESK = {"synthetic.width": "8", "synthetic.height": "8",
+              "synthetic.classes": "3", "split.train_per_class": "5",
+              "model.dims": "2", "model.knn_k": "4", "admm.max_iters": "200"}
+
+
 def _small_desk(**extra):
-    keys = {"synthetic.width": "8", "synthetic.height": "8",
-            "synthetic.classes": "3", "split.train_per_class": "5",
-            "model.dims": "2", "model.knn_k": "4", "admm.max_iters": "200"}
-    return benchmark_config(seed=5, **{**keys, **extra})
+    return benchmark_config(seed=5, **{**SMALL_DESK, **extra})
 
 
 def test_run_experiment_fits_on_one_thread_and_gives_golden_bytes(
@@ -103,4 +105,16 @@ def test_a_thread_variable_keeps_the_callers_counts(blas_calls, monkeypatch,
     seen = _spy(monkeypatch, "fit_stack", blas_calls)
     harness.run_experiment(_small_desk())
     assert seen == [[2] * len(blas_calls)]
+    assert _counts(blas_calls) == [2] * len(blas_calls)
+
+
+def test_cli_command_gives_the_callers_counts_back(blas_calls, monkeypatch,
+                                                   tmp_path):
+    seen = _spy(monkeypatch, "fit_stack", blas_calls)
+    keys = {"preset": "synth-benchmark", **SMALL_DESK}
+    cfg = tmp_path / "desk.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in keys.items()))
+    assert cli.main(["fit", "--config", str(cfg), "--seed", "5", "--out",
+                     str(tmp_path / "run")]) == 0
+    assert seen == [[1] * len(blas_calls)]
     assert _counts(blas_calls) == [2] * len(blas_calls)

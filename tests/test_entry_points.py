@@ -38,8 +38,8 @@ def test_demo_runs(script, tmp_path):
     assert done.stdout.strip()
 
 
-# Reports the thread count of every loaded OpenBLAS before and after the CLI
-# ran a command (one that fails fast on a missing config file).
+# Reports the thread count of every loaded OpenBLAS before, during and after
+# the CLI ran a command (one that fails fast on a missing config file).
 _BLAS_PROBE = """
 import json, sys
 from progsub import cli, harness
@@ -47,9 +47,15 @@ from progsub import cli, harness
 def counts():
     return [get() for get, _ in harness.openblas_thread_calls()]
 
-before = counts()
+def load(path, keys=None):
+    during.append(counts())
+    return load_config(path, keys)
+
+before, during, load_config = counts(), [], cli.load_config
+cli.load_config = load
 code = cli.main(["fit", "--config", sys.argv[1]])
-print(json.dumps({"before": before, "after": counts(), "code": code}))
+print(json.dumps({"before": before, "during": during, "after": counts(),
+                  "code": code}))
 """
 
 
@@ -72,10 +78,12 @@ def _blas_probe(tmp_path, **thread_vars):
 
 def test_cli_runs_blas_on_one_thread_by_default(tmp_path):
     report = _blas_probe(tmp_path)
-    assert report["after"] == [1] * len(report["before"])
+    assert report["during"] == [[1] * len(report["before"])]
+    assert report["after"] == report["before"]
 
 
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_cli_keeps_user_blas_thread_count(tmp_path, var):
     report = _blas_probe(tmp_path, **{var: "2"})
+    assert report["during"] == [report["before"]]
     assert report["after"] == report["before"]

@@ -65,8 +65,11 @@ def test_load_cube_rejects_nonfinite_payload(tmp_path, bad):
 def test_load_cube_unknown_dtype(tmp_path):
     doc = {"width": 1, "height": 1, "bands": 1, "dtype": "i16be",
            "interleave": "bsq"}
-    with pytest.raises(FormatError, match="dtype"):
-        load_cube(*_write_cube(tmp_path, doc, b"\x00\x00"))
+    header, raw = _write_cube(tmp_path, doc, b"\x00\x00")
+    with pytest.raises(FormatError, match=re.escape(
+            f"cube header {header}: unknown dtype 'i16be', "
+            "expected f32le/f64le")):
+        load_cube(header, raw)
 
 
 def test_load_cube_header_not_an_object(tmp_path):
@@ -83,8 +86,11 @@ def test_load_cube_header_missing_key_is_named(tmp_path):
 @pytest.mark.parametrize("dims", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
 def test_load_cube_header_nonpositive_dims(tmp_path, dims):
     doc = dict(zip(("width", "height", "bands"), dims))
-    with pytest.raises(FormatError, match="cube dims must be positive"):
-        load_cube(*_write_cube(tmp_path, doc, b""))
+    header, raw = _write_cube(tmp_path, doc, b"")
+    with pytest.raises(FormatError, match=re.escape(
+            f"cube header {header}: cube dims must be positive, "
+            f"got {dims[0]}x{dims[1]}x{dims[2]}")):
+        load_cube(header, raw)
 
 
 @pytest.mark.parametrize("value", [1.7, True, "abc", "1.5", [1], None,
@@ -108,8 +114,10 @@ def test_load_cube_header_whole_number_forms_read_alike(tmp_path, width):
 
 def test_load_cube_header_unknown_interleave(tmp_path):
     doc = {"width": 1, "height": 1, "bands": 1, "interleave": "bip"}
-    with pytest.raises(FormatError, match="unknown interleave 'bip'"):
-        load_cube(*_write_cube(tmp_path, doc, b"\x00" * 8))
+    header, raw = _write_cube(tmp_path, doc, b"\x00" * 8)
+    with pytest.raises(FormatError, match=re.escape(
+            f"cube header {header}: unknown interleave 'bip', expected bsq")):
+        load_cube(header, raw)
 
 
 # json writes inf and nan as Infinity and NaN, which json.load reads back

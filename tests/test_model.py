@@ -13,8 +13,10 @@ from progsub import (InputError, ProjectionStack, finetune_projection,
                      fit_readout, fit_stack, objective_value, pretrain_layer,
                      transform, update_features, prediction_terms)
 from progsub.graphs import compute_graph_gram
-from progsub.harness import prepare_data, run_experiment
+from progsub.harness import (ExperimentConfig, _fit_method, prepare_data,
+                             run_experiment)
 from progsub.pretrain import LayerTerms, reconstruction_objective
+from test_golden_semisup import SEMISUP_CONFIG
 from test_pretrain import inner, random_state, sq
 
 
@@ -564,3 +566,49 @@ def test_fit_builds_each_layer_graph_gram_once(monkeypatch):
     assert len(grams) == len(built)
     assert not any(grams)
     assert not pretrain_grams
+
+
+# ------------------------------------------------------- penalty schedule
+
+def _admm_iterations(report):
+    """ADMM iterations of a fit: pre-training plus every fine-tune run."""
+    return sum(rep.iterations for rep in report.pretrain_reports) + sum(
+        rep.iterations for sweep in report.finetune_reports for rep in sweep)
+
+
+def test_default_penalty_start_fits_desk_lower_in_fewer_iterations():
+    # at admm.mu0=1e-3 the first low-penalty iterations of each run drag the
+    # warm-started projection away; measured final objectives at seeds 1-5:
+    # 38.303 / 36.357 / 36.799 / 39.416 / 38.750 at 1e-3 against
+    # 38.157 / 36.267 / 36.631 / 39.221 / 38.718 at the default, in 19,909
+    # against 12,683 ADMM iterations
+    iterations = {"default": 0, "1e-3": 0}
+    for seed in range(1, 6):
+        final = {}
+        for name, keys in (("default", {}), ("1e-3", {"admm.mu0": "1e-3"})):
+            config = benchmark_config(seed=seed, **keys)
+            if name == "default":
+                assert config.admm.mu0 == 0.3
+                data = prepare_data(config)   # mu0 changes no input
+            split = data.split
+            _, _, report = _fit_method(config, data, split.train_indices,
+                                       split.unlabeled_indices, config.hyper)
+            final[name] = report.objective_trace[-1]
+            iterations[name] += _admm_iterations(report)
+        assert final["default"] <= final["1e-3"], seed
+    assert iterations["default"] < iterations["1e-3"]
+
+
+def test_layer_guard_keeps_every_semisup_finetune_step(monkeypatch):
+    # at admm.mu0=1e-3 the layer guard rejected 3 of these 6 runs
+    real = progsub.model.finetune_projection
+    kept = []
+
+    def finetune(layer, stack, *args, **kwargs):
+        proj, report = real(layer, stack, *args, **kwargs)
+        kept.append(proj is not stack.projections[layer - 1])
+        return proj, report
+
+    monkeypatch.setattr(progsub.model, "finetune_projection", finetune)
+    run_experiment(ExperimentConfig.from_mapping(SEMISUP_CONFIG, seed=3))
+    assert kept == [True] * 6

@@ -87,7 +87,7 @@ def test_admm_config_rejects_boundaries(bad):
 
 def test_admm_config_defaults_match_solver_settings():
     cfg = AdmmConfig()
-    assert cfg.mu0 == 1e-3
+    assert cfg.mu0 == 0.3
     assert cfg.mu_max == 1e6
     assert cfg.rho == 2.0
     assert cfg.eps == 1e-6
