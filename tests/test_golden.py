@@ -31,56 +31,56 @@ FILES = ("predictions.txt", "metrics.csv", "convergence.csv")
 
 SUPERVISED = {
     1: (
-        "561a02caded39d13ce90526e177134a6f2dd526527b7fac92f172007b44c53d6",
-        "a5fc5a06cd3fc5d00908b9126131c429a47968a353869ac34067445296363905",
-        "7dd70ac5a932817fd61672db2bd2462e1c6e17f7f6294c359675100c233a05e7",
+        "d030b54fb6c6598bc8e24cd341de748e7e11aee265982a67eaf6cb0ef5a38a10",
+        "ee0ed465b35a714dee258a9af18e4b280c7e739606702154e6edc281d1bf3b69",
+        "12d871f90836ae828d045de26d0f47f839ace2783cc60875c8d8be17192c1170",
     ),
     2: (
-        "e6203fe0e7317fde0bff4a930f54c39f0572e8c014dc2bb5b1de9b58cf0e1160",
-        "4f9b56cc247562abf39c21ec34d20965f8e524ab72d7f7603897b1328cb8046c",
-        "f5640695982338d2827d915c643ddab607968c4a15a622641c4d0c4bee1a8526",
+        "b6abd284d78e5ecf3431f03d92801614b16b67d898de6952264040af22c3dc3e",
+        "c885b25a9a0ee4159612e6fc53df2e41f5ddd64d4114ecb60a63687e49292253",
+        "fc67d7a908a2030ba2d2d28bec931b808230939bc5a19f3ed50f7ad7fbebf7a2",
     ),
     3: (
-        "d56fa239cc7e1503bc7dd5f5b72c59e4a919632d3a48adc082cbe06814783bea",
-        "d3464c5451e1c8fb6f835837f1ab14a115e2bf63a171f2146dfae876ac00a6ed",
-        "a3ec2d594185e617df4953394e333e09703310344ca96300b0c04487f6a3b2e6",
+        "1017ba88404166bbf139658ce1a84115e9c4678627a753d2b13241e73f79dafa",
+        "48f68904365c51ea774e6c204a8da8e920986542d99d315d7ad63c53076bcbd7",
+        "d4d2acc62884bcf6c8c5a56c21f17044bbf7a493e11509c408c7f7ca4f21dcda",
     ),
     4: (
-        "04c4ecbce889c4dad5983470a848abfa39d08df5c42f18121df046bdd131e353",
-        "640ed94896a2f9ea7146e4cfc5c66cb983add5ac92c75089c009819565748855",
-        "16ecfaa769dbeb6ea37669292a398561cb1da0fe2530e30f1d0e851a5414c07d",
+        "a46fa5a9bf6e5937515f0559a5e6a3f34f41114b6e1d466ecaed317aa97461a1",
+        "86c0baa3a8707f4f4db61e897364572fe6b0dde0f930d031df3919e781e6dd4b",
+        "28a57737343aa8fd0c56cde5885126548437cdce2be27a9c401a024501564832",
     ),
     5: (
-        "44a87c29a57b2eaeb8986290962448bf3b8e82a242065fa934cbfbfb9c49a55d",
-        "0e1634d942fb10f056289e21cdd43074abb29315056e6aa69f2bdeb54b9e76c9",
-        "9768cd201e14e9b92b4dd151aa1d475e66604c4bd8fa55994f79422b31ce325d",
+        "bbfb8e7c318d21f2be314e22d04bf23be50266143bb9a8fce5aae2cee1bb3bd7",
+        "ce2f557be63ca5304f30afd4a89fb07ae0d3fc3b303ae882420234a540324ab8",
+        "053c3e51aa9677338f243c5a0119631fe6571dc7384675c437999c01946049a0",
     ),
 }
 SEMISUPERVISED = {
     1: (
-        "1e41b0224800bbb7c4f90b3eb54472c77fd9703bd5840b46c27e05e775a99025",
-        "39238904e9c9aae20e6df51c7674088684f0ef6f58fcdec62156a585d20b9b3d",
-        "4217afdc73ddb1e822be8648e67986b09aba0df9e65cb3af77483cdfe6dc2aa7",
+        "7c6a96e0b5ddd01af8ce9e6671944dbeb50269f182881d76a4c743eae1110d47",
+        "778ffddc08c6815e58f9fbf790085ca507c416790ca7901a24a2733e5869317e",
+        "953792893265ac4013c501dc7783e3a9d3765a40b573bb0c4e1830b5af2c83d1",
     ),
     2: (
-        "b69c2c6b6f3a4ba99e3f3a37d0f240d61043c15b84ab5349d0a063086be904cf",
-        "6750171970d2d9ef5d61fc3c58df9494c479e5699c0828da58d396e6e6abcd97",
-        "587c13d928c0d56beddf665a92bfc25f4321b443b2b4f8a87d889f555f3767a2",
+        "462f0a4d47035f2974018badedda7dbc70712096636dd9133e27740c1a06cec1",
+        "1e2b6d6153ed1089d904092142173a573fc123b43fd357236abe5d93d0eded9c",
+        "22b015872bfa6bf4122d0daf86d8b7d6b9a870606ce39393f2a38f1f320409fc",
     ),
     3: (
-        "4b2685173787a0779ebf51aab3b3527b161279b385f132f6147f5fdf33b3e4de",
-        "c770bf00e916f3e08298a168d0e816098007079dfb18929ffeea75cc3c3f0936",
-        "7e6a253d71c9723a181544925071b2ca2c1edc7fcf59bbda8752ee610c737a41",
+        "54f802fd16f98c9420eacf7c3ab01278d081fe91586f63d8c8052b4d141e2589",
+        "010f3d176bdc9f968d962451e3ec879e7c178e73ff0694de62f7436bef0853c3",
+        "06b478463330c872cc62b2f4b7902b59112bd0dec46b135fc43a793385b85b3b",
     ),
     4: (
-        "c927df6cb9a57d707a536618550a516d2fdc69d21d201540728c54d42b96e363",
-        "a66a993b025b61757446d719ab212d0bfe4bd8b378c5d376074cbb32001e37f0",
-        "dad6af0a7498e265a9954054c9608247c89d7a6e4ef056db230c35c72200d5a7",
+        "0cabec439577d0a5f1fec8f7fc6b658a2f14987d67b9355d31b394831a53ffd5",
+        "f88cba59633c9055fa664d1a4847b4053ba8e0b64e6306161ea3102ff1106654",
+        "4980602cd45152934fe1b86aa75598cbfcb542c44bcd2e39c48889e9c391b4f2",
     ),
     5: (
-        "9322e8795a489d817cd77812c4df9fe8938a99155647d32c3e2ee41d2bd7cd47",
-        "39976414bc7c6dccd2124603ce0f72dd0fb1ed9fb8996bc57fffecf06f2a0a1b",
-        "9ce3cfbbd887ba486bd6014667ed73d851fba26b60ed2b45e90fcffcbba922bc",
+        "de3be648348b41c51f43bb58d4bd0cc67073a5b294772adcbe5e8410d6e2036f",
+        "cd206c9d08ba4de909063e4d9222970c8133d7bb59389f52173e51a16a0722fd",
+        "eda5b532b09b040560958ad255700a598ce4823025d56a70ea95906d6b910572",
     ),
 }
 

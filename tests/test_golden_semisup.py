@@ -37,15 +37,15 @@ SEMISUP_CONFIG = {
 
 DIGESTS = {
     "predictions.txt":
-        "d5cd8e4c0742ca7220fd4df1f11b4d13839e3ef582d3f1b4b392f8a0d00ef15d",
+        "8b3f7b1a04615aec4c71dd2fed681c19b4fb7bc09b8ea8457f9ccbc797098c5e",
     "metrics.csv":
-        "bfd7ec46576860de53486bdc1a0c47e8fb8b025369094c534347f0e26e09dc43",
+        "fb719475ec6f08c75a428c21fe6ddada6912802699311d150ac4c568ed11553f",
     "convergence.csv":
-        "446115310699b06e8c417b4a00d21ddc3dcdcdb2c7b7b8f14df4252ba2ad541b",
+        "e4914bed96a09357e49212d3f15500cb5d0f3613124ac9146ffec3fd142a6f02",
     "pretrain_layer1.csv":
-        "5d50d0af5484339b4312660e449a94181e5dd7e1890ebdb56a7cfd2683bb35da",
+        "2d9cb053598658c631890004f6961457af5f2a87c0557305e2461e6637acf7b9",
     "pretrain_layer2.csv":
-        "9db5f2eb77f0523ccf48b78be06287c7c194328fa3cf9f4b457fe66e19a3ef90",
+        "9889b2a03dc451a578d05124084786497c0f854a2c7b4188a3c40b46755188c1",
 }
 
 _RUN = """
