@@ -53,12 +53,6 @@ def fit_and_score(config, data):
     return metrics.oa, report
 
 
-def runs(report):
-    """Every ADMM run of a fit: pre-training, then each fine-tune step."""
-    return report.pretrain_reports + [rep for sweep in report.finetune_reports
-                                      for rep in sweep]
-
-
 def schedule_table(shapes, seeds, mu0s):
     print("mu0     " + "".join(f"| {name:<27}" for name in shapes))
     print("        " + "| ft iters  mean oa  mean obj " * len(shapes))
@@ -98,11 +92,12 @@ def scene_semi_table(seeds, mu0s):
                 {**SCENE_SEMI, "admm.mu0": mu0,
                  "run.include_unlabeled": "true"}, seed=seed)
             semi_oa, report = fit_and_score(semi, data)
-            capped = sum(rep.iterations == semi.admm.max_iters
-                         for rep in runs(report))
+            # a run that does not converge stops at admm.max_iters
+            runs = report.pretrain_reports + [
+                rep for sweep in report.finetune_reports for rep in sweep]
+            capped = sum(not rep.converged for rep in runs)
             print(f"mu0={mu0:<6} seed {seed}: {labeled_oa:.3f} / "
-                  f"{semi_oa:.3f}, {capped} of {len(runs(report))} runs "
-                  "at the cap")
+                  f"{semi_oa:.3f}, {capped} of {len(runs)} runs at the cap")
 
 
 def main():

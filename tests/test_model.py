@@ -584,13 +584,11 @@ def test_default_penalty_start_fits_desk_lower_in_fewer_iterations():
     # against 12,683 ADMM iterations
     iterations = {"default": 0, "1e-3": 0}
     for seed in range(1, 6):
+        data = prepare_data(benchmark_config(seed=seed))  # mu0 reads no input
+        split = data.split
         final = {}
         for name, keys in (("default", {}), ("1e-3", {"admm.mu0": "1e-3"})):
             config = benchmark_config(seed=seed, **keys)
-            if name == "default":
-                assert config.admm.mu0 == 0.3
-                data = prepare_data(config)   # mu0 changes no input
-            split = data.split
             _, _, report = _fit_method(config, data, split.train_indices,
                                        split.unlabeled_indices, config.hyper)
             final[name] = report.objective_trace[-1]
