@@ -19,7 +19,9 @@ def main():
     lap = laplacian(knn_heat_graph(x, k=6, sigma=0.5))
     theta0 = np.linalg.qr(rng.standard_normal((8, 4)))[0].T
 
-    cfg = AdmmConfig()  # mu0=0.3, mu_max=1e6, rho=2, eps=1e-6
+    # a random start: the default mu0=0.3 suits fit_stack's LPP warm start
+    # and would hold this run near theta0 (objective 2.660 against 2.085)
+    cfg = AdmmConfig(mu0=1e-3)  # mu_max=1e6, rho=2, eps=1e-6 as default
     proj, report = pretrain_layer(x, lap, theta0, eta=0.1, cfg=cfg)
 
     print("iter   r_feats    r_decoder  r_nonneg   r_norm     mu        objective")

@@ -16,11 +16,12 @@ from .graphs import compute_graph_gram
 from .types import matrix_values
 
 _LPP_RIDGE = 1e-8
-# columns centered at a time for the PCA covariance: under 1 MB at 200
-# bands. glibc raises its mmap threshold to the size of a freed temporary,
-# and memory freed later in the process then stays in the heap: blocks of
-# 4096 columns (6.5 MB) left the fit's factor cache resident and put 4.8 MB
-# on the scene peak RSS.
+# columns a whole-image pass takes at a time (the PCA covariance here, the
+# column norms of harness.load_data): under 1 MB at 200 bands. glibc raises
+# its mmap threshold to the size of a freed temporary, and memory freed
+# later in the process then stays in the heap: blocks of 4096 columns
+# (6.5 MB) left the fit's factor cache resident and put 4.8 MB on the scene
+# peak RSS.
 _PCA_BLOCK = 512
 
 

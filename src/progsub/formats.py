@@ -7,6 +7,7 @@ binary container. Every writer/reader pair round-trips bit-exactly.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -75,19 +76,25 @@ def load_cube(header_path, payload_path):
         raise FormatError(
             f"cannot parse cube header {header_path}: {exc}") from exc
     width, height, bands, dtype, scale = _cube_header(header_path, doc)
+    count = width * height * bands
+    expected = count * np.dtype(dtype).itemsize
+    # sized first, so a wrong payload fails before any array is allocated
     with open(payload_path, "rb") as fh:
-        payload = fh.read()
-    expected = width * height * bands * np.dtype(dtype).itemsize
-    if len(payload) != expected:
+        got = os.fstat(fh.fileno()).st_size
+        if got == expected:
+            flat = np.fromfile(fh, dtype=dtype, count=count)
+            got = flat.nbytes
+    if got != expected:
         raise FormatError(
             f"payload length mismatch for {payload_path}: expected "
-            f"{expected} bytes, got {len(payload)}"
+            f"{expected} bytes, got {got}"
         )
-    flat = np.frombuffer(payload, dtype=dtype)
-    values = flat.reshape(bands, width * height).astype(np.float64)
+    values = flat.reshape(bands, width * height).astype(np.float64,
+                                                        copy=False)
     if scale is not None:
-        values = values / scale
-    if not np.all(np.isfinite(values)):
+        np.divide(values, scale, out=values)
+    # min and max carry any NaN or infinity without a boolean temporary
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise FormatError(f"cube payload {payload_path} has non-finite values")
     return values, width, height
 

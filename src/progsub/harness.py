@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import formats
-from .embedding import lpp_fit, pca_fit
+from .embedding import _PCA_BLOCK, lpp_fit, pca_fit
 from .errors import InputError, PipelineError
 from .graphs import coordinate_dump, knn_heat_graph, laplacian
 from .metrics import compute_metrics, confusion, nn_classify
@@ -345,12 +345,33 @@ class PreparedData:
     height: int
     n_classes: int
     seg: object = None        # the rest is set by prepare_data
-    stream: np.ndarray = None
     split: SampleSplit = None
+
+    @property
+    def stream(self):
+        """The whole-image superpixel stream, built anew on each access (a
+        fit builds only its own columns); None before segmentation."""
+        if self.seg is None:
+            return None
+        return superpixel_stream(self.cube, self.seg.labels)
+
+
+def _max_column_norm(cube):
+    """np.linalg.norm(cube, axis=0).max(), bit for bit, without a
+    cube-sized temporary. Each block sums a column's squares in row order as
+    the whole cube does; numpy would sum a one-column block pairwise, so a
+    lone last column joins the block before it."""
+    n = cube.shape[1]
+    edges = list(range(0, n, _PCA_BLOCK)) + [n]
+    if n > 1 and n % _PCA_BLOCK == 1:
+        del edges[-2]
+    return max(float(np.linalg.norm(cube[:, a:b], axis=0).max())
+               for a, b in zip(edges, edges[1:]))
 
 
 def load_data(config):
-    """The load stage alone: load or generate the cube and normalize it."""
+    """The load stage alone: load or generate the cube and normalize it in
+    place."""
     with _stage("load"):
         if config.cube_header is not None:
             cube, width, height = formats.load_cube(
@@ -364,10 +385,10 @@ def load_data(config):
         n_classes = int(labels.max())
         # unit-ball feasibility: uniform scaling preserves nearest-neighbor
         # ordering while making column norms <= 1
-        scale = float(np.linalg.norm(cube, axis=0).max())
+        scale = _max_column_norm(cube)
         if scale == 0.0:
             scale = 1.0
-        cube = cube / scale
+        np.divide(cube, scale, out=cube)
         cube.setflags(write=False)
     return PreparedData(cube=cube, labels=labels, width=width, height=height,
                         n_classes=n_classes)
@@ -392,13 +413,11 @@ def split_data(config, data):
 
 
 def prepare_data(config):
-    """Load or generate the cube, normalize it and split it; segment it and
-    build its stream only for progsub, the one method that reads them."""
+    """Load or generate the cube, normalize it and split it; segment it only
+    for progsub, the one method that reads the segmentation."""
     data = load_data(config)
     if config.method == "progsub":
         data.seg = segment_data(config, data)
-        with _stage("stream"):
-            data.stream = superpixel_stream(data.cube, data.seg.labels)
     data.split = split_data(config, data)
     return data
 
@@ -429,9 +448,11 @@ def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
         fit_idx = np.concatenate([train_idx, unlabeled_idx])
     fit_labels = data.labels[fit_idx]
     fit_labels[train_idx.size:] = 0  # the unlabeled columns' labels stay hidden
+    with _stage("stream"):
+        fit_stream = superpixel_stream(cube, data.seg.labels, fit_idx)
     stack, report = fit_stack(
         cube[:, fit_idx],
-        data.stream[:, fit_idx],
+        fit_stream,
         fit_labels,
         data.seg.labels[fit_idx],
         hyper,

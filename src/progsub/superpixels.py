@@ -229,11 +229,13 @@ def slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10
     return Segmentation(remap[labels], old_ids.size)
 
 
-def superpixel_stream(cube, segment_ids):
+def superpixel_stream(cube, segment_ids, columns=None):
     """Per-pixel stream: column i is the mean spectrum of pixel i's segment.
 
     `segment_ids` holds one 0-based segment id per cube column (a
     Segmentation's `labels`); returns a C-ordered array shaped like `cube`.
+    With `columns` (pixel indices), the means still cover the whole cube but
+    only those pixels' columns are returned, in the order given.
     """
     values = matrix_values(cube)
     labels = np.asarray(segment_ids)
@@ -250,4 +252,6 @@ def superpixel_stream(cube, segment_ids):
     for j in range(values.shape[0]):
         sums[j] = np.bincount(labels, weights=values[j], minlength=k)
     means = sums / counts
+    if columns is not None:
+        labels = labels[columns]
     return np.take(means, labels, axis=1)

@@ -1,12 +1,14 @@
 import json
 import re
 import struct
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from progsub import FormatError, InputError, ProjectionStack
+from progsub import FormatError, InputError, ProjectionStack, formats
 from progsub.formats import (dump_model_bytes, load_cube, load_labels,
                              load_model, parse_model_bytes, render_class_map,
                              save_cube, save_labels)
@@ -53,7 +55,76 @@ def test_load_cube_length_mismatch_reports_bytes(tmp_path):
         load_cube(*_write_cube(tmp_path, doc, b"\x00" * 12))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dtype", ["f64le", "f32le"])
+@pytest.mark.parametrize("scale", [None, 3.7])
+def test_load_cube_matches_the_payload_bytes_divided_by_scale(tmp_path,
+                                                             dtype, scale):
+    rng = np.random.default_rng(5)
+    raw_dtype = {"f64le": "<f8", "f32le": "<f4"}[dtype]
+    payload = (rng.standard_normal(3 * 5 * 4) * 1e3).astype(raw_dtype)
+    doc = {"width": 5, "height": 4, "bands": 3, "dtype": dtype,
+           "interleave": "bsq", "scale": scale}
+    fm, _, _ = load_cube(*_write_cube(tmp_path, doc, payload.tobytes()))
+    # the copy-per-step form the in-place reader replaced
+    old = np.frombuffer(payload.tobytes(), dtype=raw_dtype).reshape(
+        3, 20).astype(np.float64)
+    if scale is not None:
+        old = old / scale
+    assert fm.dtype == np.float64 and fm.shape == (3, 20)
+    assert fm.tobytes() == old.tobytes()
+
+
+def _cube_of(tmp_path, width, height, bands, extra=0):
+    """A random f64le cube whose payload has `extra` bytes more (or fewer)
+    than its header asks for; returns (header, payload path, cube bytes)."""
+    doc = {"width": width, "height": height, "bands": bands,
+           "dtype": "f64le", "interleave": "bsq"}
+    values = np.random.default_rng(6).random(width * height * bands)
+    payload = values.tobytes()
+    payload = payload + b"\x00" * extra if extra >= 0 else payload[:extra]
+    header, raw = _write_cube(tmp_path, doc, payload)
+    return header, raw, values.nbytes
+
+
+def _peak_bytes(fn, *args):
+    """tracemalloc's peak over one call, which may raise FormatError."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    except FormatError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_load_cube_holds_one_cube_copy(tmp_path):
+    header, raw, nbytes = _cube_of(tmp_path, 64, 64, 64)
+    assert _peak_bytes(load_cube, header, raw) <= 1.1 * nbytes
+
+
+@pytest.mark.parametrize("extra", [-8, 8])
+def test_load_cube_wrong_payload_size_fails_before_reading(tmp_path, extra):
+    header, raw, nbytes = _cube_of(tmp_path, 64, 64, 16, extra)
+    with pytest.raises(FormatError, match=re.escape(
+            f"payload length mismatch for {raw}: expected {nbytes} bytes, "
+            f"got {nbytes + extra}")):
+        load_cube(header, raw)
+    assert _peak_bytes(load_cube, header, raw) < nbytes / 4
+
+
+def test_load_cube_short_read_is_a_length_mismatch(tmp_path, monkeypatch):
+    # a payload that shrinks between the size check and the read
+    header, raw, nbytes = _cube_of(tmp_path, 4, 4, 2, -8)
+    monkeypatch.setattr(formats.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=nbytes))
+    with pytest.raises(FormatError, match=re.escape(
+            f"expected {nbytes} bytes, got {nbytes - 8}")):
+        load_cube(header, raw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_load_cube_rejects_nonfinite_payload(tmp_path, bad):
     doc = {"width": 2, "height": 1, "bands": 1, "dtype": "f64le",
            "interleave": "bsq"}

@@ -3,6 +3,7 @@ import itertools
 import os
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -686,6 +687,65 @@ def test_load_data_cube_is_read_only():
     data = load_data(benchmark_config(seed=1))
     with pytest.raises(ValueError, match="read-only"):
         data.cube[0, 0] = 1.0
+
+
+def _file_config(tmp_path, cube, width, height):
+    """A config that reads `cube` and all-ones labels from files."""
+    paths = {key: str(tmp_path / name) for key, name in (
+        ("data.cube_header", "cube.json"), ("data.cube_payload", "cube.raw"),
+        ("data.labels", "labels.txt"))}
+    save_cube(paths["data.cube_header"], paths["data.cube_payload"], cube,
+              width, height)
+    save_labels(paths["data.labels"], np.ones(width * height, dtype=int))
+    return ExperimentConfig.from_mapping(paths, seed=1)
+
+
+# 3 blocks of 512 columns and 104 more; 3 blocks and one column more, which
+# numpy would sum pairwise if it stood alone
+@pytest.mark.parametrize("width,height", [(41, 40), (53, 29)])
+def test_load_data_normalizes_bit_for_bit(tmp_path, width, height):
+    cube = np.random.default_rng(18).random((40, width * height))
+    cube[:, -1] *= 10.0  # the largest norm is the last column's
+    # and a pairwise sum of that column alone would round it differently
+    assert (np.linalg.norm(cube[:, -1:], axis=0)[0]
+            != np.linalg.norm(cube, axis=0)[-1])
+    data = load_data(_file_config(tmp_path, cube, width, height))
+    expected = cube / np.linalg.norm(cube, axis=0).max()
+    assert data.cube.tobytes() == expected.tobytes()
+
+
+def test_load_data_holds_one_cube_copy(tmp_path):
+    cube = np.random.default_rng(9).random((160, 100 * 100))
+    config = _file_config(tmp_path, cube, 100, 100)
+    tracemalloc.start()
+    try:
+        load_data(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * cube.nbytes
+
+
+def test_run_builds_the_stream_for_the_fit_columns_only(monkeypatch):
+    streams, fits = [], []
+    stream_fn, fit_fn = progsub.harness.superpixel_stream, \
+        progsub.harness.fit_stack
+
+    def stream_spy(*args):
+        streams.append(len(args[2]) if len(args) > 2 else None)
+        return stream_fn(*args)
+
+    def fit_spy(x, stream, *args, **kwargs):
+        fits.append(x.shape[1])
+        return fit_fn(x, stream, *args, **kwargs)
+
+    monkeypatch.setattr(progsub.harness, "superpixel_stream", stream_spy)
+    monkeypatch.setattr(progsub.harness, "fit_stack", fit_spy)
+    run_experiment(benchmark_config(seed=7, **{
+        "split.unlabeled_fraction": "0.2", "run.include_unlabeled": "true"}))
+    # 60 labeled pixels and some unlabeled ones join the fit
+    assert len(fits) == 1 and fits[0] > 60
+    assert streams == fits
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

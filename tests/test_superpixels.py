@@ -231,6 +231,15 @@ def test_stream_idempotent():
     assert np.array_equal(once, twice)
 
 
+def test_stream_columns_are_the_whole_stream_columns():
+    rng = np.random.default_rng(25)
+    cube = rng.random((4, 40))
+    ids = rng.permutation(np.arange(40) % 7)
+    cols = np.array([39, 3, 3, 0, 17, 22])
+    out = superpixel_stream(cube, ids, cols)
+    assert out.tobytes() == superpixel_stream(cube, ids)[:, cols].tobytes()
+
+
 def test_stream_preserves_global_mean():
     rng = np.random.default_rng(24)
     cube = rng.random((4, 30))
