@@ -12,8 +12,8 @@ import sys
 from . import formats
 from .errors import FormatError, InputError, NumericalError, PipelineError
 from .harness import (_one_blas_thread, layer_sweep, grid_search_cv,
-                      load_config, load_data, metrics_csv, run_experiment,
-                      score_embedding, segment_data, split_data, write_files)
+                      load_config, load_data, run_experiment, score_embedding,
+                      segment_data, split_data, write_files)
 from .model import transform as stack_transform
 
 
@@ -143,7 +143,7 @@ def _cmd_evaluate(args):
     data.split = split_data(config, data)
     metrics, preds_all = score_embedding(
         data, lambda v: stack_transform(stack, v))
-    write_files(out, {"metrics.csv": metrics_csv(metrics),
+    write_files(out, {"metrics.csv": metrics.to_csv(),
                       "map.ppm": formats.render_class_map(
                           preds_all, data.width, data.height,
                           data.n_classes)})

@@ -138,10 +138,14 @@ def load_labels(path, n_pixels):
     return np.array(labels, dtype=np.int64)
 
 
+def labels_text(labels):
+    """One label per line, as load_labels reads them."""
+    return "".join(f"{int(v)}\n" for v in labels)
+
+
 def save_labels(path, labels):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
+        fh.write(labels_text(labels))
 
 
 # class map colours: classes 1..20 take these, later ones the hue rule in

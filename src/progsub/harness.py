@@ -20,7 +20,7 @@ from .embedding import _PCA_BLOCK, lpp_fit, pca_fit
 from .errors import InputError, PipelineError
 from .graphs import coordinate_dump, knn_heat_graph, laplacian
 from .metrics import compute_metrics, confusion, nn_classify
-from .model import fit_stack, transform
+from .model import CONVERGENCE_HEADER, fit_stack, transform
 from .superpixels import segment_count, slic_segment, superpixel_stream
 from .synthetic import SyntheticSpec, generate_synthetic
 from .types import AdmmConfig, HyperParams, SampleSplit
@@ -485,14 +485,6 @@ def score_embedding(data, embed):
     return metrics, preds_all
 
 
-def metrics_csv(metrics):
-    """metrics.csv text: the column header and the report's row."""
-    header = "oa,aa,kappa," + ",".join(
-        f"class_{i + 1}" for i in range(len(metrics.per_class))
-    )
-    return header + "\n" + metrics.csv_row() + "\n"
-
-
 def write_files(out_dir, files):
     """Write {name: text or bytes} into out_dir in order; returns
     {name: path}."""
@@ -551,18 +543,18 @@ def _echo_lines(config):
 
 def _write_artifacts(config, data, metrics, stack, report, preds_all):
     files = {"config.echo.txt": _echo_lines(config),
-             "metrics.csv": metrics_csv(metrics)}
+             "metrics.csv": metrics.to_csv()}
     if report is not None:
         files["convergence.csv"] = report.convergence_csv()
         for l, rep in enumerate(report.pretrain_reports, start=1):
             files[f"pretrain_layer{l}.csv"] = rep.to_csv()
     else:
-        files["convergence.csv"] = "outer_iter,objective\n"
+        files["convergence.csv"] = CONVERGENCE_HEADER + "\n"
     if stack is not None:
         files["model.bin"] = formats.dump_model_bytes(stack)
     files["map.ppm"] = formats.render_class_map(preds_all, data.width,
                                                 data.height, data.n_classes)
-    files["predictions.txt"] = "".join(f"{int(p)}\n" for p in preds_all)
+    files["predictions.txt"] = formats.labels_text(preds_all)
     if config.dump_graphs and report is not None:
         # the graphs the fit was trained on, unlabeled columns included
         for name in ("wp", "wsp", "wa", "wf"):

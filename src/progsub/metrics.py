@@ -94,6 +94,12 @@ class MetricsReport:
         cells += [repr(v) for v in self.per_class]
         return ",".join(cells)
 
+    def to_csv(self):
+        """metrics.csv text: the column header and csv_row."""
+        header = "oa,aa,kappa," + ",".join(
+            f"class_{i + 1}" for i in range(len(self.per_class)))
+        return header + "\n" + self.csv_row() + "\n"
+
 
 def compute_metrics(cm):
     """OA, AA, and kappa from a confusion matrix.

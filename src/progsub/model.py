@@ -23,13 +23,16 @@ from .embedding import lpp_fit
 from .errors import InputError, NumericalError
 from .graphs import (GraphBundle, alignment_graph, assemble_fused,
                      compute_graph_gram, knn_heat_graph)
-from .pretrain import (RIDGE, LayerTerms, layer_terms, prediction_term,
-                       pretrain_layer, reconstruction_objective, run_admm,
-                       solve_spd)
+from .pretrain import (RIDGE, LayerTerms, _add_to_diagonal, layer_terms,
+                       prediction_term, pretrain_layer,
+                       reconstruction_objective, run_admm, solve_spd)
 from .types import AdmmConfig, matrix_values, one_hot_encode
 
 # the outer loop stops once the objective changes by less than this share
 _OUTER_TOL = 1e-4
+
+# convergence.csv's header, also the whole file of a method without a fit
+CONVERGENCE_HEADER = "outer_iter,objective"
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def objective_value(stack, inputs, yt, hp, labeled_cols=None):
     """Full training objective at the current stack (readout required).
 
     `inputs` holds one LayerTerms per layer: the layer's input X_{l-1} and
-    its graph term X_{l-1} L X_{l-1}' (None for no graph).
+    its graph term X_{l-1} L X_{l-1}'.
     """
     if stack.readout is None:
         raise InputError("objective needs a fitted readout")
@@ -128,13 +131,12 @@ def fit_readout(projections, xt, yt, alpha, gamma, labeled_cols=None):
     y = np.asarray(yt, dtype=np.float64)
     if labeled_cols is not None:
         v, y = v[:, labeled_cols], y[:, labeled_cols]
-    d = v.shape[0]
-    lhs = alpha * (v @ v.T) + (gamma + RIDGE) * np.eye(d)
+    lhs = _add_to_diagonal(alpha * (v @ v.T), gamma + RIDGE)
     rhs = alpha * (y @ v.T)
     return solve_spd(lhs, rhs.T).T
 
 
-def finetune_projection(layer, stack, yt, hp, terms, cfg=None,
+def finetune_projection(layer, stack, yt, hp, terms, cfg=AdmmConfig(),
                         labeled_cols=None):
     """Re-solve one layer's projection with every other layer fixed.
 
@@ -147,7 +149,6 @@ def finetune_projection(layer, stack, yt, hp, terms, cfg=None,
     of the layer's input, reused (and filled) across runs.
     Returns (projection, report).
     """
-    cfg = cfg if cfg is not None else AdmmConfig()
     idx = layer - 1
     if not (0 <= idx < stack.depth):
         raise InputError(f"layer must be in 1..{stack.depth}, got {layer}")
@@ -181,13 +182,14 @@ class FitReport:
     graphs: GraphBundle = field(repr=False, default=None)  # the fit's graphs
 
     def convergence_csv(self):
-        lines = ["outer_iter,objective"]
+        lines = [CONVERGENCE_HEADER]
         for t, obj in enumerate(self.objective_trace):
             lines.append(f"{t},{obj!r}")
         return "\n".join(lines) + "\n"
 
 
-def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
+def fit_stack(pixels, stream, labels, seg, hp, cfg=AdmmConfig(),
+              n_classes=None):
     """Train the full stack on a training cube slice.
 
     pixels / stream: matching (d0 x n) pixel and superpixel-stream matrices.
@@ -195,7 +197,6 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=None, n_classes=None):
     the reconstruction and graph terms but not the prediction term.
     seg: per-column segment ids aligned with the columns.
     """
-    cfg = cfg if cfg is not None else AdmmConfig()
     x = matrix_values(pixels)
     xsp = matrix_values(stream)
     if x.shape != xsp.shape:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InputError, NumericalError
 from .graphs import compute_graph_gram
@@ -82,87 +82,56 @@ class AdmmState:
         )
 
 
-def solve_spd(lhs, rhs):
-    """Solve lhs @ out = rhs for a symmetric positive-definite lhs.
-
-    Reads the upper triangle of lhs and returns a C-ordered array with the
-    same bits as scipy.linalg.solve(lhs, rhs, assume_a="pos"), without that
-    wrapper's per-call validation and condition estimate. Raises
-    NumericalError when lhs is not positive definite or the solution is not
-    finite (LAPACK passes NaN and inf through without an error).
-
-    One dposv call, which is dpotrf followed by dpotrs: the same bits as
-    solve_factored(spd_factor(lhs), rhs).
-    """
-    if lhs.shape == (1, 1):
-        return solve_factored(spd_factor(lhs), rhs)
-    _, out, info = dposv(lhs, rhs)
-    if info != 0:
-        raise _solve_error(lhs)
-    return _finite_c_order(out)
-
-
 def spd_factor(lhs):
     """Upper Cholesky factor of a symmetric positive-definite lhs (upper
-    triangle read), for solve_factored; raises NumericalError as solve_spd.
-
-    A 1x1 system comes back as it is: scipy.linalg.solve divides it instead
-    of factoring it, and solve_factored keeps its bits.
-    """
-    if lhs.shape == (1, 1):
-        if not lhs[0, 0] > 0.0:
-            raise _solve_error(lhs)
-        return lhs
+    triangle read), for solve_factored. Raises NumericalError when lhs is
+    not positive definite."""
     factor, info = dpotrf(lhs, clean=0)
     if info != 0:
-        raise _solve_error(lhs)
+        if not np.isfinite(lhs).all():
+            raise NumericalError("non-finite system matrix in block solve")
+        raise NumericalError(
+            f"singular system in block solve (cond~{np.linalg.cond(lhs):.2e})"
+        )
     return factor
 
 
 def solve_factored(factor, rhs):
-    """Solve lhs @ out = rhs given factor = spd_factor(lhs), with the bits of
-    scipy.linalg.solve(lhs, rhs, assume_a="pos"), whose dposv is dpotrf
-    followed by dpotrs."""
-    if factor.shape == (1, 1):
-        out = rhs / factor
-    else:
-        # dpotrs reports only malformed arguments, which a factor cannot be
-        out, _ = dpotrs(factor, rhs)
-    return _finite_c_order(out)
-
-
-def _finite_c_order(out):
+    """Solve lhs @ out = rhs given factor = spd_factor(lhs); returns a
+    C-ordered array. Raises NumericalError when the solution is not finite
+    (LAPACK passes NaN and inf through without an error)."""
+    # dpotrs reports only malformed arguments, which a factor cannot be
+    out, _ = dpotrs(factor, rhs)
     if not np.isfinite(out).all():
         raise NumericalError("non-finite solution in block solve")
     # LAPACK returns Fortran order; the products downstream round
-    # differently by layout, so hand back the C order solve() returned
+    # differently by layout, so hand back C order
     return np.ascontiguousarray(out)
 
 
-def _solve_error(lhs):
-    if not np.isfinite(lhs).all():
-        return NumericalError("non-finite system matrix in block solve")
-    return NumericalError(
-        f"singular system in block solve (cond~{np.linalg.cond(lhs):.2e})"
-    )
+def solve_spd(lhs, rhs):
+    """Solve lhs @ out = rhs for a symmetric positive-definite lhs (upper
+    triangle read): one dpotrf and one dpotrs, with the checks and C order
+    of spd_factor and solve_factored."""
+    return solve_factored(spd_factor(lhs), rhs)
 
 
 class LayerTerms:
     """Fixed terms of one layer input, shared by every ADMM run on it.
 
     Holds the input X (d_in x n), X X', the unweighted graph term X L X'
-    (None for no graph) and, keyed by (graph weight w, penalty mu), the
-    factor of each projection system w X L X' + 3 mu X X' + (mu + RIDGE) I.
-    Every run climbs the same penalty ladder, so pre-training and each
-    fine-tune of a layer factor a system once between them. The factors
-    take d_in x d_in floats per distinct (w, mu): at most one per rung of
-    the ladder and weight in use.
+    and, keyed by (graph weight w, penalty mu), the factor of each
+    projection system w X L X' + 3 mu X X' + (mu + RIDGE) I. Every run
+    climbs the same penalty ladder, so pre-training and each fine-tune of a
+    layer factor a system once between them. The factors take d_in x d_in
+    floats per distinct (w, mu): at most one per rung of the ladder and
+    weight in use.
     """
 
-    def __init__(self, x, graph_gram=None):
+    def __init__(self, x, graph_gram):
         self.x = matrix_values(x)
         d_in = self.x.shape[0]
-        if graph_gram is not None and np.shape(graph_gram) != (d_in, d_in):
+        if np.shape(graph_gram) != (d_in, d_in):
             raise InputError(f"graph Gram matrix has shape "
                              f"{np.shape(graph_gram)}, expected {(d_in, d_in)}")
         self.data_gram = self.x @ self.x.T
@@ -175,8 +144,7 @@ class LayerTerms:
         factor = self._factors.get(key)
         if factor is None:
             system = np.multiply(self.data_gram, 3.0 * mu)
-            if self.graph_gram is not None:
-                system += weight * self.graph_gram
+            system += weight * self.graph_gram
             factor = spd_factor(_add_to_diagonal(system, mu + RIDGE))
             self._factors[key] = factor
         return factor
@@ -332,21 +300,19 @@ class PretrainReport:
         return "\n".join(lines) + "\n"
 
 
-def layer_terms(proj, x, graph_gram=None, emb=None):
+def layer_terms(proj, x, graph_gram, emb=None):
     """Unweighted terms of one layer: (||X - T'TX||^2, tr(T XLX' T'), TX).
 
-    The graph term is 0 when no Gram matrix XLX' is given. `emb` is TX when
-    the caller already has it. The residual is formed and squared inside
-    the buffer of T'TX, so the d_in x n work allocates one array.
+    `graph_gram` is XLX'; `emb` is TX when the caller already has it. The
+    residual is formed and squared inside the buffer of T'TX, so the
+    d_in x n work allocates one array.
     """
     if emb is None:
         emb = proj @ x
     resid = proj.T @ emb
     np.subtract(x, resid, out=resid)
     np.multiply(resid, resid, out=resid)
-    graph = 0.0
-    if graph_gram is not None:
-        graph = float(np.sum((proj @ graph_gram) * proj))
+    graph = float(np.sum((proj @ graph_gram) * proj))
     return float(np.sum(resid)), graph, emb
 
 
@@ -365,9 +331,8 @@ def reconstruction_objective(proj, x, graph_gram, graph_weight,
 
         1/2 ||X - T'TX||^2 + alpha/2 ||Y - R T X||^2 + w/2 tr(T XLX' T')
 
-    The prediction term needs `supervision` (see run_admm); the graph term
-    is 0 when `graph_gram` is None. `emb` is TX when the caller already has
-    it.
+    The prediction term needs `supervision` (see run_admm). `emb` is TX
+    when the caller already has it.
     """
     recon, graph, emb = layer_terms(proj, x, graph_gram, emb)
     value = 0.5 * recon
@@ -379,9 +344,9 @@ def reconstruction_objective(proj, x, graph_gram, graph_weight,
 def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     """Shared ADMM engine; returns (projection, PretrainReport).
 
-    `terms` is the LayerTerms of the layer input; its graph term (None for
-    none) enters with weight `graph_weight`, and the projection systems it
-    factors stay in it for the next run on the same input.
+    `terms` is the LayerTerms of the layer input; its graph term enters
+    with weight `graph_weight`, and the projection systems it factors stay
+    in it for the next run on the same input.
     `supervision=(readout_chain, y, alpha, labeled_cols)` adds the
     prediction term alpha/2 ||Y - R T X||^2 over the labeled columns
     (boolean mask, or None for all) to the features update and the traced
@@ -450,25 +415,23 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     return state.proj, report
 
 
-def pretrain_layer(x, lap, proj0, eta, cfg=None, terms=None):
+def pretrain_layer(x, lap, proj0, eta, cfg=AdmmConfig(), terms=None):
     """Train one layer's projection on its input block (no label term).
 
     Returns the projection and the run report. `x` is the layer input
-    (d_in x n), `lap` the fused graph Laplacian over its columns, `proj0`
-    the initial projection (d_out x d_in). `terms` is the LayerTerms of `x`
-    and `lap` to reuse (and fill) across runs; a fresh one is built when it
-    is None.
+    (d_in x n), `lap` the fused graph Laplacian over its columns (a zero
+    matrix for no graph term), `proj0` the initial projection
+    (d_out x d_in). `terms` is the LayerTerms of `x` and `lap` to reuse (and
+    fill) across runs; a fresh one is built when it is None.
 
     The default penalty start (`AdmmConfig().mu0`, 0.3) suits a warm start
     such as the LPP projection `fit_stack` begins from. From a random
     projection it ends higher: demo 03 reaches objective 2.660 against 2.085
     with `AdmmConfig(mu0=1e-3)`, the choice for a random start.
     """
-    cfg = cfg if cfg is not None else AdmmConfig()
     if terms is None:
         x = matrix_values(x)
-        terms = LayerTerms(
-            x, None if lap is None else compute_graph_gram(x, lap))
+        terms = LayerTerms(x, compute_graph_gram(x, lap))
     elif terms.x is not x:
         raise InputError("layer terms were built for another layer input")
     return run_admm(terms, np.asarray(proj0, dtype=np.float64), float(eta),

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from progsub import FormatError, InputError, ProjectionStack, formats
-from progsub.formats import (dump_model_bytes, load_cube, load_labels,
-                             load_model, parse_model_bytes, render_class_map,
-                             save_cube, save_labels)
+from progsub.formats import (dump_model_bytes, labels_text, load_cube,
+                             load_labels, load_model, parse_model_bytes,
+                             render_class_map, save_cube, save_labels)
 
 
 def _write_cube(tmp_path, doc, payload):
@@ -255,6 +255,13 @@ def test_labels_round_trip(tmp_path):
     labels = [int(v) for v in rng.integers(0, 9, size=40)]
     save_labels(tmp_path / "l.txt", labels)
     assert np.array_equal(load_labels(tmp_path / "l.txt", 40), labels)
+
+
+def test_save_labels_writes_labels_text(tmp_path):
+    labels = np.array([3, 0, 12, 1], dtype=np.int64)
+    assert labels_text(labels) == "3\n0\n12\n1\n"
+    save_labels(tmp_path / "l.txt", labels)
+    assert (tmp_path / "l.txt").read_bytes() == b"3\n0\n12\n1\n"
 
 
 # the first 20 class colours of every class map

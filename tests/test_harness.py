@@ -15,12 +15,13 @@ from bench_utils import benchmark_config, desk_file_config, small_hyper
 from oracle_utils import reference_make_split, reference_stratified_folds
 from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
-from progsub.formats import save_cube, save_labels
+from progsub.formats import labels_text, load_labels, save_cube, save_labels
 from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
                              _GRID_FIELDS, _apply_cell, _grid_cells, _stage,
                              _stratified_folds, grid_search_cv, layer_sweep,
                              load_config, load_data, make_split,
                              parse_config_text, prepare_data, run_experiment)
+from progsub.model import CONVERGENCE_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_RUN = ROOT / "benchmarks" / "run.py"
@@ -292,6 +293,23 @@ def test_run_experiment_writes_artifact_set(tmp_path):
     ppm = Path(artifacts["map.ppm"]).read_bytes()
     assert ppm.startswith(b"P6\n16 16\n255\n")
     assert len(ppm) == len(b"P6\n16 16\n255\n") + 3 * 256
+
+
+@pytest.mark.parametrize("method", ["raw", "progsub"])
+def test_artifact_texts_come_from_their_owners(tmp_path, method):
+    # metrics.csv is MetricsReport.to_csv, predictions.txt is labels_text
+    # and convergence.csv starts with the header FitReport writes; a method
+    # without a fit writes that header alone
+    cfg = benchmark_config(seed=7, method=method, out_dir=str(tmp_path))
+    metrics, artifacts = run_experiment(cfg)
+    text = {name: Path(path).read_text() for name, path in artifacts.items()
+            if name.endswith((".csv", ".txt"))}
+    assert text["metrics.csv"] == metrics.to_csv()
+    assert text["predictions.txt"] == labels_text(
+        load_labels(artifacts["predictions.txt"], 16 * 16))
+    assert text["convergence.csv"].split("\n")[0] == CONVERGENCE_HEADER
+    if method == "raw":
+        assert text["convergence.csv"] == CONVERGENCE_HEADER + "\n"
 
 
 def test_run_experiment_deterministic_bytes(tmp_path):

@@ -203,6 +203,12 @@ def test_metrics_empty_matrix_rejected():
         compute_metrics(ConfusionMatrix(np.zeros((2, 2), dtype=int)))
 
 
+def test_metrics_to_csv_is_the_header_and_the_row():
+    rep = compute_metrics(ConfusionMatrix(np.diag([2, 3, 0])))
+    assert rep.to_csv() == ("oa,aa,kappa,class_1,class_2,class_3\n"
+                            + rep.csv_row() + "\n")
+
+
 def test_metrics_csv_row_layout():
     rep = compute_metrics(ConfusionMatrix(np.diag([2, 3])))
     row = rep.csv_row()

@@ -15,7 +15,9 @@ from progsub import (InputError, ProjectionStack, finetune_projection,
 from progsub.graphs import compute_graph_gram
 from progsub.harness import (ExperimentConfig, _fit_method, prepare_data,
                              run_experiment)
-from progsub.pretrain import LayerTerms, reconstruction_objective
+from progsub.model import CONVERGENCE_HEADER
+from progsub.pretrain import (RIDGE, LayerTerms, reconstruction_objective,
+                              solve_spd)
 from test_golden_semisup import SEMISUP_CONFIG
 from test_pretrain import inner, random_state, sq
 
@@ -53,7 +55,8 @@ def test_objective_identity_stack_is_zero():
     xt = np.random.default_rng(0).standard_normal((3, 8))
     yt = np.zeros((2, 8))
     hp = _hyper_for_objective()
-    assert objective_value(stack, [LayerTerms(xt)], yt, hp) == 0.0
+    assert objective_value(stack, [LayerTerms(xt, np.zeros((3, 3)))], yt,
+                           hp) == 0.0
 
 
 def test_objective_prediction_term_only():
@@ -63,9 +66,8 @@ def test_objective_prediction_term_only():
     yt = rng.standard_normal((2, 8))
     hp = _hyper_for_objective(alpha=0.7)
     expected = 0.5 * 0.7 * float(np.sum(yt * yt))
-    assert objective_value(stack, [LayerTerms(xt)], yt, hp) == pytest.approx(
-        expected, rel=1e-12
-    )
+    assert objective_value(stack, [LayerTerms(xt, np.zeros((3, 3)))], yt,
+                           hp) == pytest.approx(expected, rel=1e-12)
 
 
 def test_objective_matches_direct_summation_oracle():
@@ -95,8 +97,8 @@ def test_objective_needs_one_input_per_layer():
     stack = ProjectionStack((np.eye(3), np.eye(3)), np.zeros((2, 3)))
     xt = np.zeros((3, 4))
     with pytest.raises(InputError, match="2-layer"):
-        objective_value(stack, [LayerTerms(xt)], np.zeros((2, 4)),
-                        small_hyper(m=2, d=3))
+        objective_value(stack, [LayerTerms(xt, np.zeros((3, 3)))],
+                        np.zeros((2, 4)), small_hyper(m=2, d=3))
 
 
 # ---------------------------------------------------------------- readout
@@ -138,6 +140,21 @@ def test_fit_readout_mask_drops_unlabeled_columns():
     got = fit_readout([proj], xt, yt, 1.0, 0.3, labeled_cols=mask)
     want = fit_readout([proj], xt[:, :6], yt[:, :6], 1.0, 0.3)
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 5, 20])
+def test_fit_readout_has_the_bits_of_the_eye_ridge(d):
+    # the ridge goes onto the diagonal in place; the system and the readout
+    # keep the bits of adding (gamma + RIDGE) * I
+    rng = np.random.default_rng(6)
+    proj = rng.standard_normal((d, 12))
+    xt = rng.standard_normal((12, 40))
+    yt = rng.standard_normal((4, 40))
+    alpha, gamma = 0.9, 0.1
+    v = proj @ xt
+    lhs = alpha * (v @ v.T) + (gamma + RIDGE) * np.eye(d)
+    want = solve_spd(lhs, (alpha * (yt @ v.T)).T).T
+    assert np.array_equal(fit_readout([proj], xt, yt, alpha, gamma), want)
 
 
 # --------------------------------------------------- supervised H update
@@ -540,7 +557,7 @@ def test_fit_builds_each_layer_graph_gram_once(monkeypatch):
     real_gram = progsub.model.compute_graph_gram
     real_objective = progsub.model.objective_value
 
-    def terms(x, graph_gram=None):
+    def terms(x, graph_gram):
         built.append(x.shape)
         return real_terms(x, graph_gram)
 
@@ -610,3 +627,34 @@ def test_layer_guard_keeps_every_semisup_finetune_step(monkeypatch):
     monkeypatch.setattr(progsub.model, "finetune_projection", finetune)
     run_experiment(ExperimentConfig.from_mapping(SEMISUP_CONFIG, seed=3))
     assert kept == [True] * 6
+
+
+# predictions.txt of the desk run at seed 7 with model.dims=1, the same at
+# one and two layers; recorded when 1x1 systems were still divided instead
+# of factored, which moves only the last bits of the objective
+DIMS1_PREDICTIONS = (
+    "734381c5c7c0b299964203f63573f30b0e61d4c2d75262e76c590216f608aaa3")
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_one_dimensional_fit_factors_its_1x1_systems(monkeypatch, tmp_path,
+                                                     layers):
+    shapes = set()
+    real = progsub.pretrain.spd_factor
+
+    def recording(lhs):
+        shapes.add(lhs.shape)
+        return real(lhs)
+
+    monkeypatch.setattr(progsub.pretrain, "spd_factor", recording)
+    _, artifacts = run_experiment(benchmark_config(
+        seed=7, layers=layers, out_dir=str(tmp_path), **{"model.dims": 1}))
+    assert (1, 1) in shapes
+    lines = Path(artifacts["convergence.csv"]).read_text().splitlines()
+    assert lines[0] == CONVERGENCE_HEADER
+    trace = [float(line.split(",")[1]) for line in lines[1:]]
+    assert len(trace) > 1 and np.all(np.isfinite(trace))
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    digest = hashlib.sha256(
+        Path(artifacts["predictions.txt"]).read_bytes()).hexdigest()
+    assert digest == DIMS1_PREDICTIONS
