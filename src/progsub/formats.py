@@ -138,9 +138,14 @@ def load_labels(path, n_pixels):
     return np.array(labels, dtype=np.int64)
 
 
+# labels_text holds the ~60-byte line strings of one block at a time
+_LABEL_BLOCK = 4096
+
+
 def labels_text(labels):
     """One label per line, as load_labels reads them."""
-    return "".join(f"{int(v)}\n" for v in labels)
+    return "".join("".join(f"{int(v)}\n" for v in labels[a:a + _LABEL_BLOCK])
+                   for a in range(0, len(labels), _LABEL_BLOCK))
 
 
 def save_labels(path, labels):

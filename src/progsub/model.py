@@ -31,7 +31,6 @@ from .types import AdmmConfig, matrix_values, one_hot_encode
 # the outer loop stops once the objective changes by less than this share
 _OUTER_TOL = 1e-4
 
-# convergence.csv's header, also the whole file of a method without a fit
 CONVERGENCE_HEADER = "outer_iter,objective"
 
 

@@ -264,6 +264,25 @@ def test_save_labels_writes_labels_text(tmp_path):
     assert (tmp_path / "l.txt").read_bytes() == b"3\n0\n12\n1\n"
 
 
+@pytest.mark.parametrize("n", [0, 4095, 4096, 4097, 9000])
+def test_labels_text_blocks_keep_every_line(n):
+    labels = np.random.default_rng(n).integers(0, 300, size=n)
+    assert labels_text(labels) == "".join(f"{int(v)}\n" for v in labels)
+    assert labels_text(list(labels)) == labels_text(labels)
+
+
+def test_labels_text_holds_one_block_of_line_strings():
+    # one Python string per label for the whole array would take ~6 MB here
+    labels = np.random.default_rng(1).integers(0, 17, size=100_000)
+    tracemalloc.start()
+    try:
+        text = labels_text(labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text) + 1_000_000
+
+
 # the first 20 class colours of every class map
 BASE_COLORS = [
     (228, 26, 28), (55, 126, 184), (77, 175, 74), (152, 78, 163),
