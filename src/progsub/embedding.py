@@ -23,6 +23,11 @@ _LPP_RIDGE = 1e-8
 # (6.5 MB) left the fit's factor cache resident and put 4.8 MB on the scene
 # peak RSS.
 _PCA_BLOCK = 512
+# columns LinearEmbedding.transform centers at a time. The product of a
+# block has the bits of the unblocked product when every block has at least
+# 4096 columns (512-column blocks differed in the last place at 5 x 200 over
+# 21025 columns), so a shorter last block joins the one before it.
+_TRANSFORM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,19 @@ class LinearEmbedding:
                 f"embedding expects {self.projection.shape[1]} rows, got "
                 f"{x.shape[0]}"
             )
-        if self.mean is not None:
-            x = x - self.mean[:, None]
-        return self.projection @ x
+        if self.mean is None:
+            return self.projection @ x
+        # centered in column blocks, so a whole-image transform holds no
+        # centered copy of the image
+        n = x.shape[1]
+        edges = [start for start in range(0, n, _TRANSFORM_BLOCK)
+                 if n - start >= _TRANSFORM_BLOCK] or [0]
+        edges.append(n)
+        out = np.empty((self.projection.shape[0], n))
+        for start, stop in zip(edges, edges[1:]):
+            out[:, start:stop] = self.projection @ (
+                x[:, start:stop] - self.mean[:, None])
+        return out
 
 
 def _fix_signs(rows):

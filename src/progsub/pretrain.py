@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InputError, NumericalError
@@ -85,7 +86,7 @@ class AdmmState:
 def spd_factor(lhs):
     """Upper Cholesky factor of a symmetric positive-definite lhs (upper
     triangle read), for solve_factored. Raises NumericalError when lhs is
-    not positive definite."""
+    not positive definite or not finite."""
     factor, info = dpotrf(lhs, clean=0)
     if info != 0:
         if not np.isfinite(lhs).all():
@@ -93,27 +94,55 @@ def spd_factor(lhs):
         raise NumericalError(
             f"singular system in block solve (cond~{np.linalg.cond(lhs):.2e})"
         )
+    # dpotrf can report success on a NaN off the diagonal; the NaN then
+    # reaches the factor's diagonal (a list of n floats checks fastest)
+    if not all(map(math.isfinite, factor.diagonal().tolist())):
+        raise NumericalError("non-finite system matrix in block solve")
     return factor
 
 
 def solve_factored(factor, rhs):
     """Solve lhs @ out = rhs given factor = spd_factor(lhs); returns a
     C-ordered array. Raises NumericalError when the solution is not finite
-    (LAPACK passes NaN and inf through without an error)."""
-    # dpotrs reports only malformed arguments, which a factor cannot be
-    out, _ = dpotrs(factor, rhs)
-    if not np.isfinite(out).all():
+    (LAPACK passes NaN and inf through without an error).
+
+    A Fortran-ordered rhs (np.isfortran: not also C-ordered) is solved by
+    dpotrs. Any other rhs is solved as out' lhs = rhs' by two right-side
+    triangular solves on rhs.T, which is a C-ordered rhs's own memory:
+    nothing is copied but the result, and each column of out has the bits
+    it has when solved in any block of columns, a single column included.
+    With many right-hand sides (the features system) the right-side solve
+    is the faster one.
+    """
+    if np.isfortran(rhs):
+        # dpotrs reports only malformed arguments, which a factor cannot be
+        out, _ = dpotrs(factor, rhs)
+        # LAPACK returns Fortran order; the products downstream round
+        # differently by layout, so hand back C order
+        out = np.ascontiguousarray(out)
+    else:
+        # out' U'U = rhs': divide by U, then by U'
+        out_t = dtrsm(1.0, factor, rhs.T, side=1)
+        out = dtrsm(1.0, factor, out_t, side=1, trans_a=1, overwrite_b=1).T
+    if not _all_finite(out):
         raise NumericalError("non-finite solution in block solve")
-    # LAPACK returns Fortran order; the products downstream round
-    # differently by layout, so hand back C order
-    return np.ascontiguousarray(out)
+    return out
 
 
 def solve_spd(lhs, rhs):
     """Solve lhs @ out = rhs for a symmetric positive-definite lhs (upper
-    triangle read): one dpotrf and one dpotrs, with the checks and C order
-    of spd_factor and solve_factored."""
+    triangle read): one dpotrf, then the solve solve_factored picks by the
+    layout of rhs, with the checks and C order of spd_factor and
+    solve_factored."""
     return solve_factored(spd_factor(lhs), rhs)
+
+
+def _all_finite(mat):
+    """Whether every entry of mat is finite, without a boolean temporary:
+    min and max propagate NaN and reach any infinity."""
+    return mat.size == 0 or (
+        math.isfinite(np.minimum.reduce(mat, axis=None))
+        and math.isfinite(np.maximum.reduce(mat, axis=None)))
 
 
 class LayerTerms:
@@ -154,16 +183,21 @@ def update_projection(state, terms, weight):
     """Closed-form projection update on the layer input of `terms` (a
     LayerTerms) with graph weight w.
 
-    T <- (mu*(feats + nonneg + normed) X' + mu*decoder + their duals folded
-    in the same pattern) * (w X L X' + 3 mu X X' + mu I)^{-1}
+    T <- ((mu*(feats + nonneg + normed) + their duals) X' + mu*decoder
+    + its dual) * (w X L X' + 3 mu X X' + mu I)^{-1}
     """
     mu = state.penalty
-    xT = terms.x.T
-    num = (
-        mu * ((state.feats + state.nonneg + state.normed) @ xT + state.decoder)
-        + (state.dual_feats + state.dual_nonneg + state.dual_normed) @ xT
-        + state.dual_decoder
-    )
+    # one product against X' for all six (d_out x n) terms
+    num = state.feats + state.nonneg
+    num += state.normed
+    num *= mu
+    num += state.dual_feats
+    num += state.dual_nonneg
+    num += state.dual_normed
+    num = num @ terms.x.T
+    num += mu * state.decoder
+    num += state.dual_decoder
+    # num.T is Fortran-ordered, so solve_factored takes dpotrs
     return solve_factored(terms.projection_factor(weight, mu), num.T).T
 
 
@@ -218,7 +252,11 @@ def update_features(state, x, px, prediction=None):
         return solve_spd(lhs, rhs)
     out = solve_spd(lhs, rhs)
     lhs += rtr
-    out[:, labeled] = solve_spd(lhs, rhs[:, labeled] + rty)
+    # compress gathers in C order (rhs[:, labeled] would be Fortran-ordered),
+    # so the labeled block takes the same right-side solve as the rest
+    rhs_labeled = rhs.compress(labeled, axis=1)
+    rhs_labeled += rty
+    out[:, labeled] = solve_spd(lhs, rhs_labeled)
     return out
 
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from progsub import InputError, knn_heat_graph, laplacian, lpp_fit, pca_fit
+from progsub.harness import _one_blas_thread
 
 
 def test_pca_diagonal_line():
@@ -65,6 +68,41 @@ def test_pca_blocked_covariance_matches_direct_covariance(n):
                            atol=0)
         assert np.allclose(np.abs(emb.projection @ vecs[:, ::-1][:, :3]),
                            np.eye(3), atol=1e-9)
+
+
+@pytest.mark.parametrize("d_in, d_out, n", [
+    (12, 5, 900), (12, 5, 4095), (12, 5, 4097), (200, 5, 21025),
+    (200, 20, 8191), (200, 20, 8193), (200, 20, 21025), (100, 1, 12289)])
+def test_pca_transform_has_the_bits_of_the_centered_product(d_in, d_out, n):
+    # the transform centers 4096 columns or more at a time; 512-column
+    # blocks differed in the last place at 5 x 200 over 21025 columns. On
+    # one BLAS thread, as a run fits: with two, a one-row product is split
+    # across the threads by its column count, and its bits move with it.
+    rng = np.random.default_rng(d_in * n + d_out)
+    x = rng.random((d_in, n))
+    emb = pca_fit(x[:, :400], d_out)
+    with _one_blas_thread():
+        got = emb.transform(x)
+        want = emb.projection @ (x - emb.mean[:, None])
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+def test_pca_transform_holds_no_centered_copy_of_the_image():
+    x = np.random.default_rng(9).random((200, 21025))
+    emb = pca_fit(x[:, :500], 20)
+    emb.transform(x[:, :10])  # load what the first call loads
+    tracemalloc.start()
+    try:
+        out = emb.transform(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output, then the widest centered block (the last one takes the
+    # 545 columns past 5 * 4096) and its product; a centered copy of the
+    # image alone would be x.nbytes, three times this
+    widest = 21025 - 4 * 4096
+    assert peak <= 1.1 * (out.nbytes + (200 + 20) * 8 * widest)
 
 
 def test_pca_rejects_large_d_out():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
@@ -204,10 +205,6 @@ def test_update_features_matches_normal_equations_oracle():
 def _gather_scatter_features(state, x, px, prediction):
     """The masked features update as it read before it solved every column
     with the plain system: gather each block, solve it, scatter it back."""
-    def solve(lhs, rhs):
-        factor, _ = dpotrf(lhs, clean=0)
-        return np.ascontiguousarray(dpotrs(factor, rhs)[0])
-
     mu = state.penalty
     g = state.decoder
     lhs = g @ g.T
@@ -215,9 +212,12 @@ def _gather_scatter_features(state, x, px, prediction):
     rhs = g @ x + mu * px - state.dual_feats
     rtr, rty, labeled = prediction
     out = np.empty_like(rhs)
-    out[:, labeled] = solve(lhs + rtr, rhs[:, labeled] + rty)
+    # each block is gathered in rhs's own C order
+    out[:, labeled] = solve_spd(lhs + rtr,
+                                np.ascontiguousarray(rhs[:, labeled] + rty))
     if not labeled.all():
-        out[:, ~labeled] = solve(lhs, rhs[:, ~labeled])
+        out[:, ~labeled] = solve_spd(lhs,
+                                     np.ascontiguousarray(rhs[:, ~labeled]))
     return out
 
 
@@ -520,7 +520,14 @@ def test_solve_spd_matches_scipy_solve_bit_for_bit(n, m, order):
     rhs = np.asarray(rng.standard_normal((n, m)), order=order)
     got = solve_spd(lhs, rhs)
     assert got.flags.c_contiguous
-    assert np.array_equal(got, scipy.linalg.solve(lhs, rhs, assume_a="pos"))
+    want = scipy.linalg.solve(lhs, rhs, assume_a="pos")
+    if order == "F":
+        assert np.array_equal(got, want)
+    else:
+        # a C-ordered rhs takes the right-side solve, whose bits
+        # test_c_ordered_solve_has_the_bits_of_two_right_side_dtrsm pins;
+        # these systems have cond < 3e3, so two stable solves agree to 1e-12
+        assert frob_rel_err(got, want) < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 7, 320, 2000])
@@ -555,10 +562,77 @@ def test_solve_spd_has_the_bits_of_dpotrf_then_dpotrs(n, m, order):
     lhs_before, rhs_before = lhs.copy(), rhs.copy()
     got = solve_spd(lhs, rhs)
     assert got.flags.c_contiguous
-    assert np.array_equal(got, want)
+    if order == "F" or n == 1:
+        assert np.array_equal(got, want)
+    else:
+        # the C-ordered bits are pinned by
+        # test_c_ordered_solve_has_the_bits_of_two_right_side_dtrsm
+        assert frob_rel_err(got, want) < 1e-12
     # the inputs are left as they were
     assert np.array_equal(lhs, lhs_before)
     assert np.array_equal(rhs, rhs_before)
+
+
+def _system(n, m, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n + 3))
+    return (g @ g.T + (0.25 + RIDGE) * np.eye(n),
+            rng.standard_normal((n, m)))
+
+
+@pytest.mark.parametrize("n, m", SPD_SHAPES + [(1, 7)])
+def test_c_ordered_solve_has_the_bits_of_two_right_side_dtrsm(n, m):
+    # out' U'U = rhs': one right-side dtrsm by U, then one by U'
+    lhs, rhs = _system(n, m, 4000 * n + m)
+    factor, info = dpotrf(lhs, clean=0)
+    assert info == 0
+    want = dtrsm(1.0, factor, rhs.T, side=1)
+    want = dtrsm(1.0, factor, want, side=1, trans_a=1).T
+    lhs_before, rhs_before = lhs.copy(), rhs.copy()
+    got = solve_spd(lhs, rhs)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(lhs, lhs_before)
+    assert np.array_equal(rhs, rhs_before)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n, m", SPD_SHAPES + [(1, 7)])
+def test_solve_spd_residual_is_small_in_both_layouts(n, m, order):
+    lhs, rhs = _system(n, m, 5000 * n + m)
+    rhs = np.asarray(rhs, order=order)
+    got = solve_spd(lhs, rhs)
+    assert frob_rel_err(lhs @ got, rhs) < 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(5, 120), (20, 320), (20, 1692)])
+def test_c_ordered_solve_of_any_column_block_has_the_full_solves_bits(n, m):
+    # the masked features update solves every column, then overwrites the
+    # labeled ones: that needs each column's bits not to depend on the
+    # other columns solved with it
+    lhs, rhs = _system(n, m, 6000 * n + m)
+    factor = spd_factor(lhs)
+    full = solve_factored(factor, rhs)
+    rng = np.random.default_rng(m)
+    for count in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, m // 9, m // 2, m - 1]:
+        mask = np.zeros(m, dtype=bool)
+        mask[rng.choice(m, count, replace=False)] = True
+        block = solve_factored(factor, rhs.compress(mask, axis=1))
+        assert np.array_equal(block, full[:, mask])
+
+
+def test_c_ordered_solve_copies_nothing_but_its_result():
+    lhs, rhs = _system(20, 20000, 7)
+    factor = spd_factor(lhs)
+    solve_factored(factor, rhs[:, :100])  # load what the first call loads
+    tracemalloc.start()
+    try:
+        solve_factored(factor, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result alone is one rhs; a copy of rhs in or out would be two
+    assert peak <= 1.1 * rhs.nbytes
 
 
 def _broken_system(case):
@@ -589,6 +663,24 @@ def test_solve_spd_raises_numerical_error(case):
             solve_spd(lhs, rhs)
         with pytest.raises(NumericalError, match="block solve"):
             solve_factored(spd_factor(lhs), rhs)
+
+
+@pytest.mark.parametrize("case", ["NaN matrix", "inf matrix", "1x1 NaN"])
+def test_spd_factor_names_a_non_finite_system(case):
+    # OpenBLAS dpotrf can report success on a NaN off the diagonal
+    lhs, _ = _broken_system(case)
+    with pytest.raises(NumericalError, match="^non-finite system matrix in "
+                                             "block solve$"):
+        spd_factor(lhs)
+
+
+def test_projection_factor_caches_no_non_finite_factor():
+    lhs, _ = _broken_system("NaN matrix")
+    terms = LayerTerms(np.zeros((3, 5)), lhs)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="^non-finite system matrix"):
+            terms.projection_factor(1.0, 0.3)
+    assert terms._factors == {}
 
 
 # ----------------------------------------------------- traced objective
