@@ -33,54 +33,54 @@ SUPERVISED = {
     1: (
         "d030b54fb6c6598bc8e24cd341de748e7e11aee265982a67eaf6cb0ef5a38a10",
         "ee0ed465b35a714dee258a9af18e4b280c7e739606702154e6edc281d1bf3b69",
-        "12d871f90836ae828d045de26d0f47f839ace2783cc60875c8d8be17192c1170",
+        "cb7d9c336440640e9e2027b3e87a28c33f304006a7de0bd57901468f79cb977e",
     ),
     2: (
         "b6abd284d78e5ecf3431f03d92801614b16b67d898de6952264040af22c3dc3e",
         "c885b25a9a0ee4159612e6fc53df2e41f5ddd64d4114ecb60a63687e49292253",
-        "fc67d7a908a2030ba2d2d28bec931b808230939bc5a19f3ed50f7ad7fbebf7a2",
+        "3dd681bdc9894d11c83bb7bf0d8edb8636139cd0c735a5af812b8d30ca3387e6",
     ),
     3: (
         "1017ba88404166bbf139658ce1a84115e9c4678627a753d2b13241e73f79dafa",
         "48f68904365c51ea774e6c204a8da8e920986542d99d315d7ad63c53076bcbd7",
-        "d4d2acc62884bcf6c8c5a56c21f17044bbf7a493e11509c408c7f7ca4f21dcda",
+        "b46c5b265a7b93bf733c6b01204788f37859f87af42b0e7bcf754a274cdb1027",
     ),
     4: (
         "a46fa5a9bf6e5937515f0559a5e6a3f34f41114b6e1d466ecaed317aa97461a1",
         "86c0baa3a8707f4f4db61e897364572fe6b0dde0f930d031df3919e781e6dd4b",
-        "28a57737343aa8fd0c56cde5885126548437cdce2be27a9c401a024501564832",
+        "3412980f407a9fc4c44a7d2feb3b9687cc5d13c5c25a0662f2ac5eeb0bcf3f2a",
     ),
     5: (
         "bbfb8e7c318d21f2be314e22d04bf23be50266143bb9a8fce5aae2cee1bb3bd7",
         "ce2f557be63ca5304f30afd4a89fb07ae0d3fc3b303ae882420234a540324ab8",
-        "053c3e51aa9677338f243c5a0119631fe6571dc7384675c437999c01946049a0",
+        "b784f37c2c9f256c83afcc0a5669db44b6046bd4864119ef855eec56b0b5e244",
     ),
 }
 SEMISUPERVISED = {
     1: (
         "7c6a96e0b5ddd01af8ce9e6671944dbeb50269f182881d76a4c743eae1110d47",
         "778ffddc08c6815e58f9fbf790085ca507c416790ca7901a24a2733e5869317e",
-        "953792893265ac4013c501dc7783e3a9d3765a40b573bb0c4e1830b5af2c83d1",
+        "e75fb70f1c8abdde439ee8e9fe0b5ebab8082b3d99543ec0fb2c0fcb59a0e5fc",
     ),
     2: (
         "462f0a4d47035f2974018badedda7dbc70712096636dd9133e27740c1a06cec1",
         "1e2b6d6153ed1089d904092142173a573fc123b43fd357236abe5d93d0eded9c",
-        "22b015872bfa6bf4122d0daf86d8b7d6b9a870606ce39393f2a38f1f320409fc",
+        "d6e915859a96b95916c0eb8c93374a7f4c1addcf22de7a5c6ca8db92eb290aa5",
     ),
     3: (
         "54f802fd16f98c9420eacf7c3ab01278d081fe91586f63d8c8052b4d141e2589",
         "010f3d176bdc9f968d962451e3ec879e7c178e73ff0694de62f7436bef0853c3",
-        "06b478463330c872cc62b2f4b7902b59112bd0dec46b135fc43a793385b85b3b",
+        "d701a6df464f9fba50b1c0da0efdb6541c7e11930f0af8d650812bb26c6e4871",
     ),
     4: (
         "0cabec439577d0a5f1fec8f7fc6b658a2f14987d67b9355d31b394831a53ffd5",
         "f88cba59633c9055fa664d1a4847b4053ba8e0b64e6306161ea3102ff1106654",
-        "4980602cd45152934fe1b86aa75598cbfcb542c44bcd2e39c48889e9c391b4f2",
+        "a4e0158a92bbfa48a6a2f1aa03b5fcbb6e6147bbd8e72896d5d110d18668abbe",
     ),
     5: (
         "de3be648348b41c51f43bb58d4bd0cc67073a5b294772adcbe5e8410d6e2036f",
         "cd206c9d08ba4de909063e4d9222970c8133d7bb59389f52173e51a16a0722fd",
-        "eda5b532b09b040560958ad255700a598ce4823025d56a70ea95906d6b910572",
+        "016363e21abc151208576bc605c4265b9d2eacf239fc7b9c18e5e246b90ef27f",
     ),
 }
 

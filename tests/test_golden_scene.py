@@ -39,11 +39,11 @@ DIGESTS = {
     "metrics.csv":
         "66d0a0f55ab50e808b41ddbe9975a885d4d7c4ae5489a35af881ac170fd4d7d7",
     "convergence.csv":
-        "c5d99667a8d23fb0a68ff0c6ee70c56cdcfda0eb6971fd088e5bdf9d402aa9dd",
+        "cd34704263691d83a4326a503497022f5ab33f5d5881bde78ead1050d0ddde26",
     "pretrain_layer1.csv":
-        "c9e6df90a30da34b2f8d6f19ca8ce1a91ec54a53b419cb9f66b4e92bb73a0e5b",
+        "31eeefff22043c882175b6f0943fc0356128df2dbd63b455cf769310c860faca",
     "pretrain_layer2.csv":
-        "23121c6d1e909e881c6d4c93fbe7640b5c33c72098b2d67266bfe3e26be881d8",
+        "7904a28d130e96ea5f004cd56e1c863923bc204fed56acfe572dcf91a3cc0e86",
 }
 
 _RUN = """

@@ -41,11 +41,11 @@ DIGESTS = {
     "metrics.csv":
         "fb719475ec6f08c75a428c21fe6ddada6912802699311d150ac4c568ed11553f",
     "convergence.csv":
-        "e4914bed96a09357e49212d3f15500cb5d0f3613124ac9146ffec3fd142a6f02",
+        "427124b5f8d396fa648d601a83c065ed66bda261119a03eae2f6c9de651d3969",
     "pretrain_layer1.csv":
-        "2d9cb053598658c631890004f6961457af5f2a87c0557305e2461e6637acf7b9",
+        "bd3ae3105e49cadf163997fe41864f93c631ad1dc5b1384f21be60c84308205d",
     "pretrain_layer2.csv":
-        "9889b2a03dc451a578d05124084786497c0f854a2c7b4188a3c40b46755188c1",
+        "f4da5e659c51e8b401aba7f98f452ece3dc7020b5baed9a63e39804206f74e0b",
 }
 
 _RUN = """
