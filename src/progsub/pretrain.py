@@ -197,7 +197,8 @@ def update_projection(state, terms, weight):
     num = num @ terms.x.T
     num += mu * state.decoder
     num += state.dual_decoder
-    # num.T is Fortran-ordered, so solve_factored takes dpotrs
+    # num.T is Fortran-ordered (for d_out > 1), so solve_factored takes
+    # dpotrs, which needs no copy of it
     return solve_factored(terms.projection_factor(weight, mu), num.T).T
 
 
