@@ -103,6 +103,13 @@ def lpp_fit(x, lap, deg, d_out):
         (X L X^T) a = lambda (X D X^T) a
     for the d_out smallest eigenvalues, with a small ridge added to X D X^T
     for invertibility. `deg` is the 1-D degree vector of the graph.
+
+    When X has rank r below its row count, the problem is solved in the
+    span of X, on Z = U_r' X with U_r the leading r left singular vectors
+    of X, and the rows are mapped back (a = U_r a_z), as LPP does after its
+    PCA step (He & Niyogi, NIPS 2003). Solved on X itself, such a problem is
+    singular and its smallest eigenvalues belong to directions orthogonal
+    to every column (TX = 0). At full row rank X is used as it is.
     """
     values = matrix_values(x)
     d, n = values.shape
@@ -123,9 +130,16 @@ def lpp_fit(x, lap, deg, d_out):
             f"d_out={d_out} exceeds the data's numerical rank; achievable "
             f"rank is {rank}"
         )
+    basis = None
+    if rank < d:
+        basis = np.linalg.svd(values, full_matrices=False)[0][:, :rank]
+        values = basis.T @ values
     a = compute_graph_gram(values, lap)
     b = (values * degrees[None, :]) @ values.T
-    b = (b + b.T) / 2.0 + _LPP_RIDGE * np.eye(d)
+    b = (b + b.T) / 2.0 + _LPP_RIDGE * np.eye(values.shape[0])
     vals, vecs = scipy.linalg.eigh(a, b)
-    projection = _fix_signs(vecs[:, :d_out].T)
+    vecs = vecs[:, :d_out]
+    if basis is not None:
+        vecs = basis @ vecs
+    projection = _fix_signs(vecs.T)
     return LinearEmbedding(projection, vals[:d_out].copy())

@@ -5,6 +5,7 @@ All adjacency matrices are stored sparse (CSR built from coordinate lists);
 dense conversion happens only inside small solves and tests.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .types import matrix_values
 _SYM_TOL = 1e-10
 # knn_heat_graph takes its distances in row blocks of at most this many
 _BLOCK_FLOATS = 1 << 16
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def _check_symmetric(w, name):
@@ -30,24 +32,35 @@ def knn_heat_graph(feats, k, sigma):
 
     W[i, j] = exp(-||x_i - x_j||^2 / (2 sigma^2)) when j is one of i's k
     Euclidean nearest neighbors, then W <- max(W, W.T); diagonal forced to 0.
-    Distances are taken in row blocks of at most _BLOCK_FLOATS entries, so
-    memory grows with n k, not n^2.
+    Distances are cdist's, neighbors are the head of a stable argsort of
+    each row (ties to the lower column). Rows are searched in blocks of at
+    most _BLOCK_FLOATS distances, so memory grows with n k, not n^2, and
+    cdist measures only each row's candidates (_candidates).
     """
     x = matrix_values(feats)
-    n = x.shape[1]
+    d, n = x.shape
     if not (1 <= k < n):
         raise InputError(f"need 1 <= k < n, got k={k} for n={n} samples")
     if not (sigma > 0):
         raise InputError(f"sigma must be > 0, got {sigma}")
-    pts = x.T
+    # one C-ordered copy of the points, made once: the GEMM and every row's
+    # gather of its candidates read it (cdist would copy any other layout
+    # on every call)
+    pts = np.ascontiguousarray(x.T)
+    sq = np.einsum("ij,ij->i", pts, pts)
+    # every GEMM distance and its terms then stay below 4 max ||x||^2
+    if not math.isfinite(4.0 * float(sq.max())):
+        raise InputError("features must be finite, with squared column "
+                         "norms below a quarter of the float64 range")
+    slack = _candidate_slack(d) * (sq + sq.max())
     neigh = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
     step = max(1, _BLOCK_FLOATS // n)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        d2 = cdist(pts[start:stop], pts, "sqeuclidean")
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        neigh[start:stop], dist[start:stop] = _nearest(d2, k)
+        cols, d2 = _candidates(pts, sq, slack, start, stop, k)
+        pos, dist[start:stop] = _nearest(d2, k)
+        neigh[start:stop] = np.take_along_axis(cols, pos, axis=1)
     rows = np.repeat(np.arange(n), k)
     weights = np.exp(-dist.ravel() / (2.0 * sigma * sigma))
     w = sp.coo_matrix((weights, (rows, neigh.ravel())), shape=(n, n)).tocsr()
@@ -55,6 +68,46 @@ def knn_heat_graph(feats, k, sigma):
     w.setdiag(0.0)
     w.eliminate_zeros()
     return w
+
+
+def _candidate_slack(d):
+    """tau such that a pair's cdist value and its GEMM distance
+    ||a||^2 + ||b||^2 - 2 a.b differ by at most tau (||a||^2 + ||b||^2)
+    for d-dimensional points, with a margin of 2 (README, "kNN graph in BLAS
+    time", has the bound)."""
+    return 2.0 * (4 * d + 9) * _UNIT_ROUNDOFF
+
+
+def _candidates(pts, sq, slack, start, stop, k):
+    """Candidate columns of rows start..stop of the kNN search and their
+    cdist distances: (cols, d2), both (rows, widest row), ascending by
+    column in each row and padded with column n at distance inf.
+
+    GEMM ranks every column; a row's candidates are the columns within
+    2 slack (slack = tau (||a||^2 + max ||b||^2)) of its k-th GEMM
+    distance, which holds every column at or below its k-th cdist
+    distance. The point itself is never a candidate.
+    """
+    n = pts.shape[0]
+    rows = np.arange(stop - start)
+    gemm = pts[start:stop] @ pts.T
+    gemm *= -2.0
+    gemm += sq[start:stop, None]
+    gemm += sq
+    gemm[rows, rows + start] = np.inf
+    bound = np.partition(gemm, k - 1, axis=1)[:, k - 1]
+    bound += 2.0 * slack[start:stop]
+    which, found = np.nonzero(gemm <= bound[:, None])
+    del gemm
+    counts = np.bincount(which, minlength=rows.size)
+    first = np.cumsum(counts) - counts
+    cols = np.full((rows.size, counts.max()), n)
+    cols[which, np.arange(found.size) - first[which]] = found
+    d2 = np.full(cols.shape, np.inf)
+    for i, (lo, m) in enumerate(zip(first.tolist(), counts.tolist())):
+        cdist(pts[start + i:start + i + 1], pts[found[lo:lo + m]],
+              "sqeuclidean", out=d2[i:i + 1, :m])
+    return cols, d2
 
 
 def _nearest(d2, k):

@@ -32,17 +32,22 @@ TRACE_COLUMNS = ("iter", "r_feats", "r_decoder", "r_nonneg", "r_norm", "mu",
                  "objective")
 
 
-def prox_nonneg(mat):
-    """Project a matrix onto the nonnegative orthant (elementwise max 0)."""
-    return np.maximum(mat, 0.0)
+def prox_nonneg(mat, out=None):
+    """Project a matrix onto the nonnegative orthant (elementwise max 0),
+    into `out` when given (mat itself allowed)."""
+    return np.maximum(mat, 0.0, out=out)
 
 
-def prox_unit_ball(mat):
-    """Rescale every column with Euclidean norm > 1 back onto the unit sphere."""
+def prox_unit_ball(mat, out=None, work=None):
+    """Rescale every column with Euclidean norm > 1 back onto the unit sphere.
+
+    The result goes to `out` when given (mat itself allowed) and the squares
+    to `work`, an array of mat's shape and memory order.
+    """
     # np.linalg.norm(mat, axis=0)'s own formula, without its dispatch
-    norms = np.sqrt(np.add.reduce(mat * mat, axis=0))
+    norms = np.sqrt(np.add.reduce(np.multiply(mat, mat, out=work), axis=0))
     scale = np.where(norms > 1.0, norms, 1.0)
-    return mat / scale
+    return np.divide(mat, scale, out=out)
 
 
 @dataclass
@@ -101,7 +106,7 @@ def spd_factor(lhs):
     return factor
 
 
-def solve_factored(factor, rhs):
+def solve_factored(factor, rhs, overwrite_rhs=False):
     """Solve lhs @ out = rhs given factor = spd_factor(lhs); returns a
     C-ordered array. Raises NumericalError when the solution is not finite
     (LAPACK passes NaN and inf through without an error).
@@ -112,7 +117,8 @@ def solve_factored(factor, rhs):
     nothing is copied but the result, and each column of out has the bits
     it has when solved in any block of columns, a single column included.
     With many right-hand sides (the features system) the right-side solve
-    is the faster one.
+    is the faster one. With `overwrite_rhs` a C-contiguous rhs is solved in
+    its own memory and returned, with the same bits.
     """
     if np.isfortran(rhs):
         # dpotrs reports only malformed arguments, which a factor cannot be
@@ -121,20 +127,23 @@ def solve_factored(factor, rhs):
         # differently by layout, so hand back C order
         out = np.ascontiguousarray(out)
     else:
-        # out' U'U = rhs': divide by U, then by U'
-        out_t = dtrsm(1.0, factor, rhs.T, side=1)
-        out = dtrsm(1.0, factor, out_t, side=1, trans_a=1, overwrite_b=1).T
+        # out' U'U = rhs': divide by U, then by U'; rhs.T of a C-contiguous
+        # rhs is Fortran-contiguous, so overwrite_b solves in its memory
+        in_place = overwrite_rhs and rhs.flags.c_contiguous
+        out_t = dtrsm(1.0, factor, rhs.T, side=1, overwrite_b=in_place)
+        out_t = dtrsm(1.0, factor, out_t, side=1, trans_a=1, overwrite_b=1)
+        out = rhs if in_place else out_t.T
     if not _all_finite(out):
         raise NumericalError("non-finite solution in block solve")
     return out
 
 
-def solve_spd(lhs, rhs):
+def solve_spd(lhs, rhs, overwrite_rhs=False):
     """Solve lhs @ out = rhs for a symmetric positive-definite lhs (upper
     triangle read): one dpotrf, then the solve solve_factored picks by the
-    layout of rhs, with the checks and C order of spd_factor and
-    solve_factored."""
-    return solve_factored(spd_factor(lhs), rhs)
+    layout of rhs, with the checks, C order and `overwrite_rhs` of
+    spd_factor and solve_factored."""
+    return solve_factored(spd_factor(lhs), rhs, overwrite_rhs)
 
 
 def _all_finite(mat):
@@ -179,16 +188,18 @@ class LayerTerms:
         return factor
 
 
-def update_projection(state, terms, weight):
+def update_projection(state, terms, weight, work=None):
     """Closed-form projection update on the layer input of `terms` (a
     LayerTerms) with graph weight w.
 
     T <- ((mu*(feats + nonneg + normed) + their duals) X' + mu*decoder
     + its dual) * (w X L X' + 3 mu X X' + mu I)^{-1}
+
+    `work` (d_out x n, C-ordered) holds the folded terms when given.
     """
     mu = state.penalty
     # one product against X' for all six (d_out x n) terms
-    num = state.feats + state.nonneg
+    num = np.add(state.feats, state.nonneg, out=work)
     num += state.normed
     num *= mu
     num += state.dual_feats
@@ -226,7 +237,7 @@ def prediction_terms(readout_chain, y, alpha, labeled_cols=None):
     return alpha * (r.T @ r), alpha * (r.T @ y), labeled_cols
 
 
-def update_features(state, x, px, prediction=None):
+def update_features(state, x, px, prediction=None, out=None, work=None):
     """Reconstruction-features update (GG' + mu I)^{-1}(GX + mu TX - D1),
     with px = TX.
 
@@ -237,28 +248,33 @@ def update_features(state, x, px, prediction=None):
     plain update. Every column of a triangular solve is independent, so the
     plain update solves all columns at once and the labeled ones are then
     overwritten, with the bits of solving each block on its own.
+
+    The right-hand side is built and solved in `out` (d_out x n, C-ordered;
+    state.feats allowed, which this update does not read) when given, and
+    mu TX is formed in `work` of the same shape.
     """
     mu = state.penalty
     g = state.decoder
     lhs = _add_to_diagonal(g @ g.T, mu + RIDGE)
-    rhs = g @ x
-    rhs += mu * px
+    rhs = np.matmul(g, x, out=out)
+    rhs += np.multiply(px, mu, out=work)
     rhs -= state.dual_feats
     if prediction is None:
-        return solve_spd(lhs, rhs)
+        return solve_spd(lhs, rhs, overwrite_rhs=True)
     rtr, rty, labeled = prediction
     if labeled is None:
         lhs += rtr
         rhs += rty
-        return solve_spd(lhs, rhs)
-    out = solve_spd(lhs, rhs)
-    lhs += rtr
+        return solve_spd(lhs, rhs, overwrite_rhs=True)
     # compress gathers in C order (rhs[:, labeled] would be Fortran-ordered),
-    # so the labeled block takes the same right-side solve as the rest
+    # so the labeled block takes the same right-side solve as the rest; it
+    # is gathered before rhs is solved in place
     rhs_labeled = rhs.compress(labeled, axis=1)
     rhs_labeled += rty
-    out[:, labeled] = solve_spd(lhs, rhs_labeled)
-    return out
+    feats = solve_spd(lhs, rhs, overwrite_rhs=True)
+    lhs += rtr
+    feats[:, labeled] = solve_spd(lhs, rhs_labeled, overwrite_rhs=True)
+    return feats
 
 
 def update_decoder(state, x):
@@ -277,34 +293,49 @@ def update_decoder(state, x):
     return solve_spd(lhs, rhs)
 
 
-def update_nonneg(state, px):
-    """Nonnegative copy: max(TX - D3/mu, 0), with px = TX."""
-    return prox_nonneg(px - state.dual_nonneg / state.penalty)
+def update_nonneg(state, px, out=None):
+    """Nonnegative copy: max(TX - D3/mu, 0), with px = TX, formed in `out`
+    when given (state.nonneg allowed)."""
+    shifted = np.divide(state.dual_nonneg, state.penalty, out=out)
+    np.subtract(px, shifted, out=shifted)
+    return prox_nonneg(shifted, out=shifted)
 
 
-def update_normed(state, px):
+def update_normed(state, px, out=None, work=None):
     """Norm-bounded copy: per-column unit-ball projection of TX - D4/mu,
-    with px = TX."""
-    return prox_unit_ball(px - state.dual_normed / state.penalty)
+    with px = TX, formed in `out` when given (state.normed allowed); `work`
+    (C-ordered, of px's shape) holds the squares."""
+    shifted = np.divide(state.dual_normed, state.penalty, out=out)
+    np.subtract(px, shifted, out=shifted)
+    return prox_unit_ball(shifted, out=shifted, work=work)
 
 
-def constraint_gaps(state, px):
+def constraint_gaps(state, px, out=None):
     """The four constraint differences (feats - TX, decoder - T,
-    nonneg - TX, normed - TX), with px = TX."""
-    return (state.feats - px, state.decoder - state.proj,
-            state.nonneg - px, state.normed - px)
+    nonneg - TX, normed - TX), with px = TX, written to the four C-ordered
+    arrays of `out` when given."""
+    out = (None,) * 4 if out is None else out
+    return (np.subtract(state.feats, px, out=out[0]),
+            np.subtract(state.decoder, state.proj, out=out[1]),
+            np.subtract(state.nonneg, px, out=out[2]),
+            np.subtract(state.normed, px, out=out[3]))
 
 
-def update_duals(state, gaps):
-    """Dual ascent for all four constraints, with gaps from constraint_gaps;
-    returns the new duals."""
+def update_duals(state, gaps, out=None):
+    """Dual ascent D <- D + mu * gap for all four constraints, with gaps from
+    constraint_gaps; returns the new duals.
+
+    With `out` (four arrays, the state's duals allowed) the new duals are
+    written there and each gap is scaled by mu in its own memory, with the
+    same two roundings: take a gap's norm before this call.
+    """
     mu = state.penalty
-    return (
-        state.dual_feats + mu * gaps[0],
-        state.dual_decoder + mu * gaps[1],
-        state.dual_nonneg + mu * gaps[2],
-        state.dual_normed + mu * gaps[3],
-    )
+    duals = (state.dual_feats, state.dual_decoder, state.dual_nonneg,
+             state.dual_normed)
+    scaled = (None,) * 4 if out is None else gaps
+    out = (None,) * 4 if out is None else out
+    return tuple(np.add(dual, np.multiply(gap, mu, out=into), out=dest)
+                 for dual, gap, into, dest in zip(duals, gaps, scaled, out))
 
 
 @dataclass
@@ -339,16 +370,17 @@ class PretrainReport:
         return "\n".join(lines) + "\n"
 
 
-def layer_terms(proj, x, graph_gram, emb=None):
+def layer_terms(proj, x, graph_gram, emb=None, work=None):
     """Unweighted terms of one layer: (||X - T'TX||^2, tr(T XLX' T'), TX).
 
     `graph_gram` is XLX'; `emb` is TX when the caller already has it. The
     residual is formed and squared inside the buffer of T'TX, so the
-    d_in x n work allocates one array.
+    d_in x n work allocates one array, or none when `work` (d_in x n,
+    C-ordered) is given.
     """
     if emb is None:
         emb = proj @ x
-    resid = proj.T @ emb
+    resid = np.matmul(proj.T, emb, out=work)
     np.subtract(x, resid, out=resid)
     np.multiply(resid, resid, out=resid)
     graph = float(np.sum((proj @ graph_gram) * proj))
@@ -365,15 +397,15 @@ def prediction_term(supervision, emb):
 
 
 def reconstruction_objective(proj, x, graph_gram, graph_weight,
-                             supervision=None, emb=None):
+                             supervision=None, emb=None, work=None):
     """The layer objective with the embedded features substituted by TX:
 
         1/2 ||X - T'TX||^2 + alpha/2 ||Y - R T X||^2 + w/2 tr(T XLX' T')
 
     The prediction term needs `supervision` (see run_admm). `emb` is TX
-    when the caller already has it.
+    when the caller already has it; `work` is layer_terms' buffer.
     """
-    recon, graph, emb = layer_terms(proj, x, graph_gram, emb)
+    recon, graph, emb = layer_terms(proj, x, graph_gram, emb, work)
     value = 0.5 * recon
     if supervision is not None:
         value += prediction_term(supervision, emb)
@@ -399,6 +431,14 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     only at its last row (by finetune_projection's guard), so it evaluates
     the objective once, at the iterate it returns, and leaves the column
     None on the rows before.
+
+    An iteration allocates no d_out x n array: the run owns TX, three
+    column-sized gaps (the first also serves as every update's scratch,
+    since the gaps are dead between the dual step and the next gap step)
+    and, for pre-training's objective, a d_in x n buffer for T'TX. The
+    features right-hand side is built and solved in the old features, the
+    copies and duals are written over their own arrays. Every block keeps
+    the bits of its allocating form.
     """
     x = terms.x
     d_in = x.shape[0]
@@ -410,40 +450,51 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     prediction = None if supervision is None else prediction_terms(
         *supervision)
     state = AdmmState.initial(proj0, x, cfg.mu0)
+    # C-ordered like the arrays the allocating forms return, since sums
+    # over them round by memory order
+    px = np.empty(state.feats.shape)
+    gaps = (np.empty(px.shape), np.empty(state.decoder.shape),
+            np.empty(px.shape), np.empty(px.shape))
+    work = gaps[0]
+    resid = np.empty(x.shape) if supervision is None else None
 
     trace = []
     for t in range(cfg.max_iters):
         mu_used = state.penalty
         try:
-            state.proj = update_projection(state, terms, graph_weight)
-            px = state.proj @ x
-            state.feats = update_features(state, x, px, prediction)
+            state.proj = update_projection(state, terms, graph_weight, work)
+            np.matmul(state.proj, x, out=px)
+            update_features(state, x, px, prediction, out=state.feats,
+                            work=work)
             state.decoder = update_decoder(state, x)
-            state.nonneg = update_nonneg(state, px)
-            state.normed = update_normed(state, px)
-            gaps = constraint_gaps(state, px)
-            (state.dual_feats, state.dual_decoder, state.dual_nonneg,
-             state.dual_normed) = update_duals(state, gaps)
+            update_nonneg(state, px, out=state.nonneg)
+            update_normed(state, px, out=state.normed, work=work)
+            constraint_gaps(state, px, out=gaps)
+            residuals = tuple(map(_frobenius, gaps))
+            update_duals(state, gaps, out=(
+                state.dual_feats, state.dual_decoder, state.dual_nonneg,
+                state.dual_normed))
         except NumericalError as exc:
             raise NumericalError(
                 f"non-finite value at ADMM iteration {t}: {exc}"
             ) from exc
         state.penalty = min(cfg.rho * state.penalty, cfg.mu_max)
 
-        residuals = tuple(map(_frobenius, gaps))
         if not all(map(math.isfinite, residuals)):
             raise NumericalError(f"non-finite value at ADMM iteration {t}")
         converged = all(r < cfg.eps for r in residuals)
         obj = None
         if supervision is None or converged or t == cfg.max_iters - 1:
             obj = reconstruction_objective(state.proj, x, terms.graph_gram,
-                                           graph_weight, supervision, px)
+                                           graph_weight, supervision, px,
+                                           resid)
             if not math.isfinite(obj):
                 raise NumericalError(f"non-finite value at ADMM iteration {t}")
         trace.append((t, *residuals, mu_used, obj))
         if converged:
             break
 
+    del px, gaps, work, resid  # before the report's column norms
     report = PretrainReport(
         converged=converged,
         trace=trace,

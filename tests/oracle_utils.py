@@ -11,6 +11,11 @@ The reference split and folds are the list-based forms that the array
 versions in the harness replaced; both must give the same indices in the
 same order.
 
+The reference kNN graph measures every pair with cdist, block by block,
+and takes each row's k nearest with the library's _nearest; the library's
+search, which measures only each row's candidates, must give the same
+graph bit for bit.
+
 The reference SLIC is the dense full-search implementation: every pixel is
 scored against every center through N x K matrices, and the orphan merge
 labels the whole grid once per segment. The library's tiled search must
@@ -18,11 +23,13 @@ return the same labels bit for bit.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy import ndimage, optimize
 from scipy.spatial.distance import cdist
 
 from progsub.embedding import pca_fit
 from progsub.errors import InputError
+from progsub.graphs import _nearest
 from progsub.superpixels import _N_REDUCED, Segmentation, _seed_grid
 from progsub.types import matrix_values
 
@@ -130,6 +137,28 @@ def random_laplacian(rng, n, density=0.4):
 def frob_rel_err(got, want):
     denom = max(np.linalg.norm(want), 1e-12)
     return float(np.linalg.norm(got - want) / denom)
+
+
+def reference_knn_heat_graph(x, k, sigma, block_floats=1 << 16):
+    """knn_heat_graph by cdist over all columns, in row blocks of at most
+    block_floats distances: the search before candidates were filtered."""
+    n = x.shape[1]
+    pts = x.T
+    neigh = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k))
+    step = max(1, block_floats // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        d2 = cdist(pts[start:stop], pts, "sqeuclidean")
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        neigh[start:stop], dist[start:stop] = _nearest(d2, k)
+    rows = np.repeat(np.arange(n), k)
+    weights = np.exp(-dist.ravel() / (2.0 * sigma * sigma))
+    w = sp.coo_matrix((weights, (rows, neigh.ravel())), shape=(n, n)).tocsr()
+    w = w.maximum(w.T)
+    w.setdiag(0.0)
+    w.eliminate_zeros()
+    return w
 
 
 def reference_merge_orphans(grid):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from progsub import InputError, knn_heat_graph, laplacian, lpp_fit, pca_fit
 from progsub.harness import _one_blas_thread
@@ -188,3 +189,82 @@ def test_lpp_deterministic():
     a = lpp_fit(x, lap, deg, 2)
     b = lpp_fit(x, lap, deg, 2)
     assert np.array_equal(a.projection, b.projection)
+
+
+def _wide_instance(rng, d=40, n=14):
+    """Fewer columns than rows: rank n < d, so X L X' and X D X' are
+    singular on the d - n directions orthogonal to every column."""
+    x = rng.random((d, n))
+    w = knn_heat_graph(x, 4, 1.0)
+    deg = np.asarray(w.sum(axis=1)).ravel()
+    return x, laplacian(w), np.where(deg <= 0, 1e-12, deg)
+
+
+def test_rank_deficient_lpp_solves_in_the_span_of_x():
+    rng = np.random.default_rng(11)
+    x, lap, deg = _wide_instance(rng)
+    emb = lpp_fit(x, lap, deg, 3)
+    basis = np.linalg.svd(x, full_matrices=False)[0]
+    rows = emb.projection
+    # no part of a row is orthogonal to the columns, so TX sees all of it
+    assert np.linalg.norm(rows - (rows @ basis) @ basis.T) < 1e-10
+    assert np.linalg.norm(rows @ x, axis=1).min() > 1e-2 * np.linalg.norm(
+        rows, axis=1).max() * np.linalg.norm(x, axis=0).min()
+    # the generalized eigen residual holds within the span
+    a_mat = x @ (lap.toarray() @ x.T)
+    b_mat = (x * deg[None, :]) @ x.T
+    for lam, row in zip(emb.eigenvalues, rows):
+        resid = np.linalg.norm(a_mat @ row - lam * (b_mat @ row))
+        assert resid <= 1e-6 * np.linalg.norm(a_mat) * np.linalg.norm(row)
+
+
+def test_full_rank_lpp_keeps_the_direct_solve():
+    rng = np.random.default_rng(12)
+    x, lap, deg = _wide_instance(rng, d=6, n=30)
+    emb = lpp_fit(x, lap, deg, 2)
+    a_mat = x @ (lap @ x.T)
+    a_mat = (a_mat + a_mat.T) / 2.0
+    b_mat = (x * deg[None, :]) @ x.T
+    b_mat = (b_mat + b_mat.T) / 2.0 + 1e-8 * np.eye(6)
+    vals, vecs = scipy.linalg.eigh(a_mat, b_mat)
+    rows = vecs[:, :2].T
+    signs = np.sign(rows[np.arange(2), np.abs(rows).argmax(axis=1)])
+    assert np.array_equal(emb.projection, rows * signs[:, None])
+    assert np.array_equal(emb.eigenvalues, vals[:2])
+
+
+# a 20x20 cube of 60 bands and 4 classes, 5 labeled pixels per class: 20
+# training pixels, so 40 fused columns against 60 bands (2n < bands)
+_WIDE_SHAPE = {"preset": "synth-benchmark", "synthetic.width": "20",
+               "synthetic.height": "20", "synthetic.bands": "60",
+               "synthetic.classes": "4", "split.train_per_class": "5"}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fewer_fit_columns_than_bands_does_not_collapse(tmp_path, monkeypatch,
+                                                        seed):
+    """Solved on X, the LPP start lay orthogonal to the data (median column
+    norm of TX 4e-7 to 2e-6 at layer 1) and progsub and lpp scored at
+    chance (0.25 to 0.28 oa); in the span of X the norms are 0.11-0.12 and
+    oa 0.73-0.83 (progsub) and 0.36-0.41 (lpp)."""
+    import progsub.model
+    from progsub.harness import ExperimentConfig, run_experiment
+
+    norms = []
+
+    def traced_lpp(x, lap, deg, d_out):
+        emb = lpp_fit(x, lap, deg, d_out)
+        norms.append(np.median(np.linalg.norm(emb.projection @ x, axis=0)))
+        return emb
+
+    monkeypatch.setattr(progsub.model, "lpp_fit", traced_lpp)
+    chance = 0.25
+    oa = {}
+    for method in ("progsub", "lpp"):
+        config = ExperimentConfig.from_mapping(
+            dict(_WIDE_SHAPE, method=method), seed=seed,
+            out_dir=str(tmp_path / method))
+        oa[method] = run_experiment(config)[0].oa
+    assert len(norms) == 2 and min(norms) > 0.05
+    assert oa["progsub"] > chance + 0.3
+    assert oa["lpp"] > chance + 0.08

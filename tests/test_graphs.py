@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 import progsub.graphs
+from oracle_utils import reference_knn_heat_graph
 from progsub import (InputError, alignment_graph, assemble_fused,
                      knn_heat_graph, laplacian)
 from progsub.graphs import _nearest, coordinate_dump
@@ -118,6 +119,117 @@ def test_knn_memory_stays_below_the_full_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < full_bytes / 8
+
+
+def _oracle_case(case, rng):
+    """(x, k) of one case the candidate search must get exactly right."""
+    if case == "duplicate columns":
+        # segments of 9 equal columns, more than k + 1 = 6: a row's whole
+        # neighborhood is at distance exactly 0
+        base = rng.standard_normal((4, 7))
+        return base[:, rng.permutation(np.repeat(np.arange(7), 9))], 5
+    if case == "duplicate columns far from the origin":
+        # cdist measures 0 between equal columns; GEMM rounds each such
+        # distance to its own value near 1e-13 of the squared norms
+        base = 10.0 + 1e-2 * rng.standard_normal((4, 7))
+        return base[:, rng.permutation(np.repeat(np.arange(7), 9))], 5
+    if case == "ties at the k-th distance":
+        return rng.integers(0, 3, (2, 60)).astype(np.float64), 6
+    if case == "k = n - 1":
+        return rng.standard_normal((3, 25)), 24
+    if case == "C order":
+        return np.ascontiguousarray(rng.standard_normal((6, 70))), 5
+    if case == "Fortran order":
+        return np.asfortranarray(rng.standard_normal((6, 70))), 5
+    if case == "norms 1e-3":
+        return 1e-3 * rng.standard_normal((5, 50)), 4
+    if case == "norms 1e3":
+        return 1e3 * rng.standard_normal((5, 50)), 4
+    if case == "norms 1e-3 and 1e3":
+        x = rng.standard_normal((5, 60))
+        return x * np.where(np.arange(60) % 2, 1e-3, 1e3), 4
+    if case == "far from the origin":
+        # distances near 1e-12 against squared norms of 800: GEMM rounding
+        # (about 1e-13) reorders neighbors, so the slack takes every column
+        return 10.0 + 1e-6 * rng.random((8, 80)), 7
+    if case == "d = 1":
+        return rng.integers(0, 12, (1, 50)).astype(np.float64), 4
+    raise ValueError(case)
+
+
+ORACLE_CASES = ["duplicate columns", "duplicate columns far from the origin",
+                "ties at the k-th distance", "k = n - 1",
+                "C order", "Fortran order", "norms 1e-3", "norms 1e3",
+                "norms 1e-3 and 1e3", "far from the origin", "d = 1"]
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, "all"])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_knn_candidate_search_has_the_all_columns_graph(monkeypatch, case,
+                                                        rows_per_block):
+    x, k = _oracle_case(case, np.random.default_rng(len(case)))
+    n = x.shape[1]
+    block = {1: n, 3: 3 * n, "all": 1 << 16}[rows_per_block]
+    monkeypatch.setattr(progsub.graphs, "_BLOCK_FLOATS", block)
+    got = knn_heat_graph(x, k, 0.7)
+    want = reference_knn_heat_graph(x, k, 0.7, block)
+    assert coordinate_dump(got) == coordinate_dump(want)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_knn_candidates_hold_the_k_nearest_and_not_the_point_itself(case):
+    x, k = _oracle_case(case, np.random.default_rng(len(case)))
+    pts = np.ascontiguousarray(x.T)
+    n, d = pts.shape
+    sq = np.einsum("ij,ij->i", pts, pts)
+    slack = progsub.graphs._candidate_slack(d) * (sq + sq.max())
+    cols, d2 = progsub.graphs._candidates(pts, sq, slack, 0, n, k)
+    full = cdist(pts, pts, "sqeuclidean")
+    np.fill_diagonal(full, np.inf)
+    kth = np.sort(full, axis=1)[:, k - 1:k]
+    real = cols < n
+    assert np.array_equal(np.isfinite(d2), real)
+    assert not (cols == np.arange(n)[:, None]).any()
+    for i in range(n):
+        assert np.all(np.diff(cols[i, real[i]]) > 0)
+        assert set(np.flatnonzero(full[i] <= kth[i])) <= set(cols[i, real[i]])
+        assert np.array_equal(d2[i, real[i]], full[i, cols[i, real[i]]])
+
+
+def test_knn_copies_a_c_ordered_input_once(monkeypatch):
+    """x.T of a C-ordered x is Fortran-ordered, and cdist copies points of
+    any layout but C into a C-ordered array on every call. The search
+    copies the points once, for the whole call, so no cdist call allocates
+    more than its own candidates, over 250 row blocks."""
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((50, 2000))
+    monkeypatch.setattr(progsub.graphs, "_BLOCK_FLOATS", 8 * 2000)
+    real_cdist = progsub.graphs.cdist
+    per_call = []
+
+    def traced_cdist(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real_cdist(*args, **kwargs)
+        per_call.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(progsub.graphs, "cdist", traced_cdist)
+    tracemalloc.start()
+    try:
+        knn_heat_graph(x, 10, 1.0)
+    finally:
+        tracemalloc.stop()
+    assert len(per_call) == 2000
+    assert max(per_call) < x.nbytes / 20
+
+
+def test_knn_rejects_non_finite_features():
+    for bad in (np.nan, np.inf, 1e160):
+        x = np.ones((2, 5))
+        x[1, 3] = bad
+        with pytest.raises(InputError, match="finite"):
+            knn_heat_graph(x, 2, 1.0)
 
 
 def test_knn_rejects_large_k():
