@@ -422,13 +422,15 @@ def prepare_data(config):
     return data
 
 
-def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
-    """Fit the configured method on the given columns.
+def _fit_method(config, data, hyper):
+    """Fit the configured method on the split's training columns (and, for
+    progsub with run.include_unlabeled, its unlabeled ones).
 
     Returns (embed_fn, model_stack_or_none, fit_report_or_none) where
     embed_fn maps a raw pixel matrix to the learned feature space.
     """
     cube = data.cube
+    train_idx = data.split.train_indices
     method = config.method
     if method == "raw":
         return (lambda v: v), None, None
@@ -445,7 +447,7 @@ def _fit_method(config, data, train_idx, unlabeled_idx, hyper):
     # progsub
     fit_idx = train_idx
     if config.include_unlabeled:
-        fit_idx = np.concatenate([train_idx, unlabeled_idx])
+        fit_idx = np.concatenate([train_idx, data.split.unlabeled_indices])
     fit_labels = data.labels[fit_idx]
     fit_labels[train_idx.size:] = 0  # the unlabeled columns' labels stay hidden
     with _stage("stream"):
@@ -511,9 +513,7 @@ def _fit_and_score(config, data, hyper):
         raise PipelineError("split", InputError("split produced no test samples"))
 
     with _stage("fit"):
-        embed, stack, report = _fit_method(
-            config, data, split.train_indices, split.unlabeled_indices, hyper
-        )
+        embed, stack, report = _fit_method(config, data, hyper)
 
     metrics, preds_all = score_embedding(data, embed)
     return metrics, stack, report, preds_all
@@ -599,23 +599,17 @@ def _apply_cell(hyper, cell):
 
 
 def _cv_score(config, data, hyper, folds):
-    """Mean held-out-fold overall accuracy for one hyperparameter cell."""
+    """Mean held-out-fold overall accuracy for one hyperparameter cell; each
+    fold is fitted and scored as a run whose split tests the fold."""
     oas = []
     all_idx = np.concatenate(folds)
     for val_idx in folds:
         fit_idx = np.setdiff1d(all_idx, val_idx)
         if fit_idx.size == 0:
             continue
-        k = hyper.knn_k
-        if k >= fit_idx.size:
-            k = max(1, fit_idx.size - 1)
-        fold_hyper = replace(hyper, knn_k=k)
-        # the folds hold training pixels only; no unlabeled column joins
-        embed, _, _ = _fit_method(config, data, fit_idx, fit_idx[:0], fold_hyper)
-        train_emb = embed(data.cube[:, fit_idx])
-        val_emb = embed(data.cube[:, val_idx])
-        preds = nn_classify(train_emb, data.labels[fit_idx], val_emb)
-        oas.append(float((preds == data.labels[val_idx]).mean()))
+        k = min(hyper.knn_k, max(1, fit_idx.size - 1))
+        fold = replace(data, split=SampleSplit(fit_idx, val_idx))
+        oas.append(_fit_and_score(config, fold, replace(hyper, knn_k=k))[0].oa)
     if not oas:
         raise InputError("cross-validation produced no scorable folds")
     return float(np.mean(oas))

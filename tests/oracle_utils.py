@@ -16,11 +16,19 @@ and takes each row's k nearest with the library's _nearest; the library's
 search, which measures only each row's candidates, must give the same
 graph bit for bit.
 
+The reference fold score is the cross-validation scoring that the harness
+replaced by its run path: it embeds a fold's fit and validation columns
+separately, classifies the validation columns alone and counts the hits by
+hand. The harness labels every pixel and reads oa from the confusion
+matrix; both must give the same score bit for bit.
+
 The reference SLIC is the dense full-search implementation: every pixel is
 scored against every center through N x K matrices, and the orphan merge
 labels the whole grid once per segment. The library's tiled search must
 return the same labels bit for bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,8 +38,10 @@ from scipy.spatial.distance import cdist
 from progsub.embedding import pca_fit
 from progsub.errors import InputError
 from progsub.graphs import _nearest
+from progsub.harness import _fit_method
+from progsub.metrics import nn_classify
 from progsub.superpixels import _N_REDUCED, Segmentation, _seed_grid
-from progsub.types import matrix_values
+from progsub.types import SampleSplit, matrix_values
 
 
 def assemble_quadratic(f, shape):
@@ -277,3 +287,25 @@ def reference_stratified_folds(labels, train_idx, n_folds, rng):
     for i in sorted(fold_of):
         folds[fold_of[i]].append(i)
     return [f for f in folds if f]
+
+
+def reference_cv_score(config, data, hyper, folds):
+    """Mean held-out-fold oa: fit on each fold's complement, embed its fit
+    and validation columns separately, label the validation columns by
+    their nearest fit column and count the hits."""
+    oas = []
+    all_idx = np.concatenate(folds)
+    for val_idx in folds:
+        fit_idx = np.setdiff1d(all_idx, val_idx)
+        if fit_idx.size == 0:
+            continue
+        k = hyper.knn_k
+        if k >= fit_idx.size:
+            k = max(1, fit_idx.size - 1)
+        fold = replace(data, split=SampleSplit(fit_idx, val_idx))
+        embed, _, _ = _fit_method(config, fold, replace(hyper, knn_k=k))
+        train_emb = embed(data.cube[:, fit_idx])
+        val_emb = embed(data.cube[:, val_idx])
+        preds = nn_classify(train_emb, data.labels[fit_idx], val_emb)
+        oas.append(float((preds == data.labels[val_idx]).mean()))
+    return float(np.mean(oas))

@@ -12,12 +12,14 @@ import pytest
 
 import progsub.harness
 from bench_utils import benchmark_config, desk_file_config, small_hyper
-from oracle_utils import reference_make_split, reference_stratified_folds
+from oracle_utils import (reference_cv_score, reference_make_split,
+                          reference_stratified_folds)
 from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
 from progsub.cli import main as cli_main
 from progsub.formats import labels_text, load_labels, save_cube, save_labels
 from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
-                             _GRID_FIELDS, _apply_cell, _grid_cells, _stage,
+                             _GRID_FIELDS, _apply_cell, _cv_score,
+                             _grid_cells, _stage,
                              _stratified_folds, grid_search_cv, layer_sweep,
                              load_config, load_data, make_split,
                              parse_config_text, prepare_data, run_experiment)
@@ -425,6 +427,14 @@ def test_cli_grid_folds_below_two_is_stage_tagged(tmp_path, capsys, folds):
         f"error[grid]: config key grid.folds={folds} must be >= 2\n")
 
 
+def test_cli_grid_fold_failure_names_its_stage(tmp_path, capsys):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="pca",
+                                  extra=["grid.dims=30"])
+    assert cli_main(["grid", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error[fit]: d_out must be in 1..min(d, n) = 12, got 30\n")
+
+
 def test_grid_explicitly_empty_candidates_rejected():
     cfg = benchmark_config(seed=7, method="pca", **{"grid.dims": ""})
     with pytest.raises(InputError, match="candidates"):
@@ -468,6 +478,23 @@ def test_grid_raw_cross_validates_one_cell(tmp_path):
     assert best == cfg.hyper
     lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[0] == "mean_oa" and len(lines) == 2
+
+
+@pytest.mark.parametrize("method", ["raw", "pca", "lpp", "progsub"])
+def test_cv_score_is_the_separate_fold_scoring(method):
+    # a fold is scored as a run: every pixel is embedded and labeled, and oa
+    # comes from the confusion matrix of the validation pixels
+    cfg = benchmark_config(seed=7, method=method,
+                           **{"grid.dims": "2,4", "grid.folds": "3"})
+    data = prepare_data(cfg)
+    folds = _stratified_folds(data.labels, data.split.train_indices, 3,
+                              np.random.default_rng(cfg.seed))
+    cells = _grid_cells(cfg)[1]
+    assert len(cells) == (1 if method == "raw" else 2)
+    for cell in cells:
+        hyper = _apply_cell(cfg.hyper, cell)
+        assert _cv_score(cfg, data, hyper, folds) == reference_cv_score(
+            cfg, data, hyper, folds)
 
 
 def test_grid_cell_setting_layers_keeps_its_dims():

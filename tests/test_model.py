@@ -602,12 +602,10 @@ def test_default_penalty_start_fits_desk_lower_in_fewer_iterations():
     iterations = {"default": 0, "1e-3": 0}
     for seed in range(1, 6):
         data = prepare_data(benchmark_config(seed=seed))  # mu0 reads no input
-        split = data.split
         final = {}
         for name, keys in (("default", {}), ("1e-3", {"admm.mu0": "1e-3"})):
             config = benchmark_config(seed=seed, **keys)
-            _, _, report = _fit_method(config, data, split.train_indices,
-                                       split.unlabeled_indices, config.hyper)
+            _, _, report = _fit_method(config, data, config.hyper)
             final[name] = report.objective_trace[-1]
             iterations[name] += _admm_iterations(report)
         assert final["default"] <= final["1e-3"], seed
