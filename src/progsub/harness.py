@@ -600,7 +600,9 @@ def _apply_cell(hyper, cell):
 
 def _cv_score(config, data, hyper, folds):
     """Mean held-out-fold overall accuracy for one hyperparameter cell; each
-    fold is fitted and scored as a run whose split tests the fold."""
+    fold is fitted and scored as a run whose split tests the fold. The
+    split's unlabeled pixels stay unlabeled in every fold, so they join each
+    fold fit when run.include_unlabeled is set; validation pixels never do."""
     oas = []
     all_idx = np.concatenate(folds)
     for val_idx in folds:
@@ -608,7 +610,8 @@ def _cv_score(config, data, hyper, folds):
         if fit_idx.size == 0:
             continue
         k = min(hyper.knn_k, max(1, fit_idx.size - 1))
-        fold = replace(data, split=SampleSplit(fit_idx, val_idx))
+        fold = replace(data, split=SampleSplit(
+            fit_idx, val_idx, data.split.unlabeled_indices))
         oas.append(_fit_and_score(config, fold, replace(hyper, knn_k=k))[0].oa)
     if not oas:
         raise InputError("cross-validation produced no scorable folds")

@@ -497,6 +497,34 @@ def test_cv_score_is_the_separate_fold_scoring(method):
             cfg, data, hyper, folds)
 
 
+@pytest.mark.parametrize("include", [True, False])
+def test_grid_fold_fit_sees_the_split_unlabeled_pixels(monkeypatch, include):
+    cfg = benchmark_config(seed=7, **{
+        "split.unlabeled_fraction": "0.3", "grid.budget": "1",
+        "grid.folds": "2", "run.include_unlabeled": str(include).lower()})
+    data = prepare_data(cfg)
+    unlabeled = data.split.unlabeled_indices
+    assert unlabeled.size > 0
+    folds = _stratified_folds(data.labels, data.split.train_indices, 2,
+                              np.random.default_rng(cfg.seed))
+    real = progsub.harness.fit_stack
+    fits = []
+
+    def spy(x, stream, labels, *args, **kwargs):
+        fits.append((x.copy(), np.array(labels)))
+        return real(x, stream, labels, *args, **kwargs)
+
+    monkeypatch.setattr(progsub.harness, "fit_stack", spy)
+    grid_search_cv(cfg)
+    assert len(fits) == len(folds) == 2
+    for (x, labels), val_idx in zip(fits, folds):
+        fit_idx = np.setdiff1d(np.concatenate(folds), val_idx)
+        cols = np.concatenate([fit_idx, unlabeled]) if include else fit_idx
+        assert np.array_equal(x, data.cube[:, cols])
+        assert np.array_equal(labels[:fit_idx.size], data.labels[fit_idx])
+        assert not labels[fit_idx.size:].any()
+
+
 def test_grid_cell_setting_layers_keeps_its_dims():
     hp = small_hyper(m=1, d=10)
     assert _apply_cell(hp, {"dims": "30", "layers": "2"}).dims == (30, 30)
