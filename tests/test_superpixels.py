@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import progsub.superpixels
 from oracle_utils import reference_merge_orphans, reference_slic_segment
-from progsub import InputError, segment_count, slic_segment, superpixel_stream
+from progsub import (InputError, SyntheticSpec, generate_synthetic,
+                     segment_count, slic_segment, superpixel_stream)
 from progsub.superpixels import Segmentation, _merge_orphans
 
 
@@ -126,6 +128,28 @@ def test_slic_prunes_centers_far_from_each_tile(monkeypatch):
     k = segment_count(64 * 64, 0.10)
     slic_segment(cube, 64, 64, k, max_iters=2)
     assert scored and max(scored) < k // 4
+
+
+# SLIC label digests on the semisup benchmark cube (seed 3, fraction 0.10)
+# at low compactness, where the feature term dominates and many tiles of
+# the assignment cannot be settled by their spatial bound alone
+SEMISUP_LABELS = {
+    0.1: "a3c775ac5e40e9730012ad9fd37a47fd8c8220c415eba329984a594d0260c20b",
+    1.0: "f5c0a006c5ce8ced5800153c389727d337a04749951bc1e4858ae04f88b9514d",
+    40.0: "765572584634213ef2042307c91c5e89cf07d9ca17f0c659eb0f125f6a155e4f",
+}
+
+
+@pytest.mark.parametrize("compactness", sorted(SEMISUP_LABELS))
+def test_slic_labels_keep_their_digest_across_compactness(compactness):
+    cube, _, width, height = generate_synthetic(SyntheticSpec(
+        seed=3, width=40, height=40, bands=100, n_classes=9,
+        separation=3.0, noise=0.4, blob_size=5))
+    seg = slic_segment(cube, width, height,
+                       segment_count(width * height, 0.10), compactness)
+    labels = np.ascontiguousarray(seg.labels, dtype="<i8")
+    digest = hashlib.sha256(labels.tobytes()).hexdigest()
+    assert digest == SEMISUP_LABELS[compactness]
 
 
 @pytest.mark.parametrize("seed", range(6))
