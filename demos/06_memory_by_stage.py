@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Memory of one run, stage by stage.
+"""Memory and time of one run, stage by stage.
 
 Writes a synthetic cube and its labels to files, then runs the experiment
 on those files in a fresh Python process, as the benchmark's operations do,
-and prints that process's VmHWM (peak resident memory so far) and VmRSS
-(resident memory now) after each pipeline stage: load, segment, split,
-stream, fit, transform, classify, metrics and write. Both are read from
-/proc/self/status; where that file is absent they print as "unavailable".
+and prints that process's VmHWM (peak resident memory so far), VmRSS
+(resident memory now) and the seconds each pipeline stage took: load,
+segment, split, stream, fit, transform, classify, metrics and write. VmHWM
+and VmRSS are read from /proc/self/status; where that file is absent they
+print as "unavailable".
 
-    python3 demos/06_memory_by_stage.py           # desk (16x16x12)
-    python3 demos/06_memory_by_stage.py --scene   # 145x145x200, README's table
+    python3 demos/06_memory_by_stage.py             # desk (16x16x12)
+    python3 demos/06_memory_by_stage.py --scene     # 145x145x200, README
+    python3 demos/06_memory_by_stage.py --houston   # 349x1905x144, ROADMAP
 """
 
 import argparse
@@ -18,6 +20,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 from progsub import formats, generate_synthetic, harness
 
@@ -31,6 +34,11 @@ SHAPES = {
         "synthetic.blob": "12", "split.train_per_class": "10",
     },
 }
+# the paper's second dataset shape, built like scene with 15 classes
+SHAPES["houston"] = dict(SHAPES["scene"], **{
+    "synthetic.width": "1905", "synthetic.height": "349",
+    "synthetic.bands": "144", "synthetic.classes": "15",
+})
 
 
 def memory_mb():
@@ -44,11 +52,12 @@ def memory_mb():
         return None
 
 
-def report(stage):
+def report(stage, seconds=None):
     mem = memory_mb()
     cells = ("unavailable",) * 2 if mem is None else \
         tuple(f"{value:.1f}" for value in mem)
-    print(f"{stage:<14}{cells[0]:>12}{cells[1]:>12}", flush=True)
+    took = "" if seconds is None else f"{seconds:.2f}"
+    print(f"{stage:<14}{cells[0]:>12}{cells[1]:>12}{took:>10}", flush=True)
 
 
 def write_inputs(shape, seed, workdir):
@@ -74,9 +83,10 @@ def run_measured(config_path):
 
     @contextlib.contextmanager
     def reporting_stage(name):
+        start = time.perf_counter()
         with stage(name):
             yield
-        report(name)
+        report(name, time.perf_counter() - start)
 
     report("after imports")
     harness._stage = reporting_stage
@@ -85,22 +95,28 @@ def run_measured(config_path):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--scene", action="store_true",
+    shapes = parser.add_mutually_exclusive_group()
+    shapes.add_argument("--scene", action="store_true",
                         help="the 145x145x200 scene shape instead of desk")
+    shapes.add_argument("--houston", action="store_true",
+                        help="the 349x1905x144 Houston shape instead of desk; "
+                        "generating its inputs takes about 20 s and peaks at "
+                        "about 1.5 GB")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--run", metavar="CONFIG", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run:
         run_measured(args.run)
         return
-    shape = "scene" if args.scene else "desk"
+    shape = "scene" if args.scene else "houston" if args.houston else "desk"
     with tempfile.TemporaryDirectory() as workdir:
         config_path = os.path.join(workdir, "config.txt")
         with open(config_path, "w", encoding="utf-8") as fh:
             fh.write(write_inputs(shape, args.seed, workdir))
         print(f"{shape}, seed {args.seed}: memory of a fresh process running "
-              "it from files, after each stage")
-        print(f"{'stage':<14}{'VmHWM, MB':>12}{'VmRSS, MB':>12}", flush=True)
+              "it from files after each stage, and the stage's seconds")
+        print(f"{'stage':<14}{'VmHWM, MB':>12}{'VmRSS, MB':>12}{'s':>10}",
+              flush=True)
         subprocess.run([sys.executable, os.path.abspath(__file__),
                         "--run", config_path], check=True)
 

@@ -5,35 +5,53 @@ grid-seeded centers, followed by a connectivity pass that merges orphaned
 components into their largest adjacent segment. Everything is deterministic:
 same cube, same arguments, same labels.
 
-The assignment step returns the same labels as a full search of every
-center for every pixel, in memory linear in the pixel count. It scores the
-image in fixed pixel tiles and drops, per tile, only the centers that
-provably cannot win. A pixel's distance to a center is its feature term
-(>= 0) plus ``spatial_scale * d_xy^2``, and ``d_xy^2`` is at least the
-squared distance from the center to the tile's rectangle. Every rounding
-step in that chain is monotone, so a center whose rectangle term alone
-exceeds the tile's bound (the largest, over the tile's pixels, of each
-pixel's best distance to the centers near the tile) scores strictly worse
-than some center for every pixel of the tile: it can neither win nor tie.
-The survivors are scored with the full formula in ascending center order,
-so ties break toward the lowest center id as in a full search. The center
-update groups the pixels by one stable sort of the labels, and the orphan
-merge works inside each segment's bounding box.
+The assignment step returns the labels of a full search of every center
+for every pixel, in memory linear in the pixel count and, where tiles are
+proven (below), in time linear in it too. With step
+S = sqrt(n_pixels / n_segments), the image is cut into tiles of side
+T = ceil(S), and the centers are bucketed into cells on the same grid:
+cell (i, j) holds the centers with floor(r / T) = i and floor(c / T) = j.
+Each tile is scored against the centers of its 3x3 block of cells, in
+ascending center order, so ties go to the lowest id as in a full search.
+
+A center outside the block is more than T away from every pixel of the
+tile in rows or in columns, so its distance ``d_feat^2 + scale * d_xy^2``
+(``scale = compactness^2 / S^2``, the feature term >= 0) is at least
+``scale * T^2``; each rounding step in that chain is monotone, so the
+computed distance is too. The tile's bound is the largest, over its
+pixels, of each pixel's best distance among the candidates. When
+``scale * T^2 * (1 - slack)`` exceeds the bound, no center outside the
+block can win or tie at any pixel of the tile, and the tile is proven. The
+pixels of a tile that is not proven are scored again against every center.
+That covers a NaN bound and compactness 0, where no tile is proven.
+
+The feature term is cdist's sqeuclidean written out: with at most three
+features, the squared differences summed in order have its bits. Tiles are
+scored in blocks whose temporaries stay within 128 kB, glibc's default
+mmap threshold, so the memory is reused from the heap block after block
+and no multi-MB temporary moves the threshold, which can hold freed memory
+resident later in a run.
+
+The center update takes the row and column means from bincount sums, which
+are exact for integer coordinates and so have ``.mean()``'s bits; the
+feature means are ``.mean()`` over each moved center's members in ascending
+pixel order, one call per member count. The orphan merge finds the segments split into several
+4-connected components with one labelling of the whole grid, and visits
+only those, each inside its bounding box.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial.distance import cdist
 
 from .embedding import pca_fit
 from .errors import InputError
 from .types import matrix_values
 
 _N_REDUCED = 3  # images with more bands are reduced to this many components
-_TILE = 16  # side of the pixel tiles the assignment step scores at once
-_SLACK = 1e-9  # relative margin a center must clear before it is dropped
+_SLACK = 1e-9  # relative margin a tile's bound must clear to be proven
+_BLOCK_BYTES = 2 ** 17  # largest scoring temporary (see the module docstring)
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,25 @@ def _seed_grid(width, height, n_segments):
     return rr.ravel(), cc.ravel()
 
 
+def _split_segments(grid):
+    """Ids of the segments that have more than one 4-connected component.
+
+    One labelling of a grid at twice the resolution: pixels sit at the even
+    positions, and the cell between two 4-adjacent pixels is set only when
+    both have the same id, so each component is one same-id 4-connected
+    region. Diagonal neighbours never meet, as the odd-odd cells stay unset.
+    """
+    height, width = grid.shape
+    joined = np.zeros((2 * height - 1, 2 * width - 1), dtype=bool)
+    joined[::2, ::2] = True
+    joined[::2, 1::2] = grid[:, 1:] == grid[:, :-1]
+    joined[1::2, ::2] = grid[1:] == grid[:-1]
+    comp, n_comp = ndimage.label(joined)
+    segment_of = np.empty(n_comp + 1, dtype=np.int64)
+    segment_of[comp[::2, ::2]] = grid
+    return np.flatnonzero(np.bincount(segment_of[1:]) > 1)
+
+
 def _merge_orphans(grid):
     """Keep each segment's largest connected component; fold the rest into
     the largest 4-adjacent segment.
@@ -78,22 +115,26 @@ def _merge_orphans(grid):
     Segments are visited in ascending id order, each inside its bounding box
     padded by one pixel, which holds all of the segment and every pixel
     4-adjacent to it. A merge widens the target's box to cover the merged
-    component.
+    component. Only the segments split at entry are visited: a merge joins
+    a component to a segment it is 4-adjacent to, so a segment in one piece
+    stays in one piece.
     """
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     height, width = grid.shape
     sizes = np.bincount(grid.ravel())
-    boxes = np.array([(0, 0, 0, 0) if sl is None else
-                      (sl[0].start, sl[0].stop, sl[1].start, sl[1].stop)
-                      for sl in ndimage.find_objects(grid + 1)])
-    for sid in np.flatnonzero(sizes):
+    split = _split_segments(grid)
+    # boxes of the split segments; no other segment's box is read
+    boxes = np.zeros((sizes.size, 4), dtype=np.int64)
+    ids = np.zeros(sizes.size, dtype=np.int64)
+    ids[split] = np.arange(1, split.size + 1)
+    for sid, sl in zip(split, ndimage.find_objects(ids[grid])):
+        boxes[sid] = sl[0].start, sl[0].stop, sl[1].start, sl[1].stop
+    for sid in split:
         r0, r1, c0, c1 = boxes[sid]
         r0, c0 = max(r0 - 1, 0), max(c0 - 1, 0)
         window = grid[r0:min(r1 + 1, height), c0:min(c1 + 1, width)]
         mask = window == sid
         comp, n_comp = ndimage.label(mask, structure=structure)
-        if n_comp <= 1:
-            continue
         comp_sizes = ndimage.sum_labels(mask, comp, index=np.arange(1, n_comp + 1))
         keep = int(np.argmax(comp_sizes)) + 1
         for cid, sl in enumerate(ndimage.find_objects(comp), start=1):
@@ -118,40 +159,121 @@ def _merge_orphans(grid):
     return grid
 
 
-def _assign(pts, rows, cols, width, height, center_rc, center_feat,
-            spatial_scale, step2):
-    """Nearest center of every pixel, scored tile by tile over the centers
-    that can still win there (see the module docstring)."""
+def _tiles(width, height, side):
+    """The image cut into side x side tiles, in row-major order: each tile's
+    rows and columns, two (n_tiles, side) arrays. A tile cut by the image
+    edge repeats its last row or column, so every pixel of a tile's rows
+    and columns is one of its own."""
+    rows = np.minimum(np.arange(0, height, side)[:, None] + np.arange(side),
+                      height - 1)
+    cols = np.minimum(np.arange(0, width, side)[:, None] + np.arange(side),
+                      width - 1)
+    return (np.repeat(rows, cols.shape[0], axis=0),
+            np.tile(cols, (rows.shape[0], 1)))
 
-    def distances(pix, cen):
-        feat_d2 = cdist(pts[pix], center_feat[cen], "sqeuclidean")
-        xy_d2 = (rows[pix, None] - center_rc[None, cen, 0]) ** 2 + (
-            cols[pix, None] - center_rc[None, cen, 1]
-        ) ** 2
-        return feat_d2 + spatial_scale * xy_d2
+
+def _candidates(center_rc, side, n_tile_rows, n_tile_cols):
+    """Ids of the centers in each tile's 3x3 block of cells, grouped by tile
+    and ascending within a tile, and the number of them in each tile. Cell
+    (i, j) holds the centers with (floor(r / side), floor(c / side)) equal
+    to (i, j), so the cells are the tiles."""
+    k = center_rc.shape[1]
+    cell_r, cell_c = np.floor(center_rc / side).astype(np.int64)
+    shift = np.arange(-1, 2)
+    r = cell_r + shift[:, None, None]
+    c = cell_c + shift[None, :, None]
+    key = r * n_tile_cols + c
+    key *= k
+    key += np.arange(k)
+    key = key[(r >= 0) & (r < n_tile_rows) & (c >= 0) & (c < n_tile_cols)]
+    key.sort()
+    ids = (key % k).astype(np.int32)
+    key //= k
+    return ids, np.bincount(key, minlength=n_tile_rows * n_tile_cols)
+
+
+def _nearest(feat, rows, cols, cand, center_rc, center_feat, spatial_scale):
+    """Nearest candidate center of each pixel of b tiles, and its D^2.
+
+    Tile i spans rows `rows[i]` (r of them) and columns `cols[i]` (q), and
+    `feat[:, i]` holds the features of its p = r * q pixels in row-major
+    order; `cand` is (b, c), ascending per row, or (1, c) for centers shared
+    by all tiles. Returns two (b, p) arrays; ties go to the first candidate.
+    The feature term is cdist's sqeuclidean written out, squared
+    differences summed from zero over the (at most three) features in
+    order, and has its bits; the spatial term is (dr^2 + dc^2) * scale, as
+    a full search forms it.
+    """
+    center = center_feat[:, cand]
+    shape = (max(feat.shape[1], cand.shape[0]), feat.shape[2], cand.shape[1])
+    d2, diff = np.zeros(shape), np.empty(shape)
+    for f in range(feat.shape[0]):
+        np.subtract(feat[f][:, :, None], center[f][:, None, :], out=diff)
+        diff *= diff
+        d2 += diff
+    dr = rows[:, :, None] - center_rc[0, cand][:, None, :]
+    dr *= dr
+    dc = cols[:, :, None] - center_rc[1, cand][:, None, :]
+    dc *= dc
+    xy = diff.reshape(dr.shape[:2] + dc.shape[1:])
+    np.add(dr[:, :, None, :], dc[:, None, :, :], out=xy)
+    xy *= spatial_scale
+    d2 += diff
+    best = d2.argmin(axis=2)
+    return (np.take_along_axis(cand, best, 1),
+            np.take_along_axis(d2, best[:, :, None], 2)[:, :, 0])
+
+
+def _assign(feats, tiles, width, height, center_rc, center_feat,
+            spatial_scale, side):
+    """Nearest center of every pixel, with the labels of a full search (see
+    the module docstring); `tiles` is `_tiles(width, height, side)`."""
+    rows, cols = tiles
+
+    def pixels(tb):
+        pix = rows[tb, :, None] * width + cols[tb, None, :]
+        return pix.reshape(tb.size, side * side)
 
     labels = np.empty(width * height, dtype=np.int64)
-    every = np.arange(center_rc.shape[0])
-    for r0 in range(0, height, _TILE):
-        r1 = min(r0 + _TILE, height) - 1
-        dr = np.maximum(np.maximum(r0 - center_rc[:, 0],
-                                   center_rc[:, 0] - r1), 0.0)
-        for c0 in range(0, width, _TILE):
-            c1 = min(c0 + _TILE, width) - 1
-            pix = (np.arange(r0, r1 + 1)[:, None] * width
-                   + np.arange(c0, c1 + 1)).ravel()
-            cen = every
-            if spatial_scale > 0:
-                dc = np.maximum(np.maximum(c0 - center_rc[:, 1],
-                                           center_rc[:, 1] - c1), 0.0)
-                rect_d2 = dr ** 2 + dc ** 2
-                near = np.flatnonzero(rect_d2 <= max(step2, rect_d2.min()))
-                bound = distances(pix, near).min(axis=1).max()
-                # the slack can only keep a center; a NaN bound keeps all
-                cen = np.flatnonzero(
-                    ~(spatial_scale * rect_d2 * (1.0 - _SLACK) > bound)
-                )
-            labels[pix] = cen[np.argmin(distances(pix, cen), axis=1)]
+    ids, counts = _candidates(center_rc, side, -(-height // side),
+                              -(-width // side))
+    starts = np.cumsum(counts) - counts
+    # a center outside a tile's 3x3 block of cells is more than `side` away
+    # from the tile in rows or in columns, so it scores at least
+    # scale * side^2 at each of its pixels; a NaN bound never clears this
+    limit = spatial_scale * (side * side) * (1.0 - _SLACK)
+    # blocks take the tiles in order of their candidate count, as many as
+    # keep the scores within _BLOCK_BYTES when each tile's candidates are
+    # padded to the block's largest count by repeating its last one (a
+    # repeat after the original never wins its tie); a tile with no
+    # candidate, or with more than a block holds, is not proven
+    room = _BLOCK_BYTES // (8 * side * side)
+    order = np.argsort(counts, kind="stable")
+    ordered = counts[order]
+    proven = np.zeros(counts.size, dtype=bool)
+    lo, end = np.searchsorted(ordered, [1, room + 1])
+    while lo < end:
+        fits = ordered[lo:min(lo + room // ordered[lo], end)]
+        hi = lo + np.count_nonzero(np.arange(1, fits.size + 1) * fits <= room)
+        tb = order[lo:hi]
+        pos = np.minimum(np.arange(ordered[hi - 1]), counts[tb, None] - 1)
+        cand = ids[starts[tb, None] + pos]
+        pix = pixels(tb)
+        found, best = _nearest(feats[:, pix], rows[tb], cols[tb], cand,
+                               center_rc, center_feat, spatial_scale)
+        proven[tb] = ok = limit > best.max(axis=1)
+        labels[pix[ok]] = found[ok]
+        lo = hi
+    # the pixels of the tiles not proven are scored against every center,
+    # each pixel as a 1 x 1 tile
+    rest = pixels(np.flatnonzero(~proven)).reshape(-1, 1)
+    every = np.arange(center_rc.shape[1])[None, :]
+    block = max(1, _BLOCK_BYTES // (8 * every.size))
+    for p0 in range(0, rest.shape[0], block):
+        q = rest[p0:p0 + block]
+        found, _ = _nearest(feats[:, q], q // width, q % width, every,
+                            center_rc, center_feat, spatial_scale)
+        labels[q[:, 0]] = found[:, 0]
     return labels
 
 
@@ -183,23 +305,24 @@ def slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10
         # distance, so the cube is projected as it is: pca_fit centers it
         # once, block by block, for the covariance
         feats = pca_fit(values, min(_N_REDUCED, n)).projection @ values
-    pts = np.ascontiguousarray(feats.T)
     rows = np.arange(n) // width
     cols = np.arange(n) % width
     step2 = n / n_segments  # S^2
     spatial_scale = (compactness ** 2) / step2
+    side = int(np.ceil(np.sqrt(step2)))
+    tiles = _tiles(width, height, side)
 
     seed_r, seed_c = _seed_grid(width, height, n_segments)
-    seed_idx = seed_r * width + seed_c
-    center_rc = np.stack([seed_r, seed_c], axis=1).astype(np.float64)
-    center_feat = feats[:, seed_idx].T.copy()
+    center_rc = np.stack([seed_r, seed_c]).astype(np.float64)
+    center_feat = feats[:, seed_r * width + seed_c]
+    n_centers = center_rc.shape[1]
 
     labels = None
     for _it in range(max_iters):
-        new_labels = _assign(pts, rows, cols, width, height, center_rc,
-                             center_feat, spatial_scale, step2)
+        new_labels = _assign(feats, tiles, width, height, center_rc,
+                             center_feat, spatial_scale, side)
         if labels is None:
-            moved = np.arange(center_rc.shape[0])
+            moved = np.arange(n_centers)
         elif np.array_equal(new_labels, labels):
             break
         else:
@@ -207,17 +330,23 @@ def slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10
             changed = new_labels != labels
             moved = np.union1d(labels[changed], new_labels[changed])
         labels = new_labels
-        # members of each center in ascending pixel order, as a mask gives
+        counts = np.bincount(labels, minlength=n_centers)
+        filled = counts > 0
+        # sums of pixel coordinates are exact, so these have .mean()'s bits
+        for axis, coord in enumerate((rows, cols)):
+            sums = np.bincount(labels, weights=coord, minlength=n_centers)
+            center_rc[axis, filled] = sums[filled] / counts[filled]
+        # members of each center in ascending pixel order, as a mask gives;
+        # the moved centers with m members take one .mean() over a
+        # (features, centers, m) gather, which reduces each center's row of
+        # m members as a call of its own would
         order = np.argsort(labels, kind="stable")
-        counts = np.bincount(labels, minlength=center_rc.shape[0])
-        ends = np.cumsum(counts)
-        for k in moved:
-            members = order[ends[k] - counts[k]:ends[k]]
-            if not members.size:
-                continue
-            center_rc[k, 0] = rows[members].mean()
-            center_rc[k, 1] = cols[members].mean()
-            center_feat[k] = feats[:, members].mean(axis=1)
+        starts = np.cumsum(counts) - counts
+        moved = moved[counts[moved] > 0]
+        for m in np.unique(counts[moved]):
+            ks = moved[counts[moved] == m]
+            members = order[starts[ks, None] + np.arange(m)]
+            center_feat[:, ks] = feats[:, members].mean(axis=2)
 
     grid = labels.reshape(height, width)
     grid = _merge_orphans(grid)

@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.spatial.distance import cdist
 
 import progsub.superpixels
 from oracle_utils import reference_merge_orphans, reference_slic_segment
 from progsub import (InputError, SyntheticSpec, generate_synthetic,
                      segment_count, slic_segment, superpixel_stream)
-from progsub.superpixels import Segmentation, _merge_orphans
+from progsub.superpixels import (Segmentation, _assign, _merge_orphans,
+                                 _seed_grid, _split_segments, _tiles)
 
 
 def test_constant_image_yields_seed_grid_blocks():
@@ -83,8 +86,8 @@ def test_slic_rejects_bad_settings(key, value):
         slic_segment(cube, 6, 6, 4, **{key: value})
 
 
-# (height, width): single pixels, single rows and columns, one partial
-# tile, and shapes spanning several 16x16 tiles so that pruning runs
+# (height, width): single pixels, single rows and columns, one cell, and
+# shapes spanning many cells
 _SHAPES = [(1, 1), (1, 37), (29, 1), (7, 9), (40, 23), (33, 50), (18, 17)]
 
 
@@ -115,19 +118,112 @@ def test_slic_matches_dense_reference(compactness, max_iters, kind):
         assert np.array_equal(got.labels, want.labels), args[1:]
 
 
-def test_slic_prunes_centers_far_from_each_tile(monkeypatch):
+def _spy_on_scoring(monkeypatch):
+    """Record (pixels per tile, centers per tile) of each scoring call."""
     scored = []
+    nearest = progsub.superpixels._nearest
 
-    def spy(xa, xb, metric):
-        scored.append(xb.shape[0])
-        return cdist(xa, xb, metric)
+    def spy(feat, rows, cols, cand, *rest):
+        scored.append((feat.shape[2], cand.shape[1]))
+        return nearest(feat, rows, cols, cand, *rest)
 
-    cdist = progsub.superpixels.cdist
-    monkeypatch.setattr(progsub.superpixels, "cdist", spy)
+    monkeypatch.setattr(progsub.superpixels, "_nearest", spy)
+    return scored
+
+
+def test_slic_prunes_centers_far_from_each_tile(monkeypatch):
+    scored = _spy_on_scoring(monkeypatch)
     cube = np.random.default_rng(11).random((8, 64 * 64))
     k = segment_count(64 * 64, 0.10)
     slic_segment(cube, 64, 64, k, max_iters=2)
-    assert scored and max(scored) < k // 4
+    assert scored and max(c for _, c in scored) < k // 4
+
+
+def _clustered_cube(rng, bands, n, n_clusters):
+    # tight clusters far apart in feature space: the feature term swamps
+    # the spatial one, so a tile's best candidate can be far off
+    means = rng.normal(scale=50.0, size=(bands, n_clusters))
+    noise = rng.normal(scale=0.01, size=(bands, n))
+    return means[:, rng.integers(0, n_clusters, n)] + noise
+
+
+# (height, width, n_segments): no image side is a multiple of the cell side
+_ODD_SHAPES = [(37, 23, 30), (51, 33, 90), (19, 44, 100), (9, 31, 12)]
+
+
+@pytest.mark.parametrize("compactness", [0.0, 0.1])
+@pytest.mark.parametrize("shape", _ODD_SHAPES)
+def test_slic_matches_dense_reference_where_tiles_are_not_proven(
+        monkeypatch, shape, compactness):
+    height, width, n_segments = shape
+    n = height * width
+    side = int(np.ceil(np.sqrt(n / n_segments)))
+    assert height % side and width % side
+    rng = np.random.default_rng(n_segments)
+    for bands in (2, 6):
+        cube = _clustered_cube(rng, bands, n, 5)
+        scored = _spy_on_scoring(monkeypatch)
+        got = slic_segment(cube, width, height, n_segments, compactness)
+        want = reference_slic_segment(cube, width, height, n_segments,
+                                      compactness)
+        assert np.array_equal(got.labels, want.labels)
+        # pixels of tiles not proven were scored one by one
+        assert min(p for p, _ in scored) == 1
+
+
+def _full_search(feats, width, center_rc, center_feat, spatial_scale):
+    rows, cols = np.divmod(np.arange(feats.shape[1]), width)
+    xy = ((rows[:, None] - center_rc[0]) ** 2
+          + (cols[:, None] - center_rc[1]) ** 2)
+    d2 = cdist(feats.T, center_feat.T, "sqeuclidean") + spatial_scale * xy
+    return d2.argmin(axis=1)
+
+
+@pytest.mark.parametrize("spatial_scale", [0.0, 0.01, 1.0, 100.0])
+def test_assignment_matches_full_search_with_centers_bunched_in_one_cell(
+        spatial_scale):
+    rng = np.random.default_rng(31)
+    height, width, side = 30, 26, 3
+    feats = rng.random((3, height * width))
+    # 40 centers inside cell (4, 4), 30 spread over the image, and two
+    # copies of earlier centers whose ties must go to the lower id
+    bunched = rng.uniform(12.0, 14.999, size=(2, 40))
+    spread = rng.uniform(0.0, 1.0, size=(2, 30)) * [[height - 1], [width - 1]]
+    center_rc = np.concatenate([bunched, spread, bunched[:, :1],
+                                spread[:, 3:4]], axis=1)
+    center_feat = rng.random((3, center_rc.shape[1]))
+    center_feat[:, 70] = center_feat[:, 0]
+    center_feat[:, 71] = center_feat[:, 43]
+    got = _assign(feats, _tiles(width, height, side), width, height,
+                  center_rc, center_feat, spatial_scale, side)
+    want = _full_search(feats, width, center_rc, center_feat, spatial_scale)
+    assert np.array_equal(got, want)
+    assert not np.isin([70, 71], got).any()
+
+
+def test_assignment_peak_memory_is_a_few_blocks_at_scene_shape():
+    # the scene benchmark's shape: 145 x 145 pixels, 2116 centers, features
+    # in [0, 1) and compactness 10, where every tile is proven. Scoring
+    # holds two (tiles, pixels, candidates) arrays of at most 128 kB and
+    # numpy's iterator buffers; with the candidate ids, the peak was 5.3
+    # such blocks beyond the labels, 6.9 with 192 kB and 8.6 with 256 kB
+    width = height = 145
+    n = width * height
+    n_segments = segment_count(n, 0.10)
+    side = int(np.ceil(np.sqrt(n / n_segments)))
+    feats = np.random.default_rng(8).random((3, n))
+    tiles = _tiles(width, height, side)
+    seed_r, seed_c = _seed_grid(width, height, n_segments)
+    center_rc = np.stack([seed_r, seed_c]).astype(np.float64)
+    center_feat = feats[:, seed_r * width + seed_c]
+    tracemalloc.start()
+    try:
+        labels = _assign(feats, tiles, width, height, center_rc,
+                         center_feat, 10.0 ** 2 * n_segments / n, side)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < labels.nbytes + 6 * 2 ** 17
 
 
 # SLIC label digests on the semisup benchmark cube (seed 3, fraction 0.10)
@@ -161,6 +257,42 @@ def test_windowed_orphan_merge_matches_reference(seed):
         grid = rng.integers(0, n_ids, size=(height, width))
         want = reference_merge_orphans(grid.copy())
         assert np.array_equal(_merge_orphans(grid.copy()), want)
+
+
+# segments that touch themselves or each other only at corners are not
+# 4-connected: a checkerboard, diagonal stripes and a ring of diagonal steps
+_DIAGONAL_GRIDS = [
+    np.indices((6, 7)).sum(axis=0) % 2,
+    np.indices((9, 8)).sum(axis=0) % 3,
+    np.array([[0, 1, 1, 0],
+              [1, 0, 0, 1],
+              [1, 0, 0, 1],
+              [0, 1, 1, 0]]),
+    np.eye(5, dtype=np.int64) + 2 * np.eye(5, k=1, dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("i", range(len(_DIAGONAL_GRIDS)))
+def test_orphan_merge_splits_segments_touching_only_diagonally(i):
+    grid = _DIAGONAL_GRIDS[i]
+    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    split = [s for s in np.unique(grid)
+             if ndimage.label(grid == s, structure=structure)[1] > 1]
+    assert split and _split_segments(grid).tolist() == split
+    want = reference_merge_orphans(grid.copy())
+    assert np.array_equal(_merge_orphans(grid.copy()), want)
+
+
+def test_slic_matches_dense_reference_on_a_checkerboard():
+    # at compactness 0 the labels follow the features, whose checkerboard
+    # cuts segments into pieces that meet only at corners
+    height, width = 12, 10
+    board = np.indices((height, width)).sum(axis=0).ravel() % 2
+    cube = np.stack([board, 1.0 - board]).astype(np.float64)
+    for n_segments in (2, 6, 20):
+        got = slic_segment(cube, width, height, n_segments, 0.0)
+        want = reference_slic_segment(cube, width, height, n_segments, 0.0)
+        assert np.array_equal(got.labels, want.labels)
 
 
 def test_slic_memory_is_linear_in_pixels():
