@@ -28,16 +28,16 @@ That covers a NaN bound and compactness 0, where no tile is proven.
 The feature term is cdist's sqeuclidean written out: with at most three
 features, the squared differences summed in order have its bits. Tiles are
 scored in blocks whose temporaries stay within 128 kB, glibc's default
-mmap threshold, so the memory is reused from the heap block after block
-and no multi-MB temporary moves the threshold, which can hold freed memory
-resident later in a run.
+mmap threshold, so scoring reuses heap memory block after block and frees
+no multi-MB temporary, whose size would raise the threshold and can keep
+memory freed later in a run resident.
 
 The center update takes the row and column means from bincount sums, which
 are exact for integer coordinates and so have ``.mean()``'s bits; the
-feature means are ``.mean()`` over each moved center's members in ascending
-pixel order, one call per member count. The orphan merge finds the segments split into several
-4-connected components with one labelling of the whole grid, and visits
-only those, each inside its bounding box.
+feature means are ``.mean()`` over each moved center's members in
+ascending pixel order, one call per member count. The orphan merge finds
+the segments split into several 4-connected components with one labelling
+of the whole grid, and visits only those, each inside its bounding box.
 """
 
 from dataclasses import dataclass
@@ -125,9 +125,9 @@ def _merge_orphans(grid):
     split = _split_segments(grid)
     # boxes of the split segments; no other segment's box is read
     boxes = np.zeros((sizes.size, 4), dtype=np.int64)
-    ids = np.zeros(sizes.size, dtype=np.int64)
-    ids[split] = np.arange(1, split.size + 1)
-    for sid, sl in zip(split, ndimage.find_objects(ids[grid])):
+    rank = np.zeros(sizes.size, dtype=np.int64)
+    rank[split] = np.arange(1, split.size + 1)
+    for sid, sl in zip(split, ndimage.find_objects(rank[grid])):
         boxes[sid] = sl[0].start, sl[0].stop, sl[1].start, sl[1].stop
     for sid in split:
         r0, r1, c0, c1 = boxes[sid]
@@ -193,16 +193,13 @@ def _candidates(center_rc, side, n_tile_rows, n_tile_cols):
 
 
 def _nearest(feat, rows, cols, cand, center_rc, center_feat, spatial_scale):
-    """Nearest candidate center of each pixel of b tiles, and its D^2.
+    """Nearest candidate center of each pixel of b tiles, and its D^2, as
+    two (b, p) arrays; ties go to the first candidate.
 
     Tile i spans rows `rows[i]` (r of them) and columns `cols[i]` (q), and
-    `feat[:, i]` holds the features of its p = r * q pixels in row-major
-    order; `cand` is (b, c), ascending per row, or (1, c) for centers shared
-    by all tiles. Returns two (b, p) arrays; ties go to the first candidate.
-    The feature term is cdist's sqeuclidean written out, squared
-    differences summed from zero over the (at most three) features in
-    order, and has its bits; the spatial term is (dr^2 + dc^2) * scale, as
-    a full search forms it.
+    `feat[:, i]` holds its p = r * q pixels' features in row-major order.
+    `cand` is (b, c), or (1, c) for centers shared by all tiles. D^2 is
+    formed as a full search forms it (see the module docstring).
     """
     center = center_feat[:, cand]
     shape = (max(feat.shape[1], cand.shape[0]), feat.shape[2], cand.shape[1])
@@ -238,15 +235,12 @@ def _assign(feats, tiles, width, height, center_rc, center_feat,
     ids, counts = _candidates(center_rc, side, -(-height // side),
                               -(-width // side))
     starts = np.cumsum(counts) - counts
-    # a center outside a tile's 3x3 block of cells is more than `side` away
-    # from the tile in rows or in columns, so it scores at least
-    # scale * side^2 at each of its pixels; a NaN bound never clears this
+    # no center outside a tile's block scores below this at the tile
     limit = spatial_scale * (side * side) * (1.0 - _SLACK)
     # blocks take the tiles in order of their candidate count, as many as
-    # keep the scores within _BLOCK_BYTES when each tile's candidates are
-    # padded to the block's largest count by repeating its last one (a
-    # repeat after the original never wins its tie); a tile with no
-    # candidate, or with more than a block holds, is not proven
+    # fit in _BLOCK_BYTES with each tile's candidates padded to the block's
+    # largest count by repeats of its last one, which never win a tie; a
+    # tile with no candidate, or with more than a block holds, is not proven
     room = _BLOCK_BYTES // (8 * side * side)
     order = np.argsort(counts, kind="stable")
     ordered = counts[order]

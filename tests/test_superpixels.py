@@ -226,9 +226,10 @@ def test_assignment_peak_memory_is_a_few_blocks_at_scene_shape():
     assert peak < labels.nbytes + 6 * 2 ** 17
 
 
-# SLIC label digests on the semisup benchmark cube (seed 3, fraction 0.10)
-# at low compactness, where the feature term dominates and many tiles of
-# the assignment cannot be settled by their spatial bound alone
+# SLIC label digests on the semisup benchmark cube (seed 3, fraction 0.10),
+# recorded before the cell-index assignment: at compactness 0.1 no tile of
+# the assignment is proven and at 1.0 two in five are not, so these bits
+# guard the rescoring of unproven tiles; at 40 every tile is proven
 SEMISUP_LABELS = {
     0.1: "a3c775ac5e40e9730012ad9fd37a47fd8c8220c415eba329984a594d0260c20b",
     1.0: "f5c0a006c5ce8ced5800153c389727d337a04749951bc1e4858ae04f88b9514d",
