@@ -23,9 +23,9 @@ hand. The harness labels every pixel and reads oa from the confusion
 matrix; both must give the same score bit for bit.
 
 The reference SLIC is the dense full-search implementation: every pixel is
-scored against every center through N x K matrices, and the orphan merge
-labels the whole grid once per segment. The library's tiled search must
-return the same labels bit for bit.
+scored against every center through N x K matrices (`reference_assign`),
+and the orphan merge labels the whole grid once per segment. The library's
+cell-index search must return the same labels bit for bit.
 """
 
 from dataclasses import replace
@@ -200,6 +200,19 @@ def reference_merge_orphans(grid):
     return grid
 
 
+def reference_assign(feats, width, center_rc, center_feat, spatial_scale):
+    """Nearest center of every pixel by a full search over N x K matrices;
+    `center_rc` is (K, 2) rows and columns, `center_feat` (K, d)."""
+    n = feats.shape[1]
+    rows = np.arange(n) // width
+    cols = np.arange(n) % width
+    feat_d2 = cdist(feats.T, center_feat, "sqeuclidean")
+    xy_d2 = (rows[:, None] - center_rc[None, :, 0]) ** 2 + (
+        cols[:, None] - center_rc[None, :, 1]
+    ) ** 2
+    return np.argmin(feat_d2 + spatial_scale * xy_d2, axis=1)
+
+
 def reference_slic_segment(cube, width, height, n_segments, compactness=10.0, max_iters=10):
     """Segment a cube into roughly n_segments compact superpixels.
 
@@ -230,11 +243,8 @@ def reference_slic_segment(cube, width, height, n_segments, compactness=10.0, ma
 
     labels = None
     for _it in range(max_iters):
-        feat_d2 = cdist(feats.T, center_feat, "sqeuclidean")
-        xy_d2 = (rows[:, None] - center_rc[None, :, 0]) ** 2 + (
-            cols[:, None] - center_rc[None, :, 1]
-        ) ** 2
-        new_labels = np.argmin(feat_d2 + spatial_scale * xy_d2, axis=1)
+        new_labels = reference_assign(feats, width, center_rc, center_feat,
+                                      spatial_scale)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels

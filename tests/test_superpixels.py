@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import ndimage
-from scipy.spatial.distance import cdist
 
 import progsub.superpixels
-from oracle_utils import reference_merge_orphans, reference_slic_segment
+from oracle_utils import (reference_assign, reference_merge_orphans,
+                          reference_slic_segment)
 from progsub import (InputError, SyntheticSpec, generate_synthetic,
                      segment_count, slic_segment, superpixel_stream)
 from progsub.superpixels import (Segmentation, _assign, _merge_orphans,
@@ -171,14 +171,6 @@ def test_slic_matches_dense_reference_where_tiles_are_not_proven(
         assert min(p for p, _ in scored) == 1
 
 
-def _full_search(feats, width, center_rc, center_feat, spatial_scale):
-    rows, cols = np.divmod(np.arange(feats.shape[1]), width)
-    xy = ((rows[:, None] - center_rc[0]) ** 2
-          + (cols[:, None] - center_rc[1]) ** 2)
-    d2 = cdist(feats.T, center_feat.T, "sqeuclidean") + spatial_scale * xy
-    return d2.argmin(axis=1)
-
-
 @pytest.mark.parametrize("spatial_scale", [0.0, 0.01, 1.0, 100.0])
 def test_assignment_matches_full_search_with_centers_bunched_in_one_cell(
         spatial_scale):
@@ -196,7 +188,8 @@ def test_assignment_matches_full_search_with_centers_bunched_in_one_cell(
     center_feat[:, 71] = center_feat[:, 43]
     got = _assign(feats, _tiles(width, height, side), width, height,
                   center_rc, center_feat, spatial_scale, side)
-    want = _full_search(feats, width, center_rc, center_feat, spatial_scale)
+    want = reference_assign(feats, width, center_rc.T, center_feat.T,
+                            spatial_scale)
     assert np.array_equal(got, want)
     assert not np.isin([70, 71], got).any()
 
