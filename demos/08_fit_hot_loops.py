@@ -13,10 +13,11 @@ The second table builds the fit's two kNN graphs (pixels and superpixel
 stream, k = 10) at the semisup shape (40x40x100, half the unlabeled pixels
 in the fit) and at scene-semi 0.1 (145x145x200, 10% of the unlabeled
 pixels in the fit), from the cube, segmentation and split a run makes. It
-prints `knn_heat_graph` milliseconds, the mean number of candidate columns
-per row that cdist measures (the k nearest and every column within the
-rounding bound of the k-th GEMM distance), and, for scale, milliseconds of
-one cdist over all pairs, which the search measured before.
+prints `knn_heat_graph` milliseconds, the mean number of candidate pairs
+per row that the search measures exactly (the k nearest and every column
+within the rounding bound of the k-th GEMM distance), and, for scale,
+milliseconds of one cdist over all pairs, which the search measured before
+it had candidates.
 
     python3 demos/08_fit_hot_loops.py    # a few seconds
 """
@@ -88,19 +89,20 @@ def fit_blocks(keys):
 
 
 def count_candidates(x, k):
-    """Mean finite entries per row of the candidate matrices the search
-    hands to _nearest."""
-    nearest, seen = progsub.graphs._nearest, []
+    """Mean candidate pairs per row that _candidates returns to the
+    search."""
+    candidates, seen = progsub.graphs._candidates, []
 
-    def counting(d2, k):
-        seen.append(np.isfinite(d2).sum())
-        return nearest(d2, k)
+    def counting(*args):
+        rows, cols = candidates(*args)
+        seen.append(rows.size)
+        return rows, cols
 
-    progsub.graphs._nearest = counting
+    progsub.graphs._candidates = counting
     try:
         knn_heat_graph(x, k, 0.1)
     finally:
-        progsub.graphs._nearest = nearest
+        progsub.graphs._candidates = candidates
     return sum(seen) / x.shape[1]
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial.distance import cdist
 
 from .errors import InputError
 from .types import matrix_values
@@ -31,11 +30,11 @@ def knn_heat_graph(feats, k, sigma):
     """Heat-kernel weights over mutual-ized k-nearest-neighbor pairs.
 
     W[i, j] = exp(-||x_i - x_j||^2 / (2 sigma^2)) when j is one of i's k
-    Euclidean nearest neighbors, then W <- max(W, W.T); diagonal forced to 0.
-    Distances are cdist's, neighbors are the head of a stable argsort of
-    each row (ties to the lower column). Rows are searched in blocks of at
-    most _BLOCK_FLOATS distances, so memory grows with n k, not n^2, and
-    cdist measures only each row's candidates (_candidates).
+    Euclidean nearest neighbors (never i itself), then W <- max(W, W.T).
+    Neighbors are the head of a stable argsort of each row's distances
+    (_sqeuclidean), ties to the lower column. GEMM ranks the columns in row
+    blocks of at most _BLOCK_FLOATS distances and only candidates are
+    measured (_candidates), so memory grows with their count, not n^2.
     """
     x = matrix_values(feats)
     d, n = x.shape
@@ -43,9 +42,7 @@ def knn_heat_graph(feats, k, sigma):
         raise InputError(f"need 1 <= k < n, got k={k} for n={n} samples")
     if not (sigma > 0):
         raise InputError(f"sigma must be > 0, got {sigma}")
-    # one C-ordered copy of the points, made once: the GEMM and every row's
-    # gather of its candidates read it (cdist would copy any other layout
-    # on every call)
+    # one C-ordered copy of the points, so each GEMM row block is a slice
     pts = np.ascontiguousarray(x.T)
     sq = np.einsum("ij,ij->i", pts, pts)
     # every GEMM distance and its terms then stay below 4 max ||x||^2
@@ -53,78 +50,61 @@ def knn_heat_graph(feats, k, sigma):
         raise InputError("features must be finite, with squared column "
                          "norms below a quarter of the float64 range")
     slack = _candidate_slack(d) * (sq + sq.max())
-    neigh = np.empty((n, k), dtype=np.int64)
-    dist = np.empty((n, k))
     step = max(1, _BLOCK_FLOATS // n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        cols, d2 = _candidates(pts, sq, slack, start, stop, k)
-        pos, dist[start:stop] = _nearest(d2, k)
-        neigh[start:stop] = np.take_along_axis(cols, pos, axis=1)
-    rows = np.repeat(np.arange(n), k)
-    weights = np.exp(-dist.ravel() / (2.0 * sigma * sigma))
-    w = sp.coo_matrix((weights, (rows, neigh.ravel())), shape=(n, n)).tocsr()
+    pairs = [_candidates(pts, sq, slack, start, min(start + step, n), k)
+             for start in range(0, n, step)]
+    rows, cols = (np.concatenate(part) for part in zip(*pairs))
+    d2 = _sqeuclidean(x, rows, cols)
+    # by row, then distance, then column: each row's first k pairs are the
+    # head of a stable argsort of its distances
+    order = np.lexsort((cols, d2, rows))
+    counts = np.bincount(rows, minlength=n)
+    head = np.cumsum(counts) - counts
+    take = order[(head[:, None] + np.arange(k)).ravel()]
+    weights = np.exp(-d2[take] / (2.0 * sigma * sigma))
+    w = sp.csr_matrix((weights, (rows[take], cols[take])), shape=(n, n))
     w = w.maximum(w.T)
-    w.setdiag(0.0)
-    w.eliminate_zeros()
+    w.eliminate_zeros()     # weights that underflow at small sigma
     return w
 
 
 def _candidate_slack(d):
-    """tau such that a pair's cdist value and its GEMM distance
-    ||a||^2 + ||b||^2 - 2 a.b differ by at most tau (||a||^2 + ||b||^2)
-    for d-dimensional points, with a margin of 2 (README, "kNN graph in BLAS
-    time", has the bound)."""
+    """tau with |_sqeuclidean - (||a||^2 + ||b||^2 - 2 a.b)| <= tau (||a||^2
+    + ||b||^2) for d-dimensional points a, b, with a margin of 2 (README,
+    "kNN graph in BLAS time", has the bound)."""
     return 2.0 * (4 * d + 9) * _UNIT_ROUNDOFF
 
 
 def _candidates(pts, sq, slack, start, stop, k):
-    """Candidate columns of rows start..stop of the kNN search and their
-    cdist distances: (cols, d2), both (rows, widest row), ascending by
-    column in each row and padded with column n at distance inf.
+    """Candidate pairs (rows, cols) of rows start..stop of the kNN search,
+    ascending by row and then by column.
 
     GEMM ranks every column; a row's candidates are the columns within
     2 slack (slack = tau (||a||^2 + max ||b||^2)) of its k-th GEMM
-    distance, which holds every column at or below its k-th cdist
+    distance, which holds every column at or below its k-th measured
     distance. The point itself is never a candidate.
     """
-    n = pts.shape[0]
-    rows = np.arange(stop - start)
     gemm = pts[start:stop] @ pts.T
     gemm *= -2.0
     gemm += sq[start:stop, None]
     gemm += sq
-    gemm[rows, rows + start] = np.inf
+    np.fill_diagonal(gemm[:, start:], np.inf)
     bound = np.partition(gemm, k - 1, axis=1)[:, k - 1]
     bound += 2.0 * slack[start:stop]
     which, found = np.nonzero(gemm <= bound[:, None])
-    del gemm
-    counts = np.bincount(which, minlength=rows.size)
-    first = np.cumsum(counts) - counts
-    cols = np.full((rows.size, counts.max()), n)
-    cols[which, np.arange(found.size) - first[which]] = found
-    d2 = np.full(cols.shape, np.inf)
-    for i, (lo, m) in enumerate(zip(first.tolist(), counts.tolist())):
-        cdist(pts[start + i:start + i + 1], pts[found[lo:lo + m]],
-              "sqeuclidean", out=d2[i:i + 1, :m])
-    return cols, d2
+    return which + start, found
 
 
-def _nearest(d2, k):
-    """Columns and values of the k smallest entries of each row of d2, the
-    first k of a stable argsort: by value, ties to the lower index."""
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    below = d2 < kth
-    # every entry below the k-th value is taken; of those equal to it, the
-    # lowest-indexed ones fill the row
-    tied = d2 == kth
-    room = k - np.count_nonzero(below, axis=1)[:, None]
-    take = below | (tied & (np.cumsum(tied, axis=1) <= room))
-    cols = np.nonzero(take)[1].reshape(-1, k)     # ascending in each row
-    vals = np.take_along_axis(d2, cols, axis=1)
-    order = np.argsort(vals, axis=1, kind="stable")
-    return (np.take_along_axis(cols, order, axis=1),
-            np.take_along_axis(vals, order, axis=1))
+def _sqeuclidean(x, rows, cols):
+    """Squared distance of each pair of columns (rows[i], cols[i]) of x:
+    squared differences summed in feature order, as scipy's sqeuclidean
+    metric sums them, so with its bits."""
+    d2, diff = np.zeros(rows.size), np.empty(rows.size)
+    for f in x:
+        np.subtract(f[rows], f[cols], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 def alignment_graph(segment_ids):

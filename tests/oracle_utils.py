@@ -12,9 +12,9 @@ versions in the harness replaced; both must give the same indices in the
 same order.
 
 The reference kNN graph measures every pair with cdist, block by block,
-and takes each row's k nearest with the library's _nearest; the library's
-search, which measures only each row's candidates, must give the same
-graph bit for bit.
+and takes the head of each row's stable argsort as its k nearest; the
+library's search, which measures only each row's candidates and picks
+them by one lexsort, must give the same graph bit for bit.
 
 The reference fold score is the cross-validation scoring that the harness
 replaced by its run path: it embeds a fold's fit and validation columns
@@ -37,7 +37,6 @@ from scipy.spatial.distance import cdist
 
 from progsub.embedding import pca_fit
 from progsub.errors import InputError
-from progsub.graphs import _nearest
 from progsub.harness import _fit_method
 from progsub.metrics import nn_classify
 from progsub.superpixels import _N_REDUCED, Segmentation, _seed_grid
@@ -161,7 +160,8 @@ def reference_knn_heat_graph(x, k, sigma, block_floats=1 << 16):
         stop = min(start + step, n)
         d2 = cdist(pts[start:stop], pts, "sqeuclidean")
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        neigh[start:stop], dist[start:stop] = _nearest(d2, k)
+        neigh[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        dist[start:stop] = np.take_along_axis(d2, neigh[start:stop], axis=1)
     rows = np.repeat(np.arange(n), k)
     weights = np.exp(-dist.ravel() / (2.0 * sigma * sigma))
     w = sp.coo_matrix((weights, (rows, neigh.ravel())), shape=(n, n)).tocsr()

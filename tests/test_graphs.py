@@ -9,7 +9,7 @@ import progsub.graphs
 from oracle_utils import reference_knn_heat_graph
 from progsub import (InputError, alignment_graph, assemble_fused,
                      knn_heat_graph, laplacian)
-from progsub.graphs import _nearest, coordinate_dump
+from progsub.graphs import coordinate_dump
 
 
 def test_knn_two_identical_points():
@@ -92,21 +92,6 @@ def test_knn_blocked_graph_has_the_bits_of_the_full_sort(monkeypatch, kind,
         assert np.array_equal(got.data, want.data)
 
 
-@pytest.mark.parametrize("kind", ["random", "duplicated columns",
-                                  "integer grid"])
-@pytest.mark.parametrize("k", [1, 3, 9, 29])
-def test_nearest_is_the_head_of_a_stable_argsort(kind, k):
-    rng = np.random.default_rng(k)
-    x = _knn_inputs(kind, rng, 2, 30)
-    d2 = cdist(x[:, :11].T, x.T, "sqeuclidean")
-    d2[np.arange(11), np.arange(11)] = np.inf
-    cols, vals = _nearest(d2, k)
-    want = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    assert cols.dtype == np.int64
-    assert np.array_equal(cols, want)
-    assert np.array_equal(vals, np.take_along_axis(d2, want, axis=1))
-
-
 def test_knn_memory_stays_below_the_full_distance_matrix():
     rng = np.random.default_rng(4)
     n = 2000
@@ -154,13 +139,17 @@ def _oracle_case(case, rng):
         return 10.0 + 1e-6 * rng.random((8, 80)), 7
     if case == "d = 1":
         return rng.integers(0, 12, (1, 50)).astype(np.float64), 4
+    if case == "200 bands":
+        # the band count of the scene fits
+        return rng.random((200, 90)), 10
     raise ValueError(case)
 
 
 ORACLE_CASES = ["duplicate columns", "duplicate columns far from the origin",
                 "ties at the k-th distance", "k = n - 1",
                 "C order", "Fortran order", "norms 1e-3", "norms 1e3",
-                "norms 1e-3 and 1e3", "far from the origin", "d = 1"]
+                "norms 1e-3 and 1e3", "far from the origin", "d = 1",
+                "200 bands"]
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, "all"])
@@ -176,52 +165,37 @@ def test_knn_candidate_search_has_the_all_columns_graph(monkeypatch, case,
     assert coordinate_dump(got) == coordinate_dump(want)
 
 
-@pytest.mark.parametrize("case", ORACLE_CASES)
-def test_knn_candidates_hold_the_k_nearest_and_not_the_point_itself(case):
-    x, k = _oracle_case(case, np.random.default_rng(len(case)))
+def _candidate_pairs(x, k):
+    """The candidate pairs of the whole search in one row block."""
     pts = np.ascontiguousarray(x.T)
     n, d = pts.shape
     sq = np.einsum("ij,ij->i", pts, pts)
     slack = progsub.graphs._candidate_slack(d) * (sq + sq.max())
-    cols, d2 = progsub.graphs._candidates(pts, sq, slack, 0, n, k)
-    full = cdist(pts, pts, "sqeuclidean")
+    return progsub.graphs._candidates(pts, sq, slack, 0, n, k)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_knn_candidates_hold_the_k_nearest_and_not_the_point_itself(case):
+    x, k = _oracle_case(case, np.random.default_rng(len(case)))
+    n = x.shape[1]
+    rows, cols = _candidate_pairs(x, k)
+    # ascending by row, then by column: no pair twice, none out of order
+    assert np.all(np.diff(rows * n + cols) > 0)
+    assert not (rows == cols).any()
+    full = cdist(x.T, x.T, "sqeuclidean")
     np.fill_diagonal(full, np.inf)
     kth = np.sort(full, axis=1)[:, k - 1:k]
-    real = cols < n
-    assert np.array_equal(np.isfinite(d2), real)
-    assert not (cols == np.arange(n)[:, None]).any()
-    for i in range(n):
-        assert np.all(np.diff(cols[i, real[i]]) > 0)
-        assert set(np.flatnonzero(full[i] <= kth[i])) <= set(cols[i, real[i]])
-        assert np.array_equal(d2[i, real[i]], full[i, cols[i, real[i]]])
+    want = np.nonzero(full <= kth)
+    assert set(zip(*want)) <= set(zip(rows.tolist(), cols.tolist()))
 
 
-def test_knn_copies_a_c_ordered_input_once(monkeypatch):
-    """x.T of a C-ordered x is Fortran-ordered, and cdist copies points of
-    any layout but C into a C-ordered array on every call. The search
-    copies the points once, for the whole call, so no cdist call allocates
-    more than its own candidates, over 250 row blocks."""
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((50, 2000))
-    monkeypatch.setattr(progsub.graphs, "_BLOCK_FLOATS", 8 * 2000)
-    real_cdist = progsub.graphs.cdist
-    per_call = []
-
-    def traced_cdist(*args, **kwargs):
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = real_cdist(*args, **kwargs)
-        per_call.append(tracemalloc.get_traced_memory()[1] - before)
-        return out
-
-    monkeypatch.setattr(progsub.graphs, "cdist", traced_cdist)
-    tracemalloc.start()
-    try:
-        knn_heat_graph(x, 10, 1.0)
-    finally:
-        tracemalloc.stop()
-    assert len(per_call) == 2000
-    assert max(per_call) < x.nbytes / 20
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_knn_measures_each_pair_with_the_bits_of_cdist(case):
+    x, k = _oracle_case(case, np.random.default_rng(len(case)))
+    rows, cols = _candidate_pairs(x, k)
+    got = progsub.graphs._sqeuclidean(x, rows, cols)
+    full = cdist(x.T, x.T, "sqeuclidean")
+    assert np.array_equal(got, full[rows, cols])
 
 
 def test_knn_rejects_non_finite_features():
