@@ -15,7 +15,8 @@ from .errors import InputError
 from .types import matrix_values
 
 _SYM_TOL = 1e-10
-# knn_heat_graph takes its distances in row blocks of at most this many
+# knn_heat_graph takes its GEMM distances in row blocks of at most this many,
+# and measures its candidate pairs in batches of about this many
 _BLOCK_FLOATS = 1 << 16
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -34,7 +35,8 @@ def knn_heat_graph(feats, k, sigma):
     Neighbors are the head of a stable argsort of each row's distances
     (_sqeuclidean), ties to the lower column. GEMM ranks the columns in row
     blocks of at most _BLOCK_FLOATS distances and only candidates are
-    measured (_candidates), so memory grows with their count, not n^2.
+    measured (_candidates), in batches of consecutive row blocks holding
+    about _BLOCK_FLOATS pairs, so memory grows with n k, not n^2.
     """
     x = matrix_values(feats)
     d, n = x.shape
@@ -51,18 +53,17 @@ def knn_heat_graph(feats, k, sigma):
                          "norms below a quarter of the float64 range")
     slack = _candidate_slack(d) * (sq + sq.max())
     step = max(1, _BLOCK_FLOATS // n)
-    pairs = [_candidates(pts, sq, slack, start, min(start + step, n), k)
-             for start in range(0, n, step)]
-    rows, cols = (np.concatenate(part) for part in zip(*pairs))
-    d2 = _sqeuclidean(x, rows, cols)
-    # by row, then distance, then column: each row's first k pairs are the
-    # head of a stable argsort of its distances
-    order = np.lexsort((cols, d2, rows))
-    counts = np.bincount(rows, minlength=n)
-    head = np.cumsum(counts) - counts
-    take = order[(head[:, None] + np.arange(k)).ravel()]
-    weights = np.exp(-d2[take] / (2.0 * sigma * sigma))
-    w = sp.csr_matrix((weights, (rows[take], cols[take])), shape=(n, n))
+    kept, batch, held = [], [], 0
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        batch.append(_candidates(pts, sq, slack, start, stop, k))
+        held += batch[-1][0].size
+        if held >= _BLOCK_FLOATS or stop == n:
+            kept.append(_nearest(x, *map(np.concatenate, zip(*batch)), k))
+            batch, held = [], 0
+    rows, cols, d2 = map(np.concatenate, zip(*kept))
+    weights = np.exp(-d2 / (2.0 * sigma * sigma))
+    w = sp.csr_matrix((weights, (rows, cols)), shape=(n, n))
     w = w.maximum(w.T)
     w.eliminate_zeros()     # weights that underflow at small sigma
     return w
@@ -93,6 +94,20 @@ def _candidates(pts, sq, slack, start, stop, k):
     bound += 2.0 * slack[start:stop]
     which, found = np.nonzero(gemm <= bound[:, None])
     return which + start, found
+
+
+def _nearest(x, rows, cols, k):
+    """The first k of each row's candidate pairs (rows, cols) by measured
+    distance, ties to the lower column, as (rows, cols, d2) ascending by
+    row. Every row of rows[0]..rows[-1] must have at least k pairs."""
+    d2 = _sqeuclidean(x, rows, cols)
+    # by row, then distance, then column: each row's first k pairs are the
+    # head of a stable argsort of its distances
+    order = np.lexsort((cols, d2, rows))
+    counts = np.bincount(rows - rows[0])
+    head = np.cumsum(counts) - counts
+    take = order[(head[:, None] + np.arange(k)).ravel()]
+    return rows[take], cols[take], d2[take]
 
 
 def _sqeuclidean(x, rows, cols):
@@ -156,10 +171,6 @@ class GraphBundle:
     wa: sp.csr_matrix
     wf: sp.csr_matrix
     lf: sp.csr_matrix
-
-    @property
-    def fused_degrees(self):
-        return np.asarray(self.wf.sum(axis=1)).ravel()
 
 
 def assemble_fused(wp, wsp, wa):

@@ -440,7 +440,7 @@ def _fit_method(config, data, hyper):
     if method == "lpp":
         w = knn_heat_graph(cube[:, train_idx], hyper.knn_k, hyper.sigma)
         lap = laplacian(w)
-        deg = np.asarray(w.sum(axis=1)).ravel()
+        deg = lap.diagonal()
         deg = np.where(deg <= 0, 1e-12, deg)
         emb = lpp_fit(cube[:, train_idx], lap, deg, hyper.dims[-1])
         return emb.transform, None, None
@@ -586,14 +586,21 @@ _METHOD_PARAMS = {
 }
 
 
+_INT_GRID_FIELDS = ("dims", "knn_k", "layers")
+
+
+def _grid_value(key, value):
+    """One grid candidate as its HyperParams value."""
+    return int(value) if key in _INT_GRID_FIELDS else float(value)
+
+
 def _apply_cell(hyper, cell):
     """HyperParams with one grid cell's values; a cell that sets dims or
     layers gets `layers` copies of its (or the last current) dimension."""
-    updates = {key: int(value) if key == "knn_k" else float(value)
-               for key, value in cell.items() if key not in ("dims", "layers")}
+    updates = {key: _grid_value(key, value) for key, value in cell.items()}
     if "dims" in cell or "layers" in cell:
-        m = int(cell.get("layers", hyper.layers))
-        d = int(cell.get("dims", hyper.dims[-1]))
+        m = updates.pop("layers", hyper.layers)
+        d = updates.pop("dims", hyper.dims[-1])
         updates.update(layers=m, dims=(d,) * m)
     return replace(hyper, **updates)
 
@@ -633,6 +640,13 @@ def _grid_cells(config):
                   for k in names]
     if any(not c for c in candidates):
         raise InputError("every grid parameter needs at least one candidate")
+    for key, values in zip(names, candidates):
+        for value in values:
+            try:
+                _grid_value(key, value)
+            except ValueError:
+                kind = "an integer" if key in _INT_GRID_FIELDS else "a number"
+                raise InputError(f"grid.{key}={value} is not {kind}") from None
     cells = [dict(zip(names, combo))
              for combo in itertools.product(*candidates)]
     if config.grid_budget is not None and config.grid_budget < 1:

@@ -229,7 +229,8 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=AdmmConfig(),
     wa = alignment_graph(ids)
     bundle = assemble_fused(wp, wsp, wa)
     lf = bundle.lf
-    degrees = bundle.fused_degrees
+    # no graph stores a diagonal entry, so L's diagonal is the degrees
+    degrees = lf.diagonal()
 
     y_small = np.zeros((n_classes, n))
     lab_idx = np.flatnonzero(labeled)

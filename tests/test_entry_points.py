@@ -38,6 +38,18 @@ def test_demo_runs(script, tmp_path):
     assert done.stdout.strip()
 
 
+def test_readme_lists_the_demos_and_docs_run_only_existing_ones():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Demos\n.*?```sh\n(.*?)```", readme, flags=re.S)
+    listed = re.findall(r"python3 (demos/\S+\.py)", block.group(1))
+    assert listed == [f"demos/{p.name}" for p in DEMOS]
+    for doc in ("README.md", "ROADMAP.md"):
+        text = (ROOT / doc).read_text()
+        # a command may break its line between python3 and the script
+        for script in re.findall(r"python3\s+(demos/\S+?\.py)", text):
+            assert (ROOT / script).is_file(), f"{doc} runs {script}"
+
+
 # Reports the thread count of every loaded OpenBLAS before, during and after
 # the CLI ran a command (one that fails fast on a missing config file).
 _BLAS_PROBE = """

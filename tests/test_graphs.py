@@ -106,6 +106,19 @@ def test_knn_memory_stays_below_the_full_distance_matrix():
     assert peak < full_bytes / 8
 
 
+def test_knn_memory_stays_bounded_when_every_column_is_a_candidate():
+    # distances near 1e-12 against squared norms of 800: the rounding slack
+    # admits all n - 1 columns of every row, about 1e6 pairs in all
+    x = 10.0 + 1e-6 * np.random.default_rng(5).random((8, 1000))
+    tracemalloc.start()
+    try:
+        knn_heat_graph(x, 10, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
 def _oracle_case(case, rng):
     """(x, k) of one case the candidate search must get exactly right."""
     if case == "duplicate columns":

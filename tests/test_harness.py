@@ -435,6 +435,27 @@ def test_cli_grid_fold_failure_names_its_stage(tmp_path, capsys):
         "error[fit]: d_out must be in 1..min(d, n) = 12, got 30\n")
 
 
+@pytest.mark.parametrize("key,value,kind", [
+    ("knn_k", "10.5", "an integer"),
+    ("dims", "x", "an integer"),
+    ("layers", "2.0", "an integer"),
+    ("alpha", "x", "a number"),
+    ("sigma", "1e", "a number"),
+])
+def test_cli_grid_malformed_candidate_is_stage_tagged_before_any_fit(
+        tmp_path, capsys, monkeypatch, key, value, kind):
+    def no_data(config):
+        raise AssertionError("the grid prepared data")
+
+    monkeypatch.setattr(progsub.harness, "prepare_data", no_data)
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt",
+                                  extra=[f"grid.{key}=1,{value}"])
+    assert cli_main(["grid", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error[grid]: grid.{key}={value} is not {kind}\n"
+    assert "Traceback" not in err
+
+
 def test_grid_explicitly_empty_candidates_rejected():
     cfg = benchmark_config(seed=7, method="pca", **{"grid.dims": ""})
     with pytest.raises(InputError, match="candidates"):
