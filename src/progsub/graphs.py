@@ -15,10 +15,9 @@ from .errors import InputError
 from .types import matrix_values
 
 _SYM_TOL = 1e-10
-# knn_heat_graph takes its GEMM distances in row blocks of at most this many,
+# nearest_columns takes its GEMM distances in row blocks of at most this many,
 # and measures its candidate pairs in batches of about this many
 _BLOCK_FLOATS = 1 << 16
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def _check_symmetric(w, name):
@@ -31,37 +30,16 @@ def knn_heat_graph(feats, k, sigma):
     """Heat-kernel weights over mutual-ized k-nearest-neighbor pairs.
 
     W[i, j] = exp(-||x_i - x_j||^2 / (2 sigma^2)) when j is one of i's k
-    Euclidean nearest neighbors (never i itself), then W <- max(W, W.T).
-    Neighbors are the head of a stable argsort of each row's distances
-    (_sqeuclidean), ties to the lower column. GEMM ranks the columns in row
-    blocks of at most _BLOCK_FLOATS distances and only candidates are
-    measured (_candidates), in batches of consecutive row blocks holding
-    about _BLOCK_FLOATS pairs, so memory grows with n k, not n^2.
+    Euclidean nearest neighbors (never i itself; nearest_columns), then
+    W <- max(W, W.T).
     """
     x = matrix_values(feats)
-    d, n = x.shape
+    n = x.shape[1]
     if not (1 <= k < n):
         raise InputError(f"need 1 <= k < n, got k={k} for n={n} samples")
     if not (sigma > 0):
         raise InputError(f"sigma must be > 0, got {sigma}")
-    # one C-ordered copy of the points, so each GEMM row block is a slice
-    pts = np.ascontiguousarray(x.T)
-    sq = np.einsum("ij,ij->i", pts, pts)
-    # every GEMM distance and its terms then stay below 4 max ||x||^2
-    if not math.isfinite(4.0 * float(sq.max())):
-        raise InputError("features must be finite, with squared column "
-                         "norms below a quarter of the float64 range")
-    slack = _candidate_slack(d) * (sq + sq.max())
-    step = max(1, _BLOCK_FLOATS // n)
-    kept, batch, held = [], [], 0
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        batch.append(_candidates(pts, sq, slack, start, stop, k))
-        held += batch[-1][0].size
-        if held >= _BLOCK_FLOATS or stop == n:
-            kept.append(_nearest(x, *map(np.concatenate, zip(*batch)), k))
-            batch, held = [], 0
-    rows, cols, d2 = map(np.concatenate, zip(*kept))
+    rows, cols, d2 = nearest_columns(x, k)
     weights = np.exp(-d2 / (2.0 * sigma * sigma))
     w = sp.csr_matrix((weights, (rows, cols)), shape=(n, n))
     w = w.maximum(w.T)
@@ -69,38 +47,72 @@ def knn_heat_graph(feats, k, sigma):
     return w
 
 
-def _candidate_slack(d):
-    """tau with |_sqeuclidean - (||a||^2 + ||b||^2 - 2 a.b)| <= tau (||a||^2
-    + ||b||^2) for d-dimensional points a, b, with a margin of 2 (README,
-    "kNN graph in BLAS time", has the bound)."""
-    return 2.0 * (4 * d + 9) * _UNIT_ROUNDOFF
+def nearest_columns(points, k, queries=None):
+    """Each query column's k nearest columns of points, as (rows, cols, d2)
+    ascending by row: query rows[i]'s neighbor cols[i] at squared distance
+    d2[i] (cdist's sqeuclidean bits), the head of a stable argsort of the
+    query's distances, ties to the lower column. queries=None searches the
+    points against themselves, a point never its own neighbor. Needs
+    1 <= k <= n for n points, and k < n when queries=None.
 
-
-def _candidates(pts, sq, slack, start, stop, k):
-    """Candidate pairs (rows, cols) of rows start..stop of the kNN search,
-    ascending by row and then by column.
-
-    GEMM ranks every column; a row's candidates are the columns within
-    2 slack (slack = tau (||a||^2 + max ||b||^2)) of its k-th GEMM
-    distance, which holds every column at or below its k-th measured
-    distance. The point itself is never a candidate.
+    GEMM ranks the columns in row blocks of at most _BLOCK_FLOATS distances;
+    only candidates are measured (_candidates), in batches of row blocks
+    holding about _BLOCK_FLOATS pairs, so memory grows with queries x k.
     """
-    gemm = pts[start:stop] @ pts.T
+    x = matrix_values(points)
+    q = x if queries is None else matrix_values(queries)
+    # one C-ordered copy of each, so each GEMM row block is a slice
+    pts = np.ascontiguousarray(x.T)
+    qts = pts if queries is None else np.ascontiguousarray(q.T)
+    psq, qsq = (np.einsum("ij,ij->i", a, a) for a in (pts, qts))
+    # every GEMM distance and its terms then stay below 4 max ||x||^2
+    if not math.isfinite(4.0 * float(np.concatenate((psq, qsq)).max())):
+        raise InputError("features must be finite, with squared column "
+                         "norms below a quarter of the float64 range")
+    step = max(1, _BLOCK_FLOATS // pts.shape[0])
+    # an empty triple first, so that no queries give empty arrays
+    kept = [(np.empty(0, np.intp),) * 2 + (np.empty(0),)]
+    batch, held = [], 0
+    for start in range(0, qts.shape[0], step):
+        stop = min(start + step, qts.shape[0])
+        which, found = _candidates(qts[start:stop], qsq[start:stop], pts,
+                                   psq, k, start if queries is None else None)
+        batch.append((which + start, found))
+        held += found.size
+        if held >= _BLOCK_FLOATS or stop == qts.shape[0]:
+            kept.append(_nearest(q, x, *map(np.concatenate, zip(*batch)), k))
+            batch, held = [], 0
+    return tuple(map(np.concatenate, zip(*kept)))
+
+
+def _candidates(block, block_sq, pts, psq, k, own_start):
+    """Candidate pairs (rows, cols) of one row block of queries, rows
+    counted from the block's first, ascending by row and then by column:
+    the columns of pts within 2 tau (||q||^2 + max ||p||^2) of the row's
+    k-th GEMM distance, which holds every column at or below its k-th
+    measured distance (README, "kNN graph in BLAS time", has the bound).
+    A block of the points themselves, from row own_start on, never holds a
+    point's own pair; own_start is None for other queries.
+    """
+    gemm = block @ pts.T
     gemm *= -2.0
-    gemm += sq[start:stop, None]
-    gemm += sq
-    np.fill_diagonal(gemm[:, start:], np.inf)
-    bound = np.partition(gemm, k - 1, axis=1)[:, k - 1]
-    bound += 2.0 * slack[start:stop]
-    which, found = np.nonzero(gemm <= bound[:, None])
-    return which + start, found
+    gemm += block_sq[:, None]
+    gemm += psq
+    if own_start is not None:
+        np.fill_diagonal(gemm[:, own_start:], np.inf)
+    # a copy, so the partitioned block is freed before the comparison
+    bound = np.partition(gemm, k - 1, axis=1)[:, k - 1].copy()
+    tau = (4 * pts.shape[1] + 9) * np.finfo(np.float64).eps   # 2 (4d + 9) u
+    bound += 2.0 * (tau * (block_sq + psq.max()))
+    return np.nonzero(gemm <= bound[:, None])
 
 
-def _nearest(x, rows, cols, k):
-    """The first k of each row's candidate pairs (rows, cols) by measured
-    distance, ties to the lower column, as (rows, cols, d2) ascending by
-    row. Every row of rows[0]..rows[-1] must have at least k pairs."""
-    d2 = _sqeuclidean(x, rows, cols)
+def _nearest(q, x, rows, cols, k):
+    """The first k of each query's candidate pairs (rows, cols) by
+    measured distance, ties to the lower column, as (rows, cols, d2)
+    ascending by row. Every row of rows[0]..rows[-1] must have at least k
+    pairs."""
+    d2 = _sqeuclidean(q, x, rows, cols)
     # by row, then distance, then column: each row's first k pairs are the
     # head of a stable argsort of its distances
     order = np.lexsort((cols, d2, rows))
@@ -110,13 +122,13 @@ def _nearest(x, rows, cols, k):
     return rows[take], cols[take], d2[take]
 
 
-def _sqeuclidean(x, rows, cols):
-    """Squared distance of each pair of columns (rows[i], cols[i]) of x:
-    squared differences summed in feature order, as scipy's sqeuclidean
-    metric sums them, so with its bits."""
+def _sqeuclidean(q, x, rows, cols):
+    """Squared distance of each pair (column rows[i] of q, column cols[i]
+    of x): squared differences summed in feature order, as scipy's
+    sqeuclidean metric sums them, so with its bits."""
     d2, diff = np.zeros(rows.size), np.empty(rows.size)
-    for f in x:
-        np.subtract(f[rows], f[cols], out=diff)
+    for fq, fx in zip(q, x):
+        np.subtract(fq[rows], fx[cols], out=diff)
         diff *= diff
         d2 += diff
     return d2

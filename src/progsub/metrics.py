@@ -5,20 +5,18 @@ overall accuracy, per-class average accuracy, and the kappa coefficient.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InputError
+from .graphs import nearest_columns
 from .types import matrix_values
-
-# distances per classification block: 128 kB of float64
-_BLOCK_FLOATS = 16384
 
 
 def nn_classify(train_feats, train_labels, test_feats):
     """Label each test column with its Euclidean-nearest training column.
 
-    Ties resolve to the lowest training index. Test columns are scored in
-    row blocks, so memory stays linear in the number of test columns.
+    Ties resolve to the lowest training index, as in argmin over cdist's
+    sqeuclidean distances (graphs.nearest_columns, whose memory stays
+    linear in the number of test columns).
     """
     train = matrix_values(train_feats)
     test = matrix_values(test_feats)
@@ -33,15 +31,7 @@ def nn_classify(train_feats, train_labels, test_feats):
         raise InputError(
             f"feature dims differ: train {train.shape[0]} vs test {test.shape[0]}"
         )
-    # each row's distances and argmin stand alone, so row blocks keep the
-    # bits; a block is at most glibc's default 128 kB mmap threshold, so
-    # freeing it does not raise the threshold and keep later memory resident
-    rows = max(1, _BLOCK_FLOATS // train.shape[1])
-    preds = np.empty(test.shape[1], dtype=np.int64)
-    for start in range(0, test.shape[1], rows):
-        d2 = cdist(test[:, start:start + rows].T, train.T, "sqeuclidean")
-        preds[start:start + rows] = labels[np.argmin(d2, axis=1)]
-    return preds
+    return labels[nearest_columns(train, 1, queries=test)[1]]
 
 
 @dataclass(frozen=True)

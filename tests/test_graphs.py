@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 import progsub.graphs
 from oracle_utils import reference_knn_heat_graph
 from progsub import (InputError, alignment_graph, assemble_fused,
-                     knn_heat_graph, laplacian)
+                     knn_heat_graph, laplacian, nn_classify)
 from progsub.graphs import coordinate_dump
 
 
@@ -179,12 +179,10 @@ def test_knn_candidate_search_has_the_all_columns_graph(monkeypatch, case,
 
 
 def _candidate_pairs(x, k):
-    """The candidate pairs of the whole search in one row block."""
+    """The candidate pairs of the whole self-search in one row block."""
     pts = np.ascontiguousarray(x.T)
-    n, d = pts.shape
     sq = np.einsum("ij,ij->i", pts, pts)
-    slack = progsub.graphs._candidate_slack(d) * (sq + sq.max())
-    return progsub.graphs._candidates(pts, sq, slack, 0, n, k)
+    return progsub.graphs._candidates(pts, sq, pts, sq, k, own_start=0)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -206,9 +204,26 @@ def test_knn_candidates_hold_the_k_nearest_and_not_the_point_itself(case):
 def test_knn_measures_each_pair_with_the_bits_of_cdist(case):
     x, k = _oracle_case(case, np.random.default_rng(len(case)))
     rows, cols = _candidate_pairs(x, k)
-    got = progsub.graphs._sqeuclidean(x, rows, cols)
+    got = progsub.graphs._sqeuclidean(x, x, rows, cols)
     full = cdist(x.T, x.T, "sqeuclidean")
     assert np.array_equal(got, full[rows, cols])
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, "all"])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_nn_classify_cross_search_is_argmin_of_cdist(monkeypatch, case,
+                                                     rows_per_block):
+    # a third of the columns, shuffled, train; every column is a test
+    # column, so duplicates tie at distance 0 and the lowest index must win
+    rng = np.random.default_rng(len(case))
+    x, _ = _oracle_case(case, rng)
+    train = x[:, rng.permutation(x.shape[1])[:x.shape[1] // 3]]
+    labels = np.arange(1, train.shape[1] + 1)
+    block = {1: train.shape[1], 3: 3 * train.shape[1],
+             "all": 1 << 16}[rows_per_block]
+    monkeypatch.setattr(progsub.graphs, "_BLOCK_FLOATS", block)
+    want = labels[np.argmin(cdist(x.T, train.T, "sqeuclidean"), axis=1)]
+    assert np.array_equal(nn_classify(train, labels, x), want)
 
 
 def test_knn_rejects_non_finite_features():

@@ -75,6 +75,15 @@ def test_nn_memory_stays_below_the_full_distance_matrix():
     assert peak < full_bytes / 8
 
 
+def test_nn_rejects_non_finite_features():
+    for bad in (np.nan, np.inf, 1e160):
+        for side in ("train", "test"):
+            train, test = np.ones((2, 5)), np.ones((2, 4))
+            (train if side == "train" else test)[1, 3] = bad
+            with pytest.raises(InputError, match="finite"):
+                nn_classify(train, [1, 2, 3, 4, 5], test)
+
+
 def test_nn_rejects_empty_and_mismatched():
     with pytest.raises(InputError):
         nn_classify(np.zeros((2, 0)), [], np.zeros((2, 1)))
