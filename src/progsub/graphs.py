@@ -100,8 +100,11 @@ def _candidates(block, block_sq, pts, psq, k, own_start):
     gemm += psq
     if own_start is not None:
         np.fill_diagonal(gemm[:, own_start:], np.inf)
-    # a copy, so the partitioned block is freed before the comparison
-    bound = np.partition(gemm, k - 1, axis=1)[:, k - 1].copy()
+    if k == 1:
+        bound = gemm.min(axis=1)
+    else:
+        # a copy, so the partitioned block is freed before the comparison
+        bound = np.partition(gemm, k - 1, axis=1)[:, k - 1].copy()
     tau = (4 * pts.shape[1] + 9) * np.finfo(np.float64).eps   # 2 (4d + 9) u
     bound += 2.0 * (tau * (block_sq + psq.max()))
     return np.nonzero(gemm <= bound[:, None])

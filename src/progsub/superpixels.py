@@ -37,13 +37,14 @@ are exact for integer coordinates and so have ``.mean()``'s bits; the
 feature means are ``.mean()`` over each moved center's members in
 ascending pixel order, one call per member count. The orphan merge finds
 the segments split into several 4-connected components with one labelling
-of the whole grid, and visits only those, each inside its bounding box.
+of the whole grid, and visits only those, each inside its bounding box. A
+labelling joins the pairs of 4-adjacent pixels with the same id by pointer
+jumping (_components); bounding boxes and sizes are integer reductions.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .embedding import pca_fit
 from .errors import InputError
@@ -89,23 +90,47 @@ def _seed_grid(width, height, n_segments):
     return rr.ravel(), cc.ravel()
 
 
-def _split_segments(grid):
-    """Ids of the segments that have more than one 4-connected component.
+def _components(grid):
+    """The same-id 4-connected components of a grid, as (labels, n): labels
+    is a grid of ids 0..n-1, numbered in raster order of each component's
+    first pixel, as ndimage.label numbers a mask's components.
 
-    One labelling of a grid at twice the resolution: pixels sit at the even
-    positions, and the cell between two 4-adjacent pixels is set only when
-    both have the same id, so each component is one same-id 4-connected
-    region. Diagonal neighbours never meet, as the odd-odd cells stay unset.
+    Each pixel points at a root, at first the first pixel of its row's
+    same-id run. In each round, every root that a same-id down neighbour
+    pair joins to a lower root points at one such root, and then each
+    pointer is followed to its root. A root is always the lowest pixel of
+    its tree, and every round joins the highest-rooted tree of a component
+    to another, so the rounds end with one tree per component, rooted at
+    its first pixel. SLIC's compact segments take one or two rounds.
     """
-    height, width = grid.shape
-    joined = np.zeros((2 * height - 1, 2 * width - 1), dtype=bool)
-    joined[::2, ::2] = True
-    joined[::2, 1::2] = grid[:, 1:] == grid[:, :-1]
-    joined[1::2, ::2] = grid[1:] == grid[:-1]
-    comp, n_comp = ndimage.label(joined)
-    segment_of = np.empty(n_comp + 1, dtype=np.int64)
-    segment_of[comp[::2, ::2]] = grid
-    return np.flatnonzero(np.bincount(segment_of[1:]) > 1)
+    pix = np.arange(grid.size)
+    grid_pix = pix.reshape(grid.shape)
+    start = np.ones(grid.shape, dtype=bool)
+    start[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    root = np.maximum.accumulate(np.where(start, grid_pix, 0), axis=1).ravel()
+    down = grid[1:] == grid[:-1]
+    a, b = grid_pix[:-1][down], grid_pix[1:][down]
+    while True:
+        ra, rb = root[a], root[b]
+        join = ra != rb
+        if not join.any():
+            break
+        root[np.maximum(ra, rb)[join]] = np.minimum(ra, rb)[join]
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    first = root == pix
+    return (np.cumsum(first)[root] - 1).reshape(grid.shape), int(first.sum())
+
+
+def _split_segments(grid):
+    """Ids of the segments that have more than one 4-connected component."""
+    comp, n_comp = _components(grid)
+    segment_of = np.empty(n_comp, dtype=np.int64)
+    segment_of[comp] = grid
+    return np.flatnonzero(np.bincount(segment_of) > 1)
 
 
 def _merge_orphans(grid):
@@ -119,43 +144,56 @@ def _merge_orphans(grid):
     a component to a segment it is 4-adjacent to, so a segment in one piece
     stays in one piece.
     """
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     height, width = grid.shape
     sizes = np.bincount(grid.ravel())
     split = _split_segments(grid)
-    # boxes of the split segments; no other segment's box is read
+    # boxes of the split segments, [r0, r1) x [c0, c1); no other segment's
+    # box is read
     boxes = np.zeros((sizes.size, 4), dtype=np.int64)
     rank = np.zeros(sizes.size, dtype=np.int64)
     rank[split] = np.arange(1, split.size + 1)
-    for sid, sl in zip(split, ndimage.find_objects(rank[grid])):
-        boxes[sid] = sl[0].start, sl[0].stop, sl[1].start, sl[1].stop
+    ranked = rank[grid]
+    r, c = np.nonzero(ranked)
+    order = np.argsort(ranked[r, c], kind="stable")
+    r, c = r[order], c[order]
+    first = np.cumsum(sizes[split]) - sizes[split]
+    boxes[split] = np.stack([np.minimum.reduceat(r, first),
+                             np.maximum.reduceat(r, first) + 1,
+                             np.minimum.reduceat(c, first),
+                             np.maximum.reduceat(c, first) + 1], axis=1)
     for sid in split:
         r0, r1, c0, c1 = boxes[sid]
         r0, c0 = max(r0 - 1, 0), max(c0 - 1, 0)
         window = grid[r0:min(r1 + 1, height), c0:min(c1 + 1, width)]
-        mask = window == sid
-        comp, n_comp = ndimage.label(mask, structure=structure)
-        comp_sizes = ndimage.sum_labels(mask, comp, index=np.arange(1, n_comp + 1))
-        keep = int(np.argmax(comp_sizes)) + 1
-        for cid, sl in enumerate(ndimage.find_objects(comp), start=1):
+        comp, _ = _components(window)
+        comp_sizes = np.bincount(comp[window == sid])
+        # the segment's own components, in raster order of their first pixel
+        own = np.flatnonzero(comp_sizes)
+        keep = own[np.argmax(comp_sizes[own])]
+        for cid in own:
             if cid == keep:
                 continue
             cmask = comp == cid
-            grown = ndimage.binary_dilation(cmask, structure=structure)
+            # the component and its 4-neighbours inside the window
+            grown = cmask.copy()
+            grown[1:] |= cmask[:-1]
+            grown[:-1] |= cmask[1:]
+            grown[:, 1:] |= cmask[:, :-1]
+            grown[:, :-1] |= cmask[:, 1:]
             neighbors = np.unique(window[grown & ~cmask])
             neighbors = [int(v) for v in neighbors if v != sid]
             if not neighbors:
                 continue
             target = max(neighbors, key=lambda v: (sizes[v], -v))
-            npix = int(cmask.sum())
+            rows, cols = np.nonzero(cmask)
             window[cmask] = target
-            sizes[target] += npix
-            sizes[sid] -= npix
+            sizes[target] += rows.size
+            sizes[sid] -= rows.size
             box = boxes[target]
-            box[0] = min(box[0], r0 + sl[0].start)
-            box[1] = max(box[1], r0 + sl[0].stop)
-            box[2] = min(box[2], c0 + sl[1].start)
-            box[3] = max(box[3], c0 + sl[1].stop)
+            box[0] = min(box[0], r0 + rows.min())
+            box[1] = max(box[1], r0 + rows.max() + 1)
+            box[2] = min(box[2], c0 + cols.min())
+            box[3] = max(box[3], c0 + cols.max() + 1)
     return grid
 
 

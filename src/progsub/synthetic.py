@@ -6,7 +6,6 @@ up to rounding, and identical seeds reproduce identical bytes.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InputError
 
@@ -100,16 +99,29 @@ def _grow_regions(spec, rng):
     return owner
 
 
+def _smooth(v):
+    """A Gaussian smoothing of one spectrum, sigma 1.5 and radius 6, with
+    edge-replicated ends: ndimage.gaussian_filter1d(v, 1.5, mode="nearest")
+    in its own arithmetic, so with its bits. The kernel is exp(-x^2 / 2
+    sigma^2) over x = -6..6 divided by its sum; each output is the center
+    tap, then each symmetric pair of taps added from the outside in."""
+    x = np.arange(-6, 7)
+    w = np.exp(-0.5 / (1.5 * 1.5) * x ** 2)
+    w = w / w.sum()
+    n = v.size
+    padded = np.pad(v, 6, mode="edge")
+    out = v * w[6]
+    for j in range(6, 0, -1):
+        out += (padded[6 - j:6 - j + n] + padded[6 + j:6 + j + n]) * w[6 + j]
+    return out
+
+
 def _signatures(spec, rng):
     """Per-class mean spectra: a shared smooth base plus separated offsets."""
-
-    def smooth(v):
-        return ndimage.gaussian_filter1d(v, sigma=1.5, mode="nearest")
-
-    base = 1.0 + 0.25 * smooth(rng.standard_normal(spec.bands))
+    base = 1.0 + 0.25 * _smooth(rng.standard_normal(spec.bands))
     sigs = np.zeros((spec.bands, spec.n_classes))
     for cls in range(spec.n_classes):
-        z = smooth(rng.standard_normal(spec.bands))
+        z = _smooth(rng.standard_normal(spec.bands))
         norm = np.linalg.norm(z)
         if norm > 0:
             z = z / norm

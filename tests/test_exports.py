@@ -25,13 +25,13 @@ def test_star_import_succeeds():
     assert set(progsub.__all__) <= set(namespace)
 
 
-def test_importing_the_package_does_not_load_scipy_spatial():
+def test_importing_the_package_loads_neither_scipy_spatial_nor_ndimage():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     code = ("import sys, progsub, progsub.harness, progsub.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.spatial')))")
+            "if m.startswith(('scipy.spatial', 'scipy.ndimage'))))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

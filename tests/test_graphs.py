@@ -9,7 +9,7 @@ import progsub.graphs
 from oracle_utils import reference_knn_heat_graph
 from progsub import (InputError, alignment_graph, assemble_fused,
                      knn_heat_graph, laplacian, nn_classify)
-from progsub.graphs import coordinate_dump
+from progsub.graphs import coordinate_dump, nearest_columns
 
 
 def test_knn_two_identical_points():
@@ -224,6 +224,23 @@ def test_nn_classify_cross_search_is_argmin_of_cdist(monkeypatch, case,
     monkeypatch.setattr(progsub.graphs, "_BLOCK_FLOATS", block)
     want = labels[np.argmin(cdist(x.T, train.T, "sqeuclidean"), axis=1)]
     assert np.array_equal(nn_classify(train, labels, x), want)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_cross_search_slack_covers_the_largest_point_norm(k):
+    # queries near the origin against points of norm 2e3 a few ulps apart:
+    # GEMM rounds each distance by about u ||p||^2, far beyond u ||q||^2,
+    # so without the max ||p||^2 term of the slack the nearest point can
+    # drop out of the candidates
+    rng = np.random.default_rng(0)
+    points = 1e3 + 1e-13 * rng.standard_normal((4, 40))
+    queries = 1e-3 * rng.standard_normal((4, 30))
+    rows, cols, d2 = nearest_columns(points, k, queries=queries)
+    full = cdist(queries.T, points.T, "sqeuclidean")
+    want = np.argsort(full, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(rows, np.repeat(np.arange(30), k))
+    assert np.array_equal(cols, want.ravel())
+    assert np.array_equal(d2, np.take_along_axis(full, want, 1).ravel())
 
 
 def test_knn_rejects_non_finite_features():

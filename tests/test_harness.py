@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import progsub.harness
 from bench_utils import benchmark_config, desk_file_config, small_hyper
@@ -24,6 +25,7 @@ from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
                              load_config, load_data, make_split,
                              parse_config_text, prepare_data, run_experiment)
 from progsub.model import CONVERGENCE_HEADER
+from progsub.synthetic import _smooth
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_RUN = ROOT / "benchmarks" / "run.py"
@@ -182,6 +184,17 @@ def test_synthetic_deterministic_bytes():
     b_cube, b_labels, _, _ = generate_synthetic(spec)
     assert a_cube.tobytes() == b_cube.tobytes()
     assert np.array_equal(a_labels, b_labels)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_synthetic_smoothing_has_the_bits_of_ndimage(scale):
+    # lengths 1-12 are shorter than the 13-tap kernel, so the padding
+    # repeats an end value several times
+    rng = np.random.default_rng(int(scale * 1e3))
+    for n in [*range(1, 41), 200]:
+        v = scale * rng.standard_normal(n)
+        want = ndimage.gaussian_filter1d(v, 1.5, mode="nearest")
+        assert np.array_equal(_smooth(v), want)
 
 
 def test_synthetic_label_histogram_matches_proportions():

@@ -10,8 +10,9 @@ from oracle_utils import (reference_assign, reference_merge_orphans,
                           reference_slic_segment)
 from progsub import (InputError, SyntheticSpec, generate_synthetic,
                      segment_count, slic_segment, superpixel_stream)
-from progsub.superpixels import (Segmentation, _assign, _merge_orphans,
-                                 _seed_grid, _split_segments, _tiles)
+from progsub.superpixels import (Segmentation, _assign, _components,
+                                 _merge_orphans, _seed_grid, _split_segments,
+                                 _tiles)
 
 
 def test_constant_image_yields_seed_grid_blocks():
@@ -264,6 +265,31 @@ _DIAGONAL_GRIDS = [
               [0, 1, 1, 0]]),
     np.eye(5, dtype=np.int64) + 2 * np.eye(5, k=1, dtype=np.int64),
 ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_and_split_segments_match_ndimage_label(seed):
+    # few ids on small grids cut most segments into several pieces; many
+    # ids leave most segments whole
+    rng = np.random.default_rng(seed)
+    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    for _ in range(30):
+        height, width = rng.integers(1, 25, size=2)
+        grid = rng.integers(0, int(rng.integers(1, 4 * seed + 3)),
+                            size=(height, width))
+        comp, n_comp = _components(grid)
+        split = []
+        for s in np.unique(grid):
+            mask = grid == s
+            want, n_want = ndimage.label(mask, structure=structure)
+            # the segment's components, numbered in the same order
+            own = np.unique(comp[mask])
+            assert np.array_equal(np.searchsorted(own, comp[mask]) + 1,
+                                  want[mask])
+            if n_want > 1:
+                split.append(s)
+        assert np.array_equal(np.unique(comp), np.arange(n_comp))
+        assert _split_segments(grid).tolist() == split
 
 
 @pytest.mark.parametrize("i", range(len(_DIAGONAL_GRIDS)))
