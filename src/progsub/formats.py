@@ -114,8 +114,10 @@ def save_cube(header_path, payload_path, feats, width, height):
     with open(header_path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
+    # tofile writes C order from the array itself, where tobytes would
+    # first build a copy of the whole cube
     with open(payload_path, "wb") as fh:
-        fh.write(np.asarray(values, dtype="<f8").tobytes())
+        np.asarray(values, dtype="<f8").tofile(fh)
 
 
 def load_labels(path, n_pixels):

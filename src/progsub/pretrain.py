@@ -42,12 +42,12 @@ def prox_unit_ball(mat, out=None, work=None):
     """Rescale every column with Euclidean norm > 1 back onto the unit sphere.
 
     The result goes to `out` when given (mat itself allowed) and the squares
-    to `work`, an array of mat's shape and memory order.
+    to `work`, an array of mat's shape and memory order. A column whose norm
+    is NaN comes back all NaN.
     """
     # np.linalg.norm(mat, axis=0)'s own formula, without its dispatch
     norms = np.sqrt(np.add.reduce(np.multiply(mat, mat, out=work), axis=0))
-    scale = np.where(norms > 1.0, norms, 1.0)
-    return np.divide(mat, scale, out=out)
+    return np.divide(mat, np.maximum(norms, 1.0, out=norms), out=out)
 
 
 @dataclass
@@ -111,31 +111,39 @@ def solve_factored(factor, rhs, overwrite_rhs=False):
     C-ordered array. Raises NumericalError when the solution is not finite
     (LAPACK passes NaN and inf through without an error).
 
-    A Fortran-ordered rhs (np.isfortran: not also C-ordered) is solved by
-    dpotrs. Any other rhs is solved as out' lhs = rhs' by two right-side
-    triangular solves on rhs.T, which is a C-ordered rhs's own memory:
-    nothing is copied but the result, and each column of out has the bits
-    it has when solved in any block of columns, a single column included.
-    With many right-hand sides (the features system) the right-side solve
-    is the faster one. With `overwrite_rhs` a C-contiguous rhs is solved in
-    its own memory and returned, with the same bits.
+    The layout rules and `overwrite_rhs` are those of _solve.
     """
-    if np.isfortran(rhs):
+    out = _solve(factor, rhs, overwrite_rhs)
+    if not _all_finite(out):
+        raise NumericalError("non-finite solution in block solve")
+    return out
+
+
+def _solve(factor, rhs, overwrite_rhs=False):
+    """solve_factored without its check: NaN and inf pass through.
+
+    A Fortran-ordered rhs (flags.fnc, which np.isfortran reads: not also
+    C-ordered) is solved by dpotrs. Any other rhs is solved as
+    out' lhs = rhs' by two right-side triangular solves on rhs.T, which is
+    a C-ordered rhs's own memory: nothing is copied but the result, and
+    each column of out has the bits it has when solved in any block of
+    columns, a single column included. With many right-hand sides (the
+    features system) the right-side solve is the faster one. With
+    `overwrite_rhs` a C-contiguous rhs is solved in its own memory and
+    returned, with the same bits.
+    """
+    if rhs.flags.fnc:
         # dpotrs reports only malformed arguments, which a factor cannot be
         out, _ = dpotrs(factor, rhs)
         # LAPACK returns Fortran order; the products downstream round
         # differently by layout, so hand back C order
-        out = np.ascontiguousarray(out)
-    else:
-        # out' U'U = rhs': divide by U, then by U'; rhs.T of a C-contiguous
-        # rhs is Fortran-contiguous, so overwrite_b solves in its memory
-        in_place = overwrite_rhs and rhs.flags.c_contiguous
-        out_t = dtrsm(1.0, factor, rhs.T, side=1, overwrite_b=in_place)
-        out_t = dtrsm(1.0, factor, out_t, side=1, trans_a=1, overwrite_b=1)
-        out = rhs if in_place else out_t.T
-    if not _all_finite(out):
-        raise NumericalError("non-finite solution in block solve")
-    return out
+        return np.ascontiguousarray(out)
+    # out' U'U = rhs': divide by U, then by U'; rhs.T of a C-contiguous rhs
+    # is Fortran-contiguous, so overwrite_b solves in its memory
+    in_place = overwrite_rhs and rhs.flags.c_contiguous
+    out_t = dtrsm(1.0, factor, rhs.T, side=1, overwrite_b=in_place)
+    out_t = dtrsm(1.0, factor, out_t, side=1, trans_a=1, overwrite_b=1)
+    return rhs if in_place else out_t.T
 
 
 def solve_spd(lhs, rhs, overwrite_rhs=False):
@@ -195,7 +203,9 @@ def update_projection(state, terms, weight, work=None):
     T <- ((mu*(feats + nonneg + normed) + their duals) X' + mu*decoder
     + its dual) * (w X L X' + 3 mu X X' + mu I)^{-1}
 
-    `work` (d_out x n, C-ordered) holds the folded terms when given.
+    `work` (d_out x n, C-ordered) holds the folded terms when given. A
+    non-finite solution is returned as it is: run_admm checks every
+    iterate, and the projection reaches all four of its residuals.
     """
     mu = state.penalty
     # one product against X' for all six (d_out x n) terms
@@ -208,9 +218,9 @@ def update_projection(state, terms, weight, work=None):
     num = num @ terms.x.T
     num += mu * state.decoder
     num += state.dual_decoder
-    # num.T is Fortran-ordered (for d_out > 1), so solve_factored takes
-    # dpotrs, which needs no copy of it
-    return solve_factored(terms.projection_factor(weight, mu), num.T).T
+    # num.T is Fortran-ordered (for d_out > 1), so _solve takes dpotrs,
+    # which needs no copy of it
+    return _solve(terms.projection_factor(weight, mu), num.T).T
 
 
 def _frobenius(mat):
@@ -251,7 +261,9 @@ def update_features(state, x, px, prediction=None, out=None, work=None):
 
     The right-hand side is built and solved in `out` (d_out x n, C-ordered;
     state.feats allowed, which this update does not read) when given, and
-    mu TX is formed in `work` of the same shape.
+    mu TX is formed in `work` of the same shape. A non-finite solution, of
+    either block, is returned as it is: run_admm checks every iterate, and
+    the features reach its feats residual.
     """
     mu = state.penalty
     g = state.decoder
@@ -260,20 +272,21 @@ def update_features(state, x, px, prediction=None, out=None, work=None):
     rhs += np.multiply(px, mu, out=work)
     rhs -= state.dual_feats
     if prediction is None:
-        return solve_spd(lhs, rhs, overwrite_rhs=True)
+        return _solve(spd_factor(lhs), rhs, overwrite_rhs=True)
     rtr, rty, labeled = prediction
     if labeled is None:
         lhs += rtr
         rhs += rty
-        return solve_spd(lhs, rhs, overwrite_rhs=True)
+        return _solve(spd_factor(lhs), rhs, overwrite_rhs=True)
     # compress gathers in C order (rhs[:, labeled] would be Fortran-ordered),
     # so the labeled block takes the same right-side solve as the rest; it
     # is gathered before rhs is solved in place
     rhs_labeled = rhs.compress(labeled, axis=1)
     rhs_labeled += rty
-    feats = solve_spd(lhs, rhs, overwrite_rhs=True)
+    feats = _solve(spd_factor(lhs), rhs, overwrite_rhs=True)
     lhs += rtr
-    feats[:, labeled] = solve_spd(lhs, rhs_labeled, overwrite_rhs=True)
+    feats[:, labeled] = _solve(spd_factor(lhs), rhs_labeled,
+                               overwrite_rhs=True)
     return feats
 
 
@@ -282,7 +295,8 @@ def update_decoder(state, x):
 
     The reconstruction term participates here even though it couples decoder
     and features bilinearly; with features fixed the block is a strictly
-    convex quadratic.
+    convex quadratic. A non-finite solution is returned as it is: run_admm
+    checks every iterate, and the decoder reaches its decoder residual.
     """
     mu = state.penalty
     f = state.feats
@@ -290,7 +304,7 @@ def update_decoder(state, x):
     rhs = f @ x.T
     rhs += mu * state.proj
     rhs -= state.dual_decoder
-    return solve_spd(lhs, rhs)
+    return _solve(spd_factor(lhs), rhs)
 
 
 def update_nonneg(state, px, out=None):
@@ -330,12 +344,18 @@ def update_duals(state, gaps, out=None):
     same two roundings: take a gap's norm before this call.
     """
     mu = state.penalty
-    duals = (state.dual_feats, state.dual_decoder, state.dual_nonneg,
-             state.dual_normed)
     scaled = (None,) * 4 if out is None else gaps
     out = (None,) * 4 if out is None else out
-    return tuple(np.add(dual, np.multiply(gap, mu, out=into), out=dest)
-                 for dual, gap, into, dest in zip(duals, gaps, scaled, out))
+    return (
+        np.add(state.dual_feats, np.multiply(gaps[0], mu, out=scaled[0]),
+               out=out[0]),
+        np.add(state.dual_decoder, np.multiply(gaps[1], mu, out=scaled[1]),
+               out=out[1]),
+        np.add(state.dual_nonneg, np.multiply(gaps[2], mu, out=scaled[2]),
+               out=out[2]),
+        np.add(state.dual_normed, np.multiply(gaps[3], mu, out=scaled[3]),
+               out=out[3]),
+    )
 
 
 @dataclass
@@ -412,6 +432,10 @@ def reconstruction_objective(proj, x, graph_gram, graph_weight,
     return value + 0.5 * graph_weight * graph
 
 
+# a non-finite block solution passes through the later blocks (as NaN, or
+# as an inf that can meet another) to the residual check, which raises
+# NumericalError naming the iteration; no RuntimeWarning comes before it
+@np.errstate(invalid="ignore")
 def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     """Shared ADMM engine; returns (projection, PretrainReport).
 
@@ -431,6 +455,11 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     only at its last row (by finetune_projection's guard), so it evaluates
     the objective once, at the iterate it returns, and leaves the column
     None on the rows before.
+
+    Every iteration checks its four residuals and any objective it
+    evaluates. The block updates leave their solutions unchecked, since
+    each solution reaches a residual of the same iteration, so a non-finite
+    value raises NumericalError at the iteration where it appears.
 
     An iteration allocates no d_out x n array: the run owns TX, three
     column-sized gaps (the first also serves as every update's scratch,
@@ -458,8 +487,9 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     work = gaps[0]
     resid = np.empty(x.shape) if supervision is None else None
 
+    eps, rho, mu_max, max_iters = cfg.eps, cfg.rho, cfg.mu_max, cfg.max_iters
     trace = []
-    for t in range(cfg.max_iters):
+    for t in range(max_iters):
         mu_used = state.penalty
         try:
             state.proj = update_projection(state, terms, graph_weight, work)
@@ -478,13 +508,13 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
             raise NumericalError(
                 f"non-finite value at ADMM iteration {t}: {exc}"
             ) from exc
-        state.penalty = min(cfg.rho * state.penalty, cfg.mu_max)
+        state.penalty = min(rho * state.penalty, mu_max)
 
         if not all(map(math.isfinite, residuals)):
             raise NumericalError(f"non-finite value at ADMM iteration {t}")
-        converged = all(r < cfg.eps for r in residuals)
+        converged = max(residuals) < eps
         obj = None
-        if supervision is None or converged or t == cfg.max_iters - 1:
+        if supervision is None or converged or t == max_iters - 1:
             obj = reconstruction_objective(state.proj, x, terms.graph_gram,
                                            graph_weight, supervision, px,
                                            resid)

@@ -224,6 +224,22 @@ def test_save_cube_writes_f64le(tmp_path):
     assert (tmp_path / "p.raw").read_bytes() == struct.pack("<2d", 0.1, -2.0)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_save_cube_writes_without_a_copy_of_the_cube(tmp_path, order):
+    values = np.asarray(
+        np.random.default_rng(11).standard_normal((200, 20000)), order=order)
+    tracemalloc.start()
+    try:
+        save_cube(tmp_path / "h.json", tmp_path / "p.raw", values, 200, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # writing the payload through tobytes held one copy of the cube
+    assert peak < values.nbytes / 10
+    assert (tmp_path / "p.raw").read_bytes() == np.ascontiguousarray(
+        values).astype("<f8").tobytes()
+
+
 def test_load_labels_basic(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("0\n2\n1\n")

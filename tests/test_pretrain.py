@@ -456,6 +456,99 @@ def test_run_admm_raises_on_nonfinite():
                  AdmmConfig(max_iters=5))
 
 
+# (phase, block) -> (solver, call within an iteration): the projection
+# right-hand side is Fortran-ordered (d_out > 1), so dpotrs solves it; the
+# features blocks and the decoder take two right-side dtrsm calls each, in
+# that order, and the second call returns the solution. "finetune partial"
+# labels about half the columns, so the labeled features block is solved
+# on its own.
+POISON_TARGETS = {
+    ("pretrain", "projection"): ("dpotrs", 0),
+    ("pretrain", "features"): ("dtrsm", 1),
+    ("pretrain", "decoder"): ("dtrsm", 3),
+    ("finetune", "projection"): ("dpotrs", 0),
+    ("finetune", "features"): ("dtrsm", 1),
+    ("finetune", "decoder"): ("dtrsm", 3),
+    ("finetune partial", "projection"): ("dpotrs", 0),
+    ("finetune partial", "features"): ("dtrsm", 1),
+    ("finetune partial", "labeled features"): ("dtrsm", 3),
+    ("finetune partial", "decoder"): ("dtrsm", 5),
+}
+
+
+def _poisoned_run(monkeypatch, phase, solver=None, call=None, value=None):
+    """run_admm at 5 -> 3 over 12 columns with the solver call number `call`
+    (counted over the run) returning `value` in one entry of its solution;
+    returns the run's report and the calls made to each solver."""
+    calls = {"dpotrs": 0, "dtrsm": 0}
+
+    def wrap(name):
+        real = getattr(progsub.pretrain, name)
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if name == solver and calls[name] == call:
+                (out[0] if name == "dpotrs" else out)[0, 0] = value
+            calls[name] += 1
+            return out
+        monkeypatch.setattr(progsub.pretrain, name, poisoned)
+
+    wrap("dpotrs")
+    wrap("dtrsm")
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((5, 12)) / 3.0
+    graph_gram = compute_graph_gram(x, random_laplacian(rng, 12))
+    supervision = None
+    if phase != "pretrain":
+        supervision = (rng.standard_normal((2, 3)),
+                       rng.standard_normal((2, 12)), 0.7,
+                       rng.random(12) < 0.5 if phase.endswith("partial")
+                       else None)
+    _, report = run_admm(LayerTerms(x, graph_gram),
+                         0.3 * rng.standard_normal((3, 5)), 0.4,
+                         AdmmConfig(eps=1e-300, max_iters=6), supervision)
+    return report, calls
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "finetune", "finetune partial"])
+def test_poisoned_runs_count_the_solver_calls_they_target(monkeypatch, phase):
+    report, calls = _poisoned_run(monkeypatch, phase)
+    per_iter = 6 if phase.endswith("partial") else 4
+    assert calls == {"dpotrs": report.iterations,
+                     "dtrsm": per_iter * report.iterations}
+    assert report.iterations == 6
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("t", [0, 3])
+@pytest.mark.parametrize("phase, block", list(POISON_TARGETS))
+def test_non_finite_block_solution_raises_at_its_iteration(
+        monkeypatch, phase, block, t, value):
+    """A non-finite solution of any block solve, in pre-training or
+    fine-tuning, raises NumericalError naming the iteration of that solve,
+    before any RuntimeWarning (the suite turns warnings into errors)."""
+    solver, offset = POISON_TARGETS[phase, block]
+    per_iter = {"dpotrs": 1,
+                "dtrsm": 6 if phase.endswith("partial") else 4}[solver]
+    with pytest.raises(NumericalError,
+                       match=f"^non-finite value at ADMM iteration {t}(:|$)"):
+        _poisoned_run(monkeypatch, phase, solver, t * per_iter + offset,
+                      value)
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "finetune", "finetune partial"])
+def test_run_admm_leaves_solution_checks_to_its_residuals(monkeypatch, phase):
+    """The block updates do not scan their solutions for non-finite values:
+    every solution reaches a residual of the same iteration, which run_admm
+    checks (see the poisoned runs above)."""
+    def scan(mat):
+        raise AssertionError("a block solution was scanned")
+
+    monkeypatch.setattr(progsub.pretrain, "_all_finite", scan)
+    report, _ = _poisoned_run(monkeypatch, phase)
+    assert report.iterations == 6
+
+
 def test_run_admm_rejects_graph_gram_of_wrong_shape():
     rng = np.random.default_rng(21)
     x = rng.standard_normal((3, 8))
