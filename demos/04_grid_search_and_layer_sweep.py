@@ -26,10 +26,11 @@ def main():
 
     mapping = dict(PRESETS["synth-benchmark"])
     mapping["method"] = "progsub"
+    mapping["sweep.layers"] = "1,2,3,4"
     config = ExperimentConfig.from_mapping(mapping, seed=7)
     print("Layer sweep (same data, growing projection chains):")
     print(f"{'m':>3s} {'OA':>8s} {'AA':>8s} {'kappa':>8s}")
-    for m, oa, aa, kappa in layer_sweep(config, [1, 2, 3, 4]):
+    for m, oa, aa, kappa in layer_sweep(config):
         print(f"{m:3d} {oa:8.4f} {aa:8.4f} {kappa:8.4f}")
     print("\nAccuracy typically rises over the first few layers, then "
           "saturates or dips as depth outgrows the training data.")

@@ -155,9 +155,12 @@ class ExperimentConfig:
                 height=_get(mapping, "synthetic.height", int, 16),
                 bands=_get(mapping, "synthetic.bands", int, 12),
                 n_classes=_get(mapping, "synthetic.classes", int, 6),
-                separation=_get(mapping, "synthetic.separation", float, 1.0),
-                noise=_get(mapping, "synthetic.noise", float, 0.3),
-                blob_size=_get(mapping, "synthetic.blob", int, 5),
+                separation=_get(mapping, "synthetic.separation", float,
+                                SyntheticSpec.separation),
+                noise=_get(mapping, "synthetic.noise", float,
+                           SyntheticSpec.noise),
+                blob_size=_get(mapping, "synthetic.blob", int,
+                               SyntheticSpec.blob_size),
                 seed=seed,
             )
 
@@ -173,10 +176,10 @@ class ExperimentConfig:
             dims=tuple(dims),
             knn_k=_get(mapping, "model.knn_k", int, 10),
             sigma=_get(mapping, "model.sigma", float, 0.1),
-            max_outer_iters=_get(mapping, "model.max_outer", int, 50),
-            superpixel_fraction=_get(
-                mapping, "model.superpixel_fraction", float, 0.10
-            ),
+            max_outer_iters=_get(mapping, "model.max_outer", int,
+                                 HyperParams.max_outer_iters),
+            superpixel_fraction=_get(mapping, "model.superpixel_fraction",
+                                     float, HyperParams.superpixel_fraction),
         )
         # admm.<field> for every AdmmConfig field, cast to its default's type
         admm = AdmmConfig(**{
@@ -209,15 +212,23 @@ class ExperimentConfig:
         if slic_iters < 1:
             raise InputError(f"config key slic.iters={slic_iters} "
                              "must be >= 1")
+        # a data run names all three files; a synthetic run names none
+        data_keys = ("data.cube_header", "data.cube_payload", "data.labels")
+        paths = [_get(mapping, key, str, None) for key in data_keys]
+        missing = [key for key, path in zip(data_keys, paths) if path is None]
+        if 0 < len(missing) < len(data_keys):
+            raise InputError(f"config lacks {', '.join(missing)}: a data run "
+                             f"names all of {', '.join(data_keys)}")
+        cube_header, cube_payload, labels_path = paths
         config = cls(
             raw=raw,
             method=method,
             seed=seed,
             out_dir=_get(mapping, "out", str, None),
             synthetic=synthetic,
-            cube_header=_get(mapping, "data.cube_header", str, None),
-            cube_payload=_get(mapping, "data.cube_payload", str, None),
-            labels_path=_get(mapping, "data.labels", str, None),
+            cube_header=cube_header,
+            cube_payload=cube_payload,
+            labels_path=labels_path,
             train_per_class=per_class,
             unlabeled_fraction=hidden,
             include_unlabeled=include,
@@ -291,24 +302,18 @@ def openblas_thread_calls():
     return calls
 
 
-def pin_blas_threads():
-    """Put every loaded OpenBLAS on one thread unless OPENBLAS_NUM_THREADS or
-    OMP_NUM_THREADS is set; returns the (setter, count) pairs it replaced.
-    One thread runs a fit's small matrices fastest and keeps its bits."""
-    if os.environ.get("OPENBLAS_NUM_THREADS") or \
-            os.environ.get("OMP_NUM_THREADS"):
-        return []
-    replaced = [(setter, getter())
-                for getter, setter in openblas_thread_calls()]
-    for setter, _ in replaced:
-        setter(1)
-    return replaced
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
-    """pin_blas_threads, then the caller's counts back, also on a raise."""
-    replaced = pin_blas_threads()
+    """Put every loaded OpenBLAS on one thread unless OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS is set, then the caller's counts back, also on a raise.
+    One thread runs a fit's small matrices fastest and keeps its bits."""
+    replaced = []
+    if not (os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS")):
+        replaced = [(setter, getter())
+                    for getter, setter in openblas_thread_calls()]
+        for setter, _ in replaced:
+            setter(1)
     try:
         yield
     finally:
@@ -701,11 +706,11 @@ def grid_search_cv(config):
 
 
 @_one_blas_thread()
-def layer_sweep(config, m_list=None):
-    """Refit with each layer count on data prepared once; returns rows of
-    (m, oa, aa, kappa). Only a method that reads `layers` can be swept."""
-    m_list = list(m_list if m_list is not None else config.sweep_layers)
-    if not m_list:
+def layer_sweep(config):
+    """Refit with each layer count of `config.sweep_layers` on data prepared
+    once; returns rows of (m, oa, aa, kappa). Only a method that reads
+    `layers` can be swept."""
+    if not config.sweep_layers:
         raise InputError("layer sweep needs at least one layer count")
     if "layers" not in _METHOD_PARAMS[config.method]:
         raise InputError(
@@ -713,7 +718,7 @@ def layer_sweep(config, m_list=None):
             "would fit the same model; only progsub reads layers")
     data = prepare_data(config)
     rows = []
-    for m in m_list:
+    for m in config.sweep_layers:
         hyper = _apply_cell(config.hyper, {"layers": m})
         metrics = _fit_and_score(config, data, hyper)[0]
         rows.append((int(m), metrics.oa, metrics.aa, metrics.kappa))

@@ -90,8 +90,8 @@ class AdmmState:
 
 def spd_factor(lhs):
     """Upper Cholesky factor of a symmetric positive-definite lhs (upper
-    triangle read), for solve_factored. Raises NumericalError when lhs is
-    not positive definite or not finite."""
+    triangle read), for _solve. Raises NumericalError when lhs is not
+    positive definite or not finite."""
     factor, info = dpotrf(lhs, clean=0)
     if info != 0:
         if not np.isfinite(lhs).all():
@@ -106,21 +106,10 @@ def spd_factor(lhs):
     return factor
 
 
-def solve_factored(factor, rhs, overwrite_rhs=False):
-    """Solve lhs @ out = rhs given factor = spd_factor(lhs); returns a
-    C-ordered array. Raises NumericalError when the solution is not finite
-    (LAPACK passes NaN and inf through without an error).
-
-    The layout rules and `overwrite_rhs` are those of _solve.
-    """
-    out = _solve(factor, rhs, overwrite_rhs)
-    if not _all_finite(out):
-        raise NumericalError("non-finite solution in block solve")
-    return out
-
-
 def _solve(factor, rhs, overwrite_rhs=False):
-    """solve_factored without its check: NaN and inf pass through.
+    """Solve lhs @ out = rhs given factor = spd_factor(lhs); returns a
+    C-ordered array. Nothing is checked: NaN and inf pass through (the ADMM
+    updates leave that to run_admm's residuals; solve_spd checks).
 
     A Fortran-ordered rhs (flags.fnc, which np.isfortran reads: not also
     C-ordered) is solved by dpotrs. Any other rhs is solved as
@@ -146,12 +135,16 @@ def _solve(factor, rhs, overwrite_rhs=False):
     return rhs if in_place else out_t.T
 
 
-def solve_spd(lhs, rhs, overwrite_rhs=False):
+def solve_spd(lhs, rhs):
     """Solve lhs @ out = rhs for a symmetric positive-definite lhs (upper
-    triangle read): one dpotrf, then the solve solve_factored picks by the
-    layout of rhs, with the checks, C order and `overwrite_rhs` of
-    spd_factor and solve_factored."""
-    return solve_factored(spd_factor(lhs), rhs, overwrite_rhs)
+    triangle read): spd_factor, then the solve _solve picks by the layout
+    of rhs, into a new C-ordered array. Raises NumericalError when lhs is
+    not positive definite or not finite, or when the solution is not finite
+    (LAPACK passes NaN and inf through without an error)."""
+    out = _solve(spd_factor(lhs), rhs)
+    if not _all_finite(out):
+        raise NumericalError("non-finite solution in block solve")
+    return out
 
 
 def _all_finite(mat):

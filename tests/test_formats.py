@@ -252,6 +252,14 @@ def test_load_labels_all_zero_is_unlabeled(tmp_path):
     assert np.array_equal(load_labels(path, 2), [0, 0])
 
 
+def test_load_labels_names_a_non_integer_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("1\nx\n2\n")
+    with pytest.raises(FormatError,
+                       match="^label line 1 is not an integer: 'x'$"):
+        load_labels(path, 3)
+
+
 def test_load_labels_count_mismatch(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_text("1\n2\n")
@@ -400,6 +408,13 @@ def test_model_version_mismatch():
         parse_model_bytes(bytes(blob))
     with pytest.raises(FormatError, match="magic"):
         parse_model_bytes(b"XXXX" + bytes(blob[4:]))
+
+
+def test_model_header_cut_inside_its_shape_table_is_truncated():
+    # 13 fixed bytes, then one (rows, cols) pair of 8 bytes; keep 4 of them
+    blob = dump_model_bytes(ProjectionStack((np.eye(2),), None))
+    with pytest.raises(FormatError, match="^model header is truncated: "):
+        parse_model_bytes(blob[:17])
 
 
 # the identity stack's 29-byte header, then its 2x2 projection and 3x2

@@ -15,7 +15,8 @@ import progsub.harness
 from bench_utils import benchmark_config, desk_file_config, small_hyper
 from oracle_utils import (reference_cv_score, reference_make_split,
                           reference_stratified_folds)
-from progsub import InputError, SyntheticSpec, generate_synthetic, nn_classify
+from progsub import (AdmmConfig, HyperParams, InputError, SyntheticSpec,
+                     generate_synthetic, nn_classify)
 from progsub.cli import main as cli_main
 from progsub.formats import labels_text, load_labels, save_cube, save_labels
 from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
@@ -103,6 +104,43 @@ def test_config_rejects_removed_knobs():
     cfg = benchmark_config(seed=7, **{"grid.eta": "0.1"})
     with pytest.raises(InputError, match="unknown grid parameter 'eta'"):
         _grid_cells(cfg)
+
+
+DATA_KEYS = ("data.cube_header", "data.cube_payload", "data.labels")
+
+
+@pytest.mark.parametrize("given", [
+    keys for count in (1, 2) for keys in itertools.combinations(DATA_KEYS,
+                                                                count)])
+def test_config_with_some_data_keys_names_the_ones_it_lacks(given):
+    lacks = ", ".join(key for key in DATA_KEYS if key not in given)
+    with pytest.raises(InputError, match=f"^config lacks {lacks}: a data run "
+                       f"names all of {', '.join(DATA_KEYS)}$"):
+        ExperimentConfig.from_mapping(
+            {"preset": "synth-benchmark", **{key: "x" for key in given}})
+
+
+def test_cli_fit_names_a_missing_data_key(tmp_path, capsys):
+    save_cube(tmp_path / "cube.json", tmp_path / "cube.raw", np.ones((2, 4)),
+              2, 2)
+    save_labels(tmp_path / "labels.txt", [1, 1, 2, 2])
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"method=raw\ndata.cube_header={tmp_path}/cube.json\n"
+                   f"data.labels={tmp_path}/labels.txt\n")
+    assert cli_main(["fit", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error[fit]: config lacks data.cube_payload: a data run names all of "
+        "data.cube_header, data.cube_payload, data.labels\n")
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    cfg = ExperimentConfig.from_mapping({})
+    assert cfg.hyper == HyperParams(alpha=1.0, beta=0.1, gamma=0.1, layers=1,
+                                    dims=(10,), knn_k=10, sigma=0.1)
+    assert cfg.admm == AdmmConfig()
+    spec = ExperimentConfig.from_mapping({"synthetic.width": "16"}).synthetic
+    assert spec == SyntheticSpec(width=16, height=16, bands=12, n_classes=6)
 
 
 def test_readme_config_table_lists_the_keys_the_parser_reads(monkeypatch):
@@ -570,24 +608,25 @@ def test_grid_cell_setting_layers_keeps_its_dims():
 
 # ----------------------------------------------------------------- sweep
 
-def _sweep_config(out_dir=None, method="progsub"):
-    return benchmark_config(
+def _sweep_config(layers, out_dir=None, method="progsub"):
+    cfg = benchmark_config(
         seed=5, method=method, out_dir=out_dir,
         **{"synthetic.width": "8", "synthetic.height": "8",
            "synthetic.classes": "3", "split.train_per_class": "5",
            "model.dims": "2", "model.knn_k": "4", "admm.max_iters": "200"},
     )
+    return replace(cfg, sweep_layers=layers)
 
 
 def test_layer_sweep_single_row():
-    rows = layer_sweep(_sweep_config(), [1])
+    rows = layer_sweep(_sweep_config(layers=[1]))
     assert len(rows) == 1
     assert rows[0][0] == 1
 
 
 def test_layer_sweep_full_depth_range(tmp_path):
-    cfg = _sweep_config(out_dir=str(tmp_path))
-    rows = layer_sweep(cfg, list(range(1, 9)))
+    cfg = _sweep_config(out_dir=str(tmp_path), layers=list(range(1, 9)))
+    rows = layer_sweep(cfg)
     assert [r[0] for r in rows] == list(range(1, 9))
     for _, oa, aa, kappa in rows:
         assert 0.0 <= oa <= 1.0 and 0.0 <= aa <= 1.0 and -1.0 <= kappa <= 1.0
@@ -604,8 +643,8 @@ def test_layer_sweep_prepares_data_once(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(progsub.harness, name, counted)
-    cfg = _sweep_config()
-    rows = layer_sweep(cfg, [1, 2, 3])
+    cfg = _sweep_config(layers=[1, 2, 3])
+    rows = layer_sweep(cfg)
     assert sorted(calls) == ["generate_synthetic", "slic_segment"]
     # each row is the one a full run at that depth scores
     for m, oa, aa, kappa in rows:
@@ -621,7 +660,7 @@ def test_layer_sweep_rejects_a_method_without_layers(method, monkeypatch):
     monkeypatch.setattr(progsub.harness, "prepare_data", None)
     with pytest.raises(InputError, match=f"method '{method}' reads no "
                        "layer count.*only progsub reads layers"):
-        layer_sweep(_sweep_config(method=method), [1, 2])
+        layer_sweep(_sweep_config(method=method, layers=[1, 2]))
 
 
 def test_cli_sweep_layers_rejects_a_method_without_layers(tmp_path, capsys):
@@ -635,8 +674,8 @@ def test_cli_sweep_layers_rejects_a_method_without_layers(tmp_path, capsys):
 
 
 def test_layer_sweep_deterministic():
-    a = layer_sweep(_sweep_config(), [1, 2])
-    b = layer_sweep(_sweep_config(), [1, 2])
+    a = layer_sweep(_sweep_config(layers=[1, 2]))
+    b = layer_sweep(_sweep_config(layers=[1, 2]))
     assert a == b
 
 
@@ -770,6 +809,32 @@ def test_cli_fit_names_a_bad_cube_header_value(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error[load]: cube header {header}: width must be a whole number, "
         "got 'abc'\n")
+
+
+def test_cli_error_keeps_the_innermost_stage(tmp_path, capsys, monkeypatch):
+    # the stream stage runs inside the fit stage, and names the error itself
+    def broken(*args, **kwargs):
+        raise ValueError("no stream")
+
+    monkeypatch.setattr(progsub.harness, "superpixel_stream", broken)
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt")
+    assert cli_main(["fit", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error[stream]: no stream\n"
+
+
+def test_all_zero_cube_loads_as_zeros(tmp_path):
+    # a zero cube has no column norm to scale by; it is kept as it is, with
+    # no 0/0 warning (the suite turns warnings into errors)
+    save_cube(tmp_path / "cube.json", tmp_path / "cube.raw", np.zeros((3, 4)),
+              2, 2)
+    save_labels(tmp_path / "labels.txt", [1, 1, 2, 0])
+    data = load_data(ExperimentConfig.from_mapping({
+        "data.cube_header": str(tmp_path / "cube.json"),
+        "data.cube_payload": str(tmp_path / "cube.raw"),
+        "data.labels": str(tmp_path / "labels.txt")}))
+    assert data.cube.shape == (3, 4) and not data.cube.any()
+    assert data.n_classes == 2
 
 
 def test_data_files_give_the_synthetic_run_bytes(tmp_path, monkeypatch):

@@ -475,8 +475,9 @@ def test_fit_stack_with_unlabeled_columns_runs():
 # ---------------------------------------------------- per-layer terms cache
 
 def test_desk_fit_factors_each_projection_system_once(monkeypatch):
-    # dpotrf also factors the features and decoder systems in solve_spd;
-    # count the calls made for projection systems
+    # dpotrf also factors the features and decoder systems (spd_factor in
+    # update_features and update_decoder) and the readout's; count the calls
+    # made for projection systems
     requested, factored, inside = [], [], []
     real_factor = progsub.pretrain.LayerTerms.projection_factor
     real_dpotrf = progsub.pretrain.dpotrf

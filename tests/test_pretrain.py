@@ -21,7 +21,7 @@ from progsub import (AdmmConfig, AdmmState, InputError, NumericalError,
 from progsub.graphs import compute_graph_gram
 from progsub.pretrain import (RIDGE, LayerTerms, layer_terms,
                               prediction_terms, reconstruction_objective,
-                              run_admm, solve_factored, solve_spd, spd_factor)
+                              _solve, run_admm, solve_spd, spd_factor)
 
 
 def random_state(rng, d_out, d_in, n, mu=1.0):
@@ -637,7 +637,7 @@ def test_factored_solve_has_the_bits_of_dposv(n, m):
     factor, info = dpotrf(lhs, clean=0)
     got, _ = dpotrs(factor, rhs)
     assert np.array_equal(got, want)
-    got = solve_factored(spd_factor(lhs), rhs)
+    got = _solve(spd_factor(lhs), rhs)
     assert got.flags.c_contiguous
     assert np.array_equal(got, solve_spd(lhs, rhs))
 
@@ -705,22 +705,21 @@ def test_c_ordered_solve_of_any_column_block_has_the_full_solves_bits(n, m):
     # other columns solved with it
     lhs, rhs = _system(n, m, 6000 * n + m)
     factor = spd_factor(lhs)
-    full = solve_factored(factor, rhs)
+    full = _solve(factor, rhs)
     rng = np.random.default_rng(m)
     for count in [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, m // 9, m // 2, m - 1]:
         mask = np.zeros(m, dtype=bool)
         mask[rng.choice(m, count, replace=False)] = True
-        block = solve_factored(factor, rhs.compress(mask, axis=1))
+        block = _solve(factor, rhs.compress(mask, axis=1))
         assert np.array_equal(block, full[:, mask])
 
 
 def test_c_ordered_solve_copies_nothing_but_its_result():
     lhs, rhs = _system(20, 20000, 7)
-    factor = spd_factor(lhs)
-    solve_factored(factor, rhs[:, :100])  # load what the first call loads
+    solve_spd(lhs, rhs[:, :100])  # load what the first call loads
     tracemalloc.start()
     try:
-        solve_factored(factor, rhs)
+        solve_spd(lhs, rhs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -754,8 +753,6 @@ def test_solve_spd_raises_numerical_error(case):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="block solve"):
             solve_spd(lhs, rhs)
-        with pytest.raises(NumericalError, match="block solve"):
-            solve_factored(spd_factor(lhs), rhs)
 
 
 @pytest.mark.parametrize("case", ["NaN matrix", "inf matrix", "1x1 NaN"])
@@ -1025,17 +1022,17 @@ def test_prox_operators_write_over_their_input_with_the_same_bits(shape):
 def test_c_ordered_solve_in_place_has_the_bits_of_the_copying_solve(n, m):
     lhs, rhs = _system(n, m, 8000 * n + m)
     factor = spd_factor(lhs)
-    want = solve_factored(factor, rhs)
+    want = _solve(factor, rhs)
     buf = rhs.copy()
-    assert solve_factored(factor, buf, overwrite_rhs=True) is buf
+    assert _solve(factor, buf, overwrite_rhs=True) is buf
     assert np.array_equal(buf, want)
     # a Fortran-ordered rhs keeps dpotrs and is left as it is (one row is
     # C-ordered too, and is solved in place above)
     rhs_f = np.asfortranarray(rhs)
     if np.isfortran(rhs_f):
-        got = solve_factored(factor, rhs_f, overwrite_rhs=True)
+        got = _solve(factor, rhs_f, overwrite_rhs=True)
         assert np.array_equal(rhs_f, rhs)
-        assert np.array_equal(got, solve_factored(factor, rhs_f))
+        assert np.array_equal(got, _solve(factor, rhs_f))
 
 
 def _run_admm_peak(supervision):
