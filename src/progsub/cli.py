@@ -1,8 +1,11 @@
 """Command-line front end for the experiment harness.
 
-Subcommands: generate, segment, fit, transform, evaluate, grid,
-sweep-layers, render-map. Exit code 0 on success; any stage failure prints
-``error[stage]: cause`` and exits nonzero.
+Each subcommand (generate, segment, fit, transform, evaluate, grid,
+sweep-layers, render-map) carries its handler in the parser; `main` loads
+the config once and passes it on. Exit code 0 on success; any failure prints
+``error[stage]: cause`` and exits 1. A failure inside a pipeline stage names
+that stage; any other (config, model or predictions file) names the
+subcommand's first word.
 """
 
 import argparse
@@ -15,6 +18,7 @@ from .harness import (_one_blas_thread, layer_sweep, grid_search_cv,
                       load_config, load_data, run_experiment, score_embedding,
                       segment_data, split_data, write_files)
 from .model import transform as stack_transform
+from .synthetic import generate_synthetic
 
 
 # the flags whose argparse dest is the config key they stand for; a flag that
@@ -36,34 +40,39 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **extra_flags):
+    def add(name, help_text, handler, **extra_flags):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--seed", type=int, help="split and synthetic seed")
         p.add_argument("--out", help="output directory")
         for flag, kwargs in extra_flags.items():
             p.add_argument(flag, **kwargs)
-        return p
 
-    add("generate", "write a synthetic cube, labels, and truth map")
-    add("segment", "segment the cube and write per-pixel segment ids")
-    add("fit", "train, evaluate, and write the full artifact set",
+    add("generate", "write a synthetic cube, labels, and truth map",
+        _cmd_generate)
+    add("segment", "segment the cube and write per-pixel segment ids",
+        _cmd_segment)
+    add("fit", "train, evaluate, and write the full artifact set", _cmd_fit,
         **{"--dump-graphs": dict(
             dest="run.dump_graphs", action="store_const", const="true",
             help="also write the graphs the fit was trained on (sets "
                  "run.dump_graphs=true)")},
         **_INCLUDE_UNLABELED)
-    add("transform", "project a cube through a trained model", **_MODEL)
-    add("evaluate", "re-evaluate a trained model on the config's split",
+    add("transform", "project a cube through a trained model", _cmd_transform,
         **_MODEL)
-    add("grid", "cross-validated hyperparameter grid search",
+    add("evaluate", "re-evaluate a trained model on the config's split",
+        _cmd_evaluate, **_MODEL)
+    add("grid", "cross-validated hyperparameter grid search", _cmd_grid,
         **{"--grid-budget": dict(dest="grid.budget", type=int,
                                  help="cap the number of grid cells")})
     add("sweep-layers", "refit with each configured layer count",
+        _cmd_sweep_layers,
         **{"--layers": dict(dest="sweep.layers",
                             help="comma list of layer counts")},
         **_INCLUDE_UNLABELED)
     add("render-map", "render a predictions file as a PPM class map",
+        _cmd_render_map,
         **{"--predictions": dict(required=True,
                                  help="file with one class id per line")})
     return parser
@@ -82,13 +91,10 @@ def _load(args):
                                      if flags.get(key) is not None})
 
 
-def _cmd_generate(args):
-    config = _load(args)
-    out = _require_out(config, "generate")
+def _cmd_generate(args, config):
+    out = _require_out(config, args.command)
     if config.synthetic is None:
         raise InputError("generate needs synthetic.* config keys")
-    from .synthetic import generate_synthetic
-
     cube, labels, width, height = generate_synthetic(config.synthetic)
     formats.save_cube(os.path.join(out, "cube.json"),
                       os.path.join(out, "cube.raw"),
@@ -101,9 +107,8 @@ def _cmd_generate(args):
     return 0
 
 
-def _cmd_segment(args):
-    config = _load(args)
-    out = _require_out(config, "segment")
+def _cmd_segment(args, config):
+    out = _require_out(config, args.command)
     data = load_data(config)
     seg = segment_data(config, data)
     path = os.path.join(out, "segments.txt")
@@ -113,18 +118,16 @@ def _cmd_segment(args):
     return 0
 
 
-def _cmd_fit(args):
-    config = _load(args)
-    _require_out(config, "fit")
+def _cmd_fit(args, config):
+    _require_out(config, args.command)
     metrics, artifacts = run_experiment(config)
     print(f"fit[{config.method}]: oa={metrics.oa:.4f} aa={metrics.aa:.4f} "
           f"kappa={metrics.kappa:.4f} ({len(artifacts)} artifacts)")
     return 0
 
 
-def _cmd_transform(args):
-    config = _load(args)
-    out = _require_out(config, "transform")
+def _cmd_transform(args, config):
+    out = _require_out(config, args.command)
     stack = formats.load_model(args.model)
     data = load_data(config)
     embedded = stack_transform(stack, data.cube)
@@ -135,9 +138,8 @@ def _cmd_transform(args):
     return 0
 
 
-def _cmd_evaluate(args):
-    config = _load(args)
-    out = _require_out(config, "evaluate")
+def _cmd_evaluate(args, config):
+    out = _require_out(config, args.command)
     stack = formats.load_model(args.model)
     data = load_data(config)
     data.split = split_data(config, data)
@@ -152,25 +154,22 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _cmd_grid(args):
-    config = _load(args)
+def _cmd_grid(args, config):
     best, rows = grid_search_cv(config)
     print(f"grid: scored {len(rows)} cells; best mean OA "
           f"{max(r[1] for r in rows):.4f}")
     return 0
 
 
-def _cmd_sweep_layers(args):
-    config = _load(args)
+def _cmd_sweep_layers(args, config):
     rows = layer_sweep(config)
     for m, oa, aa, kappa in rows:
         print(f"m={m}: oa={oa:.4f} aa={aa:.4f} kappa={kappa:.4f}")
     return 0
 
 
-def _cmd_render_map(args):
-    config = _load(args)
-    out = _require_out(config, "render-map")
+def _cmd_render_map(args, config):
+    out = _require_out(config, args.command)
     data = load_data(config)
     preds = formats.load_labels(args.predictions, data.width * data.height)
     n_classes = max(int(preds.max()), data.n_classes)
@@ -180,29 +179,17 @@ def _cmd_render_map(args):
     return 0
 
 
-_COMMANDS = {
-    "generate": ("generate", _cmd_generate),
-    "segment": ("segment", _cmd_segment),
-    "fit": ("fit", _cmd_fit),
-    "transform": ("transform", _cmd_transform),
-    "evaluate": ("evaluate", _cmd_evaluate),
-    "grid": ("grid", _cmd_grid),
-    "sweep-layers": ("sweep", _cmd_sweep_layers),
-    "render-map": ("render", _cmd_render_map),
-}
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    stage, handler = _COMMANDS[args.command]
     try:
         with _one_blas_thread():
-            return handler(args)
+            return args.handler(args, _load(args))
     except PipelineError as exc:
         print(f"error[{exc.stage}]: {exc.cause}", file=sys.stderr)
         return 1
     except (InputError, FormatError, NumericalError, OSError) as exc:
+        stage = args.command.split("-")[0]
         print(f"error[{stage}]: {exc}", file=sys.stderr)
         return 1
 

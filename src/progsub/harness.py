@@ -34,10 +34,6 @@ PRESETS = {
         "model.alpha": "1.0", "model.beta": "0.1", "model.gamma": "0.1",
         "model.dims": "20", "model.knn_k": "10", "model.sigma": "0.1",
     },
-    "tuned-d30": {
-        "model.alpha": "1.0", "model.beta": "0.1", "model.gamma": "0.1",
-        "model.dims": "30", "model.knn_k": "10", "model.sigma": "0.1",
-    },
     # desk-scale seeded benchmark used by the acceptance suite and demos
     "synth-benchmark": {
         "synthetic.width": "16", "synthetic.height": "16",
@@ -50,6 +46,7 @@ PRESETS = {
         "model.sigma": "0.5",
     },
 }
+PRESETS["tuned-d30"] = dict(PRESETS["tuned-d20"], **{"model.dims": "30"})
 
 # full tuning ranges; the cell product is huge, so grid runs usually cap it
 # with a budget
@@ -190,6 +187,8 @@ class ExperimentConfig:
         if grid_folds < 2:
             raise InputError(f"config key grid.folds={grid_folds} "
                              "must be >= 2")
+        if grid_budget is not None and grid_budget < 1:
+            raise InputError(f"grid budget must be >= 1, got {grid_budget}")
         # read after budget and folds: grid_search_cv checks the parameter
         # names of the remaining grid.* keys
         grid = {key.split(".", 1)[1]: mapping.pop(key)
@@ -634,28 +633,23 @@ def _grid_cells(config):
     """(parameter names, cells) of a grid search: the config's grid.<param>
     lists, or DEFAULT_GRID, restricted to the parameters the method reads,
     crossed, then thinned to the budget."""
-    grid = dict(config.grid or DEFAULT_GRID)
-    for key in grid:
+    grid = {}
+    for key, text in (config.grid or DEFAULT_GRID).items():
         if key not in _GRID_FIELDS:
             raise InputError(f"unknown grid parameter {key!r}; have {_GRID_FIELDS}")
-        if not str(grid[key]).strip():
+        grid[key] = [v.strip() for v in str(text).split(",") if v.strip()]
+        if not grid[key]:
             raise InputError(f"grid parameter {key} has no candidates")
     names = sorted(k for k in grid if k in _METHOD_PARAMS[config.method])
-    candidates = [[v.strip() for v in str(grid[k]).split(",") if v.strip()]
-                  for k in names]
-    if any(not c for c in candidates):
-        raise InputError("every grid parameter needs at least one candidate")
-    for key, values in zip(names, candidates):
-        for value in values:
+    for key in names:
+        for value in grid[key]:
             try:
                 _grid_value(key, value)
             except ValueError:
                 kind = "an integer" if key in _INT_GRID_FIELDS else "a number"
                 raise InputError(f"grid.{key}={value} is not {kind}") from None
     cells = [dict(zip(names, combo))
-             for combo in itertools.product(*candidates)]
-    if config.grid_budget is not None and config.grid_budget < 1:
-        raise InputError(f"grid budget must be >= 1, got {config.grid_budget}")
+             for combo in itertools.product(*(grid[k] for k in names))]
     if config.grid_budget is not None and config.grid_budget < len(cells):
         take = np.unique(
             np.round(np.linspace(0, len(cells) - 1, config.grid_budget))

@@ -56,6 +56,11 @@ def test_config_from_mapping_with_preset_and_overrides():
     assert cfg30.hyper.dims == (30,)
 
 
+def test_tuned_presets_differ_only_in_dims():
+    assert dict(PRESETS["tuned-d30"], **{"model.dims": "20"}) == \
+        PRESETS["tuned-d20"]
+
+
 def test_config_rejects_unknown_preset_and_method():
     with pytest.raises(InputError, match="preset"):
         ExperimentConfig.from_mapping({"preset": "nope"})
@@ -511,6 +516,20 @@ def test_grid_explicitly_empty_candidates_rejected():
     cfg = benchmark_config(seed=7, method="pca", **{"grid.dims": ""})
     with pytest.raises(InputError, match="candidates"):
         grid_search_cv(cfg)
+
+
+@pytest.mark.parametrize("key", ["dims", "sigma"])
+def test_grid_comma_only_candidates_name_their_key(key):
+    # pca reads no sigma, yet an empty grid.sigma list is still an error
+    cfg = benchmark_config(seed=7, method="pca", **{f"grid.{key}": ","})
+    with pytest.raises(InputError,
+                       match=f"grid parameter {key} has no candidates"):
+        _grid_cells(cfg)
+
+
+def test_grid_budget_below_one_fails_at_parse_for_any_command():
+    with pytest.raises(InputError, match="grid budget must be >= 1, got 0"):
+        benchmark_config(seed=7, method="pca", **{"grid.budget": "0"})
 
 
 def test_grid_defaults_to_published_ranges_when_unset():
@@ -1033,6 +1052,23 @@ def test_cli_rejects_flags_the_subcommand_does_not_read(tmp_path, command,
         cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]
                  + flags)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,flags,stage", [
+    ("generate", [], "generate"),
+    ("segment", [], "segment"),
+    ("fit", [], "fit"),
+    ("transform", ["--model", "model.bin"], "transform"),
+    ("evaluate", ["--model", "model.bin"], "evaluate"),
+    ("grid", [], "grid"),
+    ("sweep-layers", [], "sweep"),
+    ("render-map", ["--predictions", "predictions.txt"], "render"),
+])
+def test_cli_failure_outside_stages_names_the_command(tmp_path, capsys,
+                                                      command, flags, stage):
+    missing = str(tmp_path / "missing.cfg")
+    assert cli_main([command, "--config", missing] + flags) == 1
+    assert capsys.readouterr().err.startswith(f"error[{stage}]: ")
 
 
 def test_cli_out_config_key_is_the_output_directory(tmp_path):
