@@ -15,8 +15,8 @@ import sys
 from . import formats
 from .errors import FormatError, InputError, NumericalError, PipelineError
 from .harness import (_one_blas_thread, layer_sweep, grid_search_cv,
-                      load_config, load_data, run_experiment, score_embedding,
-                      segment_data, split_data, write_files)
+                      load_config, load_data, load_shape, run_experiment,
+                      score_embedding, segment_data, split_data, write_files)
 from .model import transform as stack_transform
 from .synthetic import generate_synthetic
 
@@ -170,11 +170,10 @@ def _cmd_sweep_layers(args, config):
 
 def _cmd_render_map(args, config):
     out = _require_out(config, args.command)
-    data = load_data(config)
-    preds = formats.load_labels(args.predictions, data.width * data.height)
-    n_classes = max(int(preds.max()), data.n_classes)
+    width, height, n_classes = load_shape(config)
+    preds = formats.load_labels(args.predictions, width * height)
     paths = write_files(out, {"map.ppm": formats.render_class_map(
-        preds, data.width, data.height, n_classes)})
+        preds, width, height, max(int(preds.max()), n_classes))})
     print(f"render-map: wrote {paths['map.ppm']}")
     return 0
 

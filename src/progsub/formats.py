@@ -63,19 +63,25 @@ def _cube_header(path, doc):
     return width, height, bands, _DTYPES[dtype], scale
 
 
-def load_cube(header_path, payload_path):
-    """Read a cube; returns (float64 bands x pixels array, width, height).
-
-    Column index = row * width + col (raster order); values are divided by
-    the header's scale when one is present.
-    """
+def read_cube_header(header_path):
+    """Read and check a cube header file alone; returns (width, height,
+    bands, numpy dtype of the payload, scale or None)."""
     try:
         with open(header_path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise FormatError(
             f"cannot parse cube header {header_path}: {exc}") from exc
-    width, height, bands, dtype, scale = _cube_header(header_path, doc)
+    return _cube_header(header_path, doc)
+
+
+def load_cube(header_path, payload_path):
+    """Read a cube; returns (float64 bands x pixels array, width, height).
+
+    Column index = row * width + col (raster order); values are divided by
+    the header's scale when one is present.
+    """
+    width, height, bands, dtype, scale = read_cube_header(header_path)
     count = width * height * bands
     expected = count * np.dtype(dtype).itemsize
     # sized first, so a wrong payload fails before any array is allocated

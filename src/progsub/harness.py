@@ -398,6 +398,19 @@ def load_data(config):
                         n_classes=n_classes)
 
 
+def load_shape(config):
+    """(width, height, class count) of the data `load_data` would give. A
+    data run reads its cube header and labels and never the cube payload; a
+    synthetic run generates its cube."""
+    if config.cube_header is None:
+        data = load_data(config)
+        return data.width, data.height, data.n_classes
+    with _stage("load"):
+        width, height = formats.read_cube_header(config.cube_header)[:2]
+        labels = formats.load_labels(config.labels_path, width * height)
+    return width, height, int(labels.max())
+
+
 def segment_data(config, data):
     """The segment stage: SLIC superpixels of the loaded cube."""
     with _stage("segment"):

@@ -412,7 +412,7 @@ def superpixel_stream(cube, segment_ids, columns=None):
     sums = np.zeros((values.shape[0], k))
     for j in range(values.shape[0]):
         sums[j] = np.bincount(labels, weights=values[j], minlength=k)
-    means = sums / counts
+    means = np.divide(sums, counts, out=sums)
     if columns is not None:
         labels = labels[columns]
     return np.take(means, labels, axis=1)

@@ -135,9 +135,15 @@ def generate_synthetic(spec):
     rng = np.random.default_rng(spec.seed)
     class_map = _grow_regions(spec, rng)
     sigs = _signatures(spec, rng)
-    n = spec.width * spec.height
-    values = sigs[:, class_map]
-    if spec.noise > 0:
-        values = values + spec.noise * rng.standard_normal((spec.bands, n))
-    labels = class_map + 1
-    return np.ascontiguousarray(values), labels, spec.width, spec.height
+    cube = np.empty((spec.bands, class_map.size))
+    # one band row at a time, so one cube copy is held: the row draws take
+    # the generator's stream in the C order of one (bands, n) draw, and
+    # noise * z + v has the bits of v + noise * z
+    for row, sig in zip(cube, sigs):
+        if spec.noise > 0:
+            rng.standard_normal(out=row)
+            row *= spec.noise
+            row += sig[class_map]
+        else:
+            np.take(sig, class_map, out=row)
+    return cube, class_map + 1, spec.width, spec.height

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import progsub.formats
 import progsub.harness
 from bench_utils import benchmark_config, desk_file_config, small_hyper
 from oracle_utils import (reference_cv_score, reference_make_split,
@@ -26,7 +28,7 @@ from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
                              load_config, load_data, make_split,
                              parse_config_text, prepare_data, run_experiment)
 from progsub.model import CONVERGENCE_HEADER
-from progsub.synthetic import _smooth
+from progsub.synthetic import _grow_regions, _signatures, _smooth
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_RUN = ROOT / "benchmarks" / "run.py"
@@ -227,6 +229,61 @@ def test_synthetic_deterministic_bytes():
     b_cube, b_labels, _, _ = generate_synthetic(spec)
     assert a_cube.tobytes() == b_cube.tobytes()
     assert np.array_equal(a_labels, b_labels)
+
+
+# sha256 of the cube bytes and of the label bytes at the desk, semisup and
+# scene bench shapes: the bench inputs and the golden digests rest on them
+SYNTHETIC_DIGESTS = {
+    "desk": (
+        benchmark_config(seed=7).synthetic,
+        "70118de0201f5fe170ae8c34027b6315601dfb5447f3fd71e480d67c80e29bbc",
+        "196ee2156ece425b0ac18d13fb55c3b5dd45149f0bdcdc3f721c39189bfcf5b7"),
+    "semisup": (
+        SyntheticSpec(width=40, height=40, bands=100, n_classes=9,
+                      separation=3.0, noise=0.4, blob_size=5, seed=3),
+        "d45c77a4e74f0c63b78e6c0c1b0292768afaf28ff9769d540ccc593d89d34eff",
+        "f135413a1a756e870f21f868879f0235e8e86a86c6ae211e06ae631dce9e7be2"),
+    "scene": (
+        SyntheticSpec(width=145, height=145, bands=200, n_classes=16,
+                      separation=1.0, noise=0.4, blob_size=12, seed=3),
+        "bf5fb6ae52225359951a9b03179675a8835c9f2319d94e4615d9d81e464ebedd",
+        "36ea27d7ed2a7d66eb7a058d600c92a67a4f774724c1d90d1f85c2ca6cacc38d"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SYNTHETIC_DIGESTS))
+def test_synthetic_bytes_are_pinned(shape):
+    spec, cube_digest, labels_digest = SYNTHETIC_DIGESTS[shape]
+    cube, labels, _, _ = generate_synthetic(spec)
+    assert cube.dtype == np.float64 and cube.flags.c_contiguous
+    assert labels.dtype == np.int64
+    assert hashlib.sha256(cube.tobytes()).hexdigest() == cube_digest
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == labels_digest
+
+
+def test_synthetic_without_noise_is_the_class_signatures():
+    spec = SyntheticSpec(width=13, height=11, bands=9, n_classes=5,
+                         noise=0.0, seed=6)
+    cube, labels, _, _ = generate_synthetic(spec)
+    rng = np.random.default_rng(spec.seed)
+    class_map = _grow_regions(spec, rng)
+    sigs = _signatures(spec, rng)
+    assert cube.flags.c_contiguous
+    assert np.array_equal(cube, sigs[:, class_map])
+    assert np.array_equal(labels, class_map + 1)
+
+
+def test_synthetic_generation_holds_one_cube_copy():
+    spec = SyntheticSpec(width=64, height=64, bands=100, n_classes=8, seed=5)
+    tracemalloc.start()
+    try:
+        cube, _, _, _ = generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cube, one band row and the class map; two copies if the noise
+    # were drawn for the whole cube at once
+    assert peak < 1.2 * cube.nbytes
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -770,6 +827,28 @@ def test_cli_transform_and_render_map_do_not_segment(tmp_path,
                      str(tmp_path / "tr"),
                      "--model", str(fit_out / "model.bin")]) == 0
     assert cli_main(["render-map", "--config", cfg, "--out",
+                     str(tmp_path / "rm"), "--predictions",
+                     str(fit_out / "predictions.txt")]) == 0
+    assert (tmp_path / "rm" / "map.ppm").read_bytes() == (
+        fit_out / "map.ppm").read_bytes()
+
+
+def test_cli_render_map_from_files_reads_no_cube_payload(tmp_path,
+                                                        monkeypatch):
+    config = desk_file_config(tmp_path, 3)
+    cfg = tmp_path / "files.cfg"
+    cfg.write_text(f"preset=synth-benchmark\nseed=3\n"
+                   f"data.cube_header={config.cube_header}\n"
+                   f"data.cube_payload={config.cube_payload}\n"
+                   f"data.labels={config.labels_path}\n")
+    fit_out = tmp_path / "fit"
+    assert cli_main(["fit", "--config", str(cfg), "--out", str(fit_out)]) == 0
+
+    def no_payload(*args, **kwargs):
+        raise AssertionError("the cube payload was read")
+
+    monkeypatch.setattr(progsub.formats, "load_cube", no_payload)
+    assert cli_main(["render-map", "--config", str(cfg), "--out",
                      str(tmp_path / "rm"), "--predictions",
                      str(fit_out / "predictions.txt")]) == 0
     assert (tmp_path / "rm" / "map.ppm").read_bytes() == (
