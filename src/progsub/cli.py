@@ -15,8 +15,9 @@ import sys
 from . import formats
 from .errors import FormatError, InputError, NumericalError, PipelineError
 from .harness import (_one_blas_thread, layer_sweep, grid_search_cv,
-                      load_config, load_data, load_shape, run_experiment,
-                      score_embedding, segment_data, split_data, write_files)
+                      load_config, load_data, load_shape, record_stages,
+                      run_experiment, score_embedding, segment_data,
+                      split_data, timings_csv, write_files)
 from .model import transform as stack_transform
 from .synthetic import generate_synthetic
 
@@ -119,10 +120,13 @@ def _cmd_segment(args, config):
 
 
 def _cmd_fit(args, config):
-    _require_out(config, args.command)
-    metrics, artifacts = run_experiment(config)
+    out = _require_out(config, args.command)
+    with record_stages() as rows:
+        metrics, artifacts = run_experiment(config)
+    write_files(out, {"timings.csv": timings_csv(rows)})
     print(f"fit[{config.method}]: oa={metrics.oa:.4f} aa={metrics.aa:.4f} "
-          f"kappa={metrics.kappa:.4f} ({len(artifacts)} artifacts)")
+          f"kappa={metrics.kappa:.4f} ({len(artifacts)} artifacts and "
+          "timings.csv)")
     return 0
 
 

@@ -152,8 +152,9 @@ _LABEL_BLOCK = 4096
 
 def labels_text(labels):
     """One label per line, as load_labels reads them."""
-    return "".join("".join(f"{int(v)}\n" for v in labels[a:a + _LABEL_BLOCK])
-                   for a in range(0, len(labels), _LABEL_BLOCK))
+    labels = np.asarray(labels, dtype=np.int64)
+    return "".join("\n".join(map(str, labels[a:a + _LABEL_BLOCK].tolist()))
+                   + "\n" for a in range(0, len(labels), _LABEL_BLOCK))
 
 
 def save_labels(path, labels):

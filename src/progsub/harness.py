@@ -8,9 +8,11 @@ output byte with the same numpy, scipy and BLAS builds and BLAS thread count.
 """
 
 import contextlib
+import contextvars
 import ctypes
 import itertools
 import os
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -256,16 +258,83 @@ def load_config(path, keys=None):
     return ExperimentConfig.from_mapping(mapping)
 
 
+# the rows of the recorder active in this context (see record_stages)
+_records = contextvars.ContextVar("progsub_stage_records", default=None)
+
+
+def _memory_mb():
+    """(VmHWM, VmRSS) of this process in MB, read from /proc/self/status;
+    (None, None) where that file is absent."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            fields = dict(line.split(":", 1) for line in fh if ":" in line)
+        return tuple(int(fields[key].split()[0]) / 1024
+                     for key in ("VmHWM", "VmRSS"))
+    except (OSError, KeyError, ValueError):
+        return None, None
+
+
 @contextlib.contextmanager
 def _stage(name):
     """Tag an error raised in the block with the stage name; interrupts and
-    exits pass through untouched."""
+    exits pass through untouched. While a recorder is active, a block that
+    ends without an error adds its row: name, seconds, VmHWM and VmRSS."""
+    start = time.perf_counter()
     try:
         yield
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
+    records = _records.get()
+    if records is not None:
+        records.append((name, time.perf_counter() - start, *_memory_mb()))
+
+
+@contextlib.contextmanager
+def record_stages():
+    """Record every stage run in the block. Yields the list of rows, which
+    starts with a `start` row of the memory before any stage; a nested stage
+    (the stream inside the fit) ends, and so is listed, first."""
+    rows = [("start", None, *_memory_mb())]
+    token = _records.set(rows)
+    try:
+        yield rows
+    finally:
+        _records.reset(token)
+
+
+def _blas_build(lib):
+    """The BLAS build that numpy or scipy `lib` names in its build config."""
+    blas = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # a BLAS other than OpenBLAS names no configuration
+    build = blas.get("openblas configuration",
+                     f"{blas['name']} {blas['version']}")
+    return " ".join(build.replace(",", " ").split())
+
+
+def timings_csv(rows):
+    """timings.csv text: `rows` from record_stages, then the python, numpy
+    and scipy versions, the OpenBLAS build each of numpy and scipy names,
+    and the thread count of every OpenBLAS loaded now. Call it inside
+    _one_blas_thread for the count a run had."""
+    import platform
+
+    import scipy
+
+    def cell(value, spec):
+        return "" if value is None else format(value, spec)
+
+    lines = ["name,value,vmhwm_mb,vmrss_mb"]
+    lines += [f"{name},{cell(seconds, '.4f')},{cell(hwm, '.1f')},"
+              f"{cell(rss, '.1f')}" for name, seconds, hwm, rss in rows]
+    env = [("python", platform.python_version()),
+           ("numpy", np.__version__), ("scipy", scipy.__version__),
+           ("numpy_blas", _blas_build(np)), ("scipy_blas", _blas_build(scipy)),
+           ("blas_threads", " ".join(str(get())
+                                     for get, _ in openblas_thread_calls()))]
+    lines += [f"{name},{value},," for name, value in env]
+    return "\n".join(lines) + "\n"
 
 
 # thread-count calls of the OpenBLAS builds in numpy and scipy wheels (the
@@ -373,6 +442,13 @@ def _max_column_norm(cube):
                for a, b in zip(edges, edges[1:]))
 
 
+def _synthetic_spec(config):
+    """The config's synthetic spec; InputError if it names no input."""
+    if config.synthetic is None:
+        raise InputError("config names neither data files nor a synthetic spec")
+    return config.synthetic
+
+
 def load_data(config):
     """The load stage alone: load or generate the cube and normalize it in
     place."""
@@ -382,10 +458,9 @@ def load_data(config):
                 config.cube_header, config.cube_payload
             )
             labels = formats.load_labels(config.labels_path, width * height)
-        elif config.synthetic is not None:
-            cube, labels, width, height = generate_synthetic(config.synthetic)
         else:
-            raise InputError("config names neither data files nor a synthetic spec")
+            cube, labels, width, height = generate_synthetic(
+                _synthetic_spec(config))
         n_classes = int(labels.max())
         # unit-ball feasibility: uniform scaling preserves nearest-neighbor
         # ordering while making column norms <= 1
@@ -401,11 +476,12 @@ def load_data(config):
 def load_shape(config):
     """(width, height, class count) of the data `load_data` would give. A
     data run reads its cube header and labels and never the cube payload; a
-    synthetic run generates its cube."""
-    if config.cube_header is None:
-        data = load_data(config)
-        return data.width, data.height, data.n_classes
+    synthetic run reads its spec, since every class fills a quota of at
+    least n // classes >= 1 pixels, and generates nothing."""
     with _stage("load"):
+        if config.cube_header is None:
+            spec = _synthetic_spec(config)
+            return spec.width, spec.height, spec.n_classes
         width, height = formats.read_cube_header(config.cube_header)[:2]
         labels = formats.load_labels(config.labels_path, width * height)
     return width, height, int(labels.max())

@@ -395,8 +395,10 @@ def superpixel_stream(cube, segment_ids, columns=None):
 
     `segment_ids` holds one 0-based segment id per cube column (a
     Segmentation's `labels`); returns a C-ordered array shaped like `cube`.
-    With `columns` (pixel indices), the means still cover the whole cube but
-    only those pixels' columns are returned, in the order given.
+    With `columns` (pixel indices), only those pixels' columns are returned,
+    in the order given, and only their segments are summed. A segment's
+    pixels are summed in pixel order either way, so each mean has the bits
+    of the whole-image stream's.
     """
     values = matrix_values(cube)
     labels = np.asarray(segment_ids)
@@ -409,10 +411,17 @@ def superpixel_stream(cube, segment_ids, columns=None):
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     if np.any(counts == 0):
         raise InputError("segmentation has an empty segment")
+    pixels, members, picked = slice(None), labels, labels
+    if columns is not None:
+        kept, picked = np.unique(labels[columns], return_inverse=True)
+        keep = np.zeros(k, dtype=bool)
+        keep[kept] = True
+        # a boolean mask, so no pixel-sized index array is built and freed
+        pixels = np.flatnonzero(keep[labels])
+        members = np.searchsorted(kept, labels[pixels])
+        k, counts = kept.size, counts[kept]
     sums = np.zeros((values.shape[0], k))
     for j in range(values.shape[0]):
-        sums[j] = np.bincount(labels, weights=values[j], minlength=k)
+        sums[j] = np.bincount(members, weights=values[j, pixels], minlength=k)
     means = np.divide(sums, counts, out=sums)
-    if columns is not None:
-        labels = labels[columns]
-    return np.take(means, labels, axis=1)
+    return np.take(means, picked, axis=1)

@@ -295,6 +295,15 @@ def test_labels_text_blocks_keep_every_line(n):
     assert labels_text(list(labels)) == labels_text(labels)
 
 
+@pytest.mark.parametrize("labels", [
+    [0], [0, 0, 0], list(range(17)) * 300,
+    [np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max],
+])
+def test_labels_text_is_one_int_per_line(labels):
+    labels = np.array(labels, dtype=np.int64)
+    assert labels_text(labels) == "".join(f"{int(v)}\n" for v in labels)
+
+
 def test_labels_text_holds_one_block_of_line_strings():
     # one Python string per label for the whole array would take ~6 MB here
     labels = np.random.default_rng(1).integers(0, 17, size=100_000)

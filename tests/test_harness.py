@@ -17,8 +17,8 @@ import progsub.harness
 from bench_utils import benchmark_config, desk_file_config, small_hyper
 from oracle_utils import (reference_cv_score, reference_make_split,
                           reference_stratified_folds)
-from progsub import (AdmmConfig, HyperParams, InputError, SyntheticSpec,
-                     generate_synthetic, nn_classify)
+from progsub import (AdmmConfig, HyperParams, InputError, PipelineError,
+                     SyntheticSpec, generate_synthetic, nn_classify)
 from progsub.cli import main as cli_main
 from progsub.formats import labels_text, load_labels, save_cube, save_labels
 from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
@@ -855,6 +855,37 @@ def test_cli_render_map_from_files_reads_no_cube_payload(tmp_path,
         fit_out / "map.ppm").read_bytes()
 
 
+def test_cli_render_map_of_synthetic_config_generates_no_cube(tmp_path,
+                                                              monkeypatch):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt")
+    gen, fit_out = tmp_path / "gen", tmp_path / "fit"
+    assert cli_main(["generate", "--config", cfg, "--out", str(gen)]) == 0
+    assert cli_main(["fit", "--config", cfg, "--out", str(fit_out)]) == 0
+
+    def no_cube(*args, **kwargs):
+        raise AssertionError("a cube was generated")
+
+    monkeypatch.setattr(progsub.harness, "generate_synthetic", no_cube)
+    for predictions, expected in ((fit_out / "predictions.txt",
+                                   fit_out / "map.ppm"),
+                                  (gen / "labels.txt", gen / "truth.ppm")):
+        rm_out = tmp_path / "rm" / predictions.parent.name
+        assert cli_main(["render-map", "--config", cfg, "--out", str(rm_out),
+                         "--predictions", str(predictions)]) == 0
+        assert (rm_out / "map.ppm").read_bytes() == expected.read_bytes()
+
+
+def test_cli_render_map_without_input_is_a_load_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("method=raw\n")
+    labels = tmp_path / "labels.txt"
+    save_labels(labels, [1, 2])
+    assert cli_main(["render-map", "--config", str(cfg), "--out",
+                     str(tmp_path / "rm"), "--predictions", str(labels)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error[load]: config names neither data files nor a synthetic spec")
+
+
 def test_cli_grid_and_sweep(tmp_path):
     cfg = _write_benchmark_config(tmp_path / "cfg.txt", method="pca",
                                   extra=["grid.dims=2,4"])
@@ -1106,8 +1137,11 @@ def test_cli_echo_reproduces_dump_graphs_fit(tmp_path):
     names = sorted(p.name for p in first.iterdir())
     assert "graph_wf.txt" in names
     assert sorted(p.name for p in again.iterdir()) == names
+    # timings.csv records each run's own seconds and memory
+    assert "timings.csv" in names
     for name in names:
-        assert (first / name).read_bytes() == (again / name).read_bytes()
+        if name != "timings.csv":
+            assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_cli_sweep_layers_bad_list_is_stage_tagged(tmp_path, capsys):
@@ -1189,3 +1223,106 @@ def test_cli_seed_flag_overrides(tmp_path):
     a = (out7 / "metrics.csv").read_text()
     b = (out8 / "metrics.csv").read_text()
     assert a != b  # different split, different numbers
+
+
+RUN_STAGES = ["load", "segment", "split", "stream", "fit", "transform",
+              "classify", "metrics", "write"]
+
+
+def test_recorder_keeps_run_experiment_artifacts(tmp_path):
+    _, plain = run_experiment(benchmark_config(seed=3,
+                                               out_dir=str(tmp_path / "a")))
+    with progsub.harness.record_stages() as rows:
+        _, recorded = run_experiment(
+            benchmark_config(seed=3, out_dir=str(tmp_path / "b")))
+    assert list(recorded) == list(plain)
+    for name in plain:
+        assert Path(recorded[name]).read_bytes() == \
+            Path(plain[name]).read_bytes()
+    assert [row[0] for row in rows] == ["start"] + RUN_STAGES
+    assert progsub.harness._records.get() is None
+
+
+def test_recorded_stage_rows_are_seconds_and_memory():
+    with progsub.harness.record_stages() as rows:
+        with _stage("outer"):
+            with _stage("inner"):
+                pass
+    assert [row[0] for row in rows] == ["start", "inner", "outer"]
+    assert rows[0][1] is None
+    for name, seconds, hwm, rss in rows:
+        assert seconds is None or seconds >= 0
+        if os.path.exists("/proc/self/status"):
+            assert 0 < rss <= hwm
+
+
+def test_recorded_memory_is_empty_without_proc_status(monkeypatch):
+    def no_file(*args, **kwargs):
+        raise FileNotFoundError("no /proc here")
+
+    monkeypatch.setattr(progsub.harness, "open", no_file, raising=False)
+    with progsub.harness.record_stages() as rows:
+        with _stage("load"):
+            pass
+    monkeypatch.undo()
+    lines = progsub.harness.timings_csv(rows).splitlines()
+    assert lines[1] == "start,,,"
+    assert re.fullmatch(r"load,\d+\.\d{4},,", lines[2])
+
+
+def test_stage_failing_under_the_recorder_names_its_stage(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("stream broke")
+
+    monkeypatch.setattr(progsub.harness, "superpixel_stream", broken)
+    with pytest.raises(PipelineError) as exc:
+        with progsub.harness.record_stages() as rows:
+            run_experiment(benchmark_config(seed=3))
+    assert exc.value.stage == "stream"
+    assert [row[0] for row in rows] == ["start", "load", "segment", "split"]
+    assert progsub.harness._records.get() is None
+
+
+def test_cli_fit_failure_writes_no_timings(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("stream broke")
+
+    monkeypatch.setattr(progsub.harness, "superpixel_stream", broken)
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt")
+    out = tmp_path / "fit"
+    assert cli_main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error[stream]: stream broke\n"
+    assert not (out / "timings.csv").exists()
+
+
+def test_cli_fit_writes_timings_beside_its_artifacts(tmp_path):
+    cfg = _write_benchmark_config(tmp_path / "cfg.txt")
+    out = tmp_path / "fit"
+    assert cli_main(["fit", "--config", cfg, "--seed", "3", "--out",
+                     str(out)]) == 0
+    lines = (out / "timings.csv").read_text().splitlines()
+    assert lines[0] == "name,value,vmhwm_mb,vmrss_mb"
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(row) == 4 for row in rows)
+    names = [row[0] for row in rows]
+    assert names == ["start"] + RUN_STAGES + [
+        "python", "numpy", "scipy", "numpy_blas", "scipy_blas",
+        "blas_threads"]
+    for name, seconds, hwm, rss in rows[1:1 + len(RUN_STAGES)]:
+        assert float(seconds) >= 0
+        if os.path.exists("/proc/self/status"):
+            assert 0 < float(rss) <= float(hwm)
+    env = {row[0]: row[1] for row in rows[1 + len(RUN_STAGES):]}
+    assert env["numpy"] == np.__version__
+    assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+    counts = env["blas_threads"].split()
+    pinned = not (os.environ.get("OPENBLAS_NUM_THREADS")
+                  or os.environ.get("OMP_NUM_THREADS"))
+    assert len(counts) == len(progsub.harness.openblas_thread_calls())
+    if pinned:
+        assert set(counts) <= {"1"}
+    # the run's own artifacts are the library's, timings.csv aside
+    _, artifacts = run_experiment(benchmark_config(
+        seed=3, out_dir=str(tmp_path / "lib")))
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        list(artifacts) + ["timings.csv"])

@@ -416,6 +416,32 @@ def test_stream_columns_are_the_whole_stream_columns():
     assert out.tobytes() == superpixel_stream(cube, ids)[:, cols].tobytes()
 
 
+@pytest.mark.parametrize("columns", [
+    [170, 3, 3, 0, 99, 21, 170],       # unsorted and repeated
+    list(range(0, 400, 37)),           # sorted, most segments uncovered
+    [5],
+    [],
+])
+def test_stream_of_columns_sums_only_their_segments(columns):
+    # segments of very different magnitudes and long, interleaved members,
+    # so a sum taken in any other pixel order would round differently
+    rng = np.random.default_rng(26)
+    cube = rng.standard_normal((5, 400)) * 10.0 ** rng.integers(-6, 7, 400)
+    ids = rng.permutation(np.arange(400) % 23)
+    out = superpixel_stream(cube, ids, np.asarray(columns, dtype=np.int64))
+    whole = superpixel_stream(cube, ids)
+    assert out.shape == (5, len(columns))
+    assert out.flags.c_contiguous
+    assert out.tobytes() == whole[:, columns].tobytes()
+    assert len(set(ids[columns].tolist())) < 23  # some segment uncovered
+
+
+def test_stream_of_columns_checks_every_segment():
+    cube = np.ones((2, 4))
+    with pytest.raises(InputError, match="empty segment"):
+        superpixel_stream(cube, np.array([0, 0, 2, 2]), np.array([0]))
+
+
 def test_stream_preserves_global_mean():
     rng = np.random.default_rng(24)
     cube = rng.random((4, 30))
