@@ -531,11 +531,11 @@ def _fit_method(config, data, hyper):
         emb = pca_fit(cube[:, train_idx], hyper.dims[-1])
         return emb.transform, None, None
     if method == "lpp":
-        w = knn_heat_graph(cube[:, train_idx], hyper.knn_k, hyper.sigma)
-        lap = laplacian(w)
+        train = cube[:, train_idx]
+        lap = laplacian(knn_heat_graph(train, hyper.knn_k, hyper.sigma))
         deg = lap.diagonal()
         deg = np.where(deg <= 0, 1e-12, deg)
-        emb = lpp_fit(cube[:, train_idx], lap, deg, hyper.dims[-1])
+        emb = lpp_fit(train, lap, deg, hyper.dims[-1])
         return emb.transform, None, None
     # progsub
     fit_idx = train_idx
@@ -543,11 +543,11 @@ def _fit_method(config, data, hyper):
         fit_idx = np.concatenate([train_idx, data.split.unlabeled_indices])
     fit_labels = data.labels[fit_idx]
     fit_labels[train_idx.size:] = 0  # the unlabeled columns' labels stay hidden
-    with _stage("stream"):
-        fit_stream = superpixel_stream(cube, data.seg.labels, fit_idx)
+    # neither block is held here, so fit_stack frees both once it has fused
+    # them into its training matrix
     stack, report = fit_stack(
         cube[:, fit_idx],
-        fit_stream,
+        _fit_stream(cube, data.seg.labels, fit_idx),
         fit_labels,
         data.seg.labels[fit_idx],
         hyper,
@@ -557,27 +557,41 @@ def _fit_method(config, data, hyper):
     return (lambda v: transform(stack, v)), stack, report
 
 
-def score_embedding(data, embed):
+def _fit_stream(cube, seg_labels, fit_idx):
+    """The stream stage: the superpixel stream of the fit columns."""
+    with _stage("stream"):
+        return superpixel_stream(cube, seg_labels, fit_idx)
+
+
+def score_embedding(data, embed, every_pixel=True):
     """Transform -> classify -> metrics on the data's split.
 
     `embed` maps raw pixel columns to the learned feature space. Every pixel
-    is labeled by its nearest training pixel and the test pixels are scored;
-    returns (MetricsReport, predicted class of every pixel).
+    takes the class of its nearest training pixel in the embedding and the
+    test pixels are scored; returns (MetricsReport, predicted class of every
+    pixel). With every_pixel False, for a caller that reads only the score,
+    the training and test columns are embedded, each set on its own, only
+    the test pixels are labeled, and the predictions returned are None.
     """
     train_idx = data.split.train_indices
     test_idx = data.split.test_indices
     with _stage("transform"):
-        all_emb = embed(data.cube)
+        if every_pixel:
+            emb = embed(data.cube)
+            train_emb = emb[:, train_idx]
+        else:
+            train_emb = embed(data.cube[:, train_idx])
+            emb = embed(data.cube[:, test_idx])
 
     with _stage("classify"):
-        preds_all = nn_classify(all_emb[:, train_idx], data.labels[train_idx],
-                                all_emb)
+        preds = nn_classify(train_emb, data.labels[train_idx], emb)
 
     with _stage("metrics"):
-        cm = confusion(data.labels[test_idx], preds_all[test_idx],
+        cm = confusion(data.labels[test_idx],
+                       preds[test_idx] if every_pixel else preds,
                        n_classes=data.n_classes)
         metrics = compute_metrics(cm)
-    return metrics, preds_all
+    return metrics, (preds if every_pixel else None)
 
 
 def write_files(out_dir, files):
@@ -597,10 +611,10 @@ def write_files(out_dir, files):
     return paths
 
 
-def _fit_and_score(config, data, hyper):
+def _fit_and_score(config, data, hyper, every_pixel=True):
     """Fit on prepared data's split and score it; returns (MetricsReport,
     model stack or None, fit report or None, predicted class of every
-    pixel)."""
+    pixel, or None with every_pixel False: see score_embedding)."""
     split = data.split
     if split.test_indices.size == 0:
         raise PipelineError("split", InputError("split produced no test samples"))
@@ -608,7 +622,7 @@ def _fit_and_score(config, data, hyper):
     with _stage("fit"):
         embed, stack, report = _fit_method(config, data, hyper)
 
-    metrics, preds_all = score_embedding(data, embed)
+    metrics, preds_all = score_embedding(data, embed, every_pixel)
     return metrics, stack, report, preds_all
 
 
@@ -712,7 +726,9 @@ def _cv_score(config, data, hyper, folds):
         k = min(hyper.knn_k, max(1, fit_idx.size - 1))
         fold = replace(data, split=SampleSplit(
             fit_idx, val_idx, data.split.unlabeled_indices))
-        oas.append(_fit_and_score(config, fold, replace(hyper, knn_k=k))[0].oa)
+        metrics = _fit_and_score(config, fold, replace(hyper, knn_k=k),
+                                 every_pixel=False)[0]
+        oas.append(metrics.oa)
     if not oas:
         raise InputError("cross-validation produced no scorable folds")
     return float(np.mean(oas))
@@ -803,7 +819,7 @@ def layer_sweep(config):
     rows = []
     for m in config.sweep_layers:
         hyper = _apply_cell(config.hyper, {"layers": m})
-        metrics = _fit_and_score(config, data, hyper)[0]
+        metrics = _fit_and_score(config, data, hyper, every_pixel=False)[0]
         rows.append((int(m), metrics.oa, metrics.aa, metrics.kappa))
     if config.out_dir is not None:
         lines = ["m,oa,aa,kappa"]

@@ -108,8 +108,8 @@ def objective_value(stack, inputs, yt, hp, labeled_cols=None):
     recon = 0.0
     graph = 0.0
     for proj, terms in zip(stack.projections, inputs):
-        layer_recon, layer_graph, emb = layer_terms(proj, terms.x,
-                                                    terms.graph_gram)
+        layer_recon, layer_graph, emb = layer_terms(
+            proj, terms.x, terms.graph_gram, work=terms.objective_work())
         recon += layer_recon
         graph += layer_graph
     predict = prediction_term(
@@ -163,7 +163,8 @@ def finetune_projection(layer, stack, yt, hp, terms, cfg=AdmmConfig(),
                                  supervision=supervision)
     # the last traced objective is the layer objective at the candidate
     entry_val = reconstruction_objective(entry, terms.x, terms.graph_gram,
-                                         hp.beta, supervision)
+                                         hp.beta, supervision,
+                                         work=terms.objective_work())
     if report.objective_trace[-1] > entry_val:
         return entry, report
     return candidate, report
@@ -226,6 +227,9 @@ def fit_stack(pixels, stream, labels, seg, hp, cfg=AdmmConfig(),
         raise InputError("training features contain non-finite entries")
     wp = knn_heat_graph(x, hp.knn_k, hp.sigma)
     wsp = knn_heat_graph(xsp, hp.knn_k, hp.sigma)
+    # xt holds both blocks from here on; a caller that keeps no reference of
+    # its own (harness._fit_method) has them freed now
+    del pixels, stream, x, xsp
     wa = alignment_graph(ids)
     bundle = assemble_fused(wp, wsp, wa)
     lf = bundle.lf

@@ -164,7 +164,9 @@ class LayerTerms:
     climbs the same penalty ladder, so pre-training and each fine-tune of a
     layer factor a system once between them. The factors take d_in x d_in
     floats per distinct (w, mu): at most one per rung of the ladder and
-    weight in use.
+    weight in use. Every objective on the input forms T'TX in one d_in x n
+    buffer (objective_work), so a fit holds one input-sized array beside X
+    per layer however many objectives it evaluates.
     """
 
     def __init__(self, x, graph_gram):
@@ -176,6 +178,14 @@ class LayerTerms:
         self.data_gram = self.x @ self.x.T
         self.graph_gram = graph_gram
         self._factors = {}
+        self._work = None
+
+    def objective_work(self):
+        """layer_terms' `work` for this input: a C-ordered d_in x n buffer,
+        allocated on first use."""
+        if self._work is None:
+            self._work = np.empty(self.x.shape)
+        return self._work
 
     def projection_factor(self, weight, mu):
         """spd_factor of w X L X' + 3 mu X X' + (mu + RIDGE) I."""
@@ -454,13 +464,13 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     each solution reaches a residual of the same iteration, so a non-finite
     value raises NumericalError at the iteration where it appears.
 
-    An iteration allocates no d_out x n array: the run owns TX, three
+    An iteration allocates no d_out x n array: the run owns TX and three
     column-sized gaps (the first also serves as every update's scratch,
-    since the gaps are dead between the dual step and the next gap step)
-    and, for pre-training's objective, a d_in x n buffer for T'TX. The
-    features right-hand side is built and solved in the old features, the
-    copies and duals are written over their own arrays. Every block keeps
-    the bits of its allocating form.
+    since the gaps are dead between the dual step and the next gap step),
+    and the objective forms T'TX in the buffer of `terms`. The features
+    right-hand side is built and solved in the old features, the copies and
+    duals are written over their own arrays. Every block keeps the bits of
+    its allocating form.
     """
     x = terms.x
     d_in = x.shape[0]
@@ -478,7 +488,6 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
     gaps = (np.empty(px.shape), np.empty(state.decoder.shape),
             np.empty(px.shape), np.empty(px.shape))
     work = gaps[0]
-    resid = np.empty(x.shape) if supervision is None else None
 
     eps, rho, mu_max, max_iters = cfg.eps, cfg.rho, cfg.mu_max, cfg.max_iters
     trace = []
@@ -510,14 +519,14 @@ def run_admm(terms, proj0, graph_weight, cfg, supervision=None):
         if supervision is None or converged or t == max_iters - 1:
             obj = reconstruction_objective(state.proj, x, terms.graph_gram,
                                            graph_weight, supervision, px,
-                                           resid)
+                                           terms.objective_work())
             if not math.isfinite(obj):
                 raise NumericalError(f"non-finite value at ADMM iteration {t}")
         trace.append((t, *residuals, mu_used, obj))
         if converged:
             break
 
-    del px, gaps, work, resid  # before the report's column norms
+    del px, gaps, work  # before the report's column norms
     report = PretrainReport(
         converged=converged,
         trace=trace,

@@ -1,5 +1,8 @@
-"""Shared fixtures: tiny separable training sets and the seeded desk-scale
-benchmark used by the model tests and the acceptance suite."""
+"""Shared fixtures: tiny separable training sets, the seeded desk-scale
+benchmark used by the model tests and the acceptance suite, and the
+tracemalloc peak of one call."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -61,3 +64,15 @@ def desk_file_config(tmp_path, seed, out_dir=None):
     save_labels(paths["data.labels"], labels)
     return ExperimentConfig.from_mapping(
         {"preset": "synth-benchmark", **paths}, seed=seed, out_dir=out_dir)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(tracemalloc's peak in bytes over one call fn(*args, **kwargs), the
+    call's result). The result is held when the peak is read."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result

@@ -16,11 +16,11 @@ and takes the head of each row's stable argsort as its k nearest; the
 library's search, which measures only each row's candidates and picks
 them by one lexsort, must give the same graph bit for bit.
 
-The reference fold score is the cross-validation scoring that the harness
-replaced by its run path: it embeds a fold's fit and validation columns
+The reference fold score embeds a fold's fit and validation columns
 separately, classifies the validation columns alone and counts the hits by
-hand. The harness labels every pixel and reads oa from the confusion
-matrix; both must give the same score bit for bit.
+hand. The harness scores a fold through its run path, `score_embedding`,
+and reads oa from the confusion matrix; both must give the same score bit
+for bit.
 
 The reference SLIC is the dense full-search implementation: every pixel is
 scored against every center through N x K matrices (`reference_assign`),

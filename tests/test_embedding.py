@@ -1,9 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
 
+from bench_utils import traced_peak
 from progsub import InputError, knn_heat_graph, laplacian, lpp_fit, pca_fit
 from progsub.harness import _one_blas_thread
 
@@ -93,12 +92,7 @@ def test_pca_transform_holds_no_centered_copy_of_the_image():
     x = np.random.default_rng(9).random((200, 21025))
     emb = pca_fit(x[:, :500], 20)
     emb.transform(x[:, :10])  # load what the first call loads
-    tracemalloc.start()
-    try:
-        out = emb.transform(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, out = traced_peak(emb.transform, x)
     # the output, then the widest centered block (the last one takes the
     # 545 columns past 5 * 4096) and its product; a centered copy of the
     # image alone would be x.nbytes, three times this

@@ -1,13 +1,13 @@
 import json
 import re
 import struct
-import tracemalloc
 import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bench_utils import traced_peak
 from progsub import FormatError, InputError, ProjectionStack, formats
 from progsub.formats import (dump_model_bytes, labels_text, load_cube,
                              load_labels, load_model, parse_model_bytes,
@@ -86,32 +86,22 @@ def _cube_of(tmp_path, width, height, bands, extra=0):
     return header, raw, values.nbytes
 
 
-def _peak_bytes(fn, *args):
-    """tracemalloc's peak over one call, which may raise FormatError."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-    except FormatError:
-        pass
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
-
-
 def test_load_cube_holds_one_cube_copy(tmp_path):
     header, raw, nbytes = _cube_of(tmp_path, 64, 64, 64)
-    assert _peak_bytes(load_cube, header, raw) <= 1.1 * nbytes
+    assert traced_peak(load_cube, header, raw)[0] <= 1.1 * nbytes
 
 
 @pytest.mark.parametrize("extra", [-8, 8])
 def test_load_cube_wrong_payload_size_fails_before_reading(tmp_path, extra):
     header, raw, nbytes = _cube_of(tmp_path, 64, 64, 16, extra)
-    with pytest.raises(FormatError, match=re.escape(
-            f"payload length mismatch for {raw}: expected {nbytes} bytes, "
-            f"got {nbytes + extra}")):
-        load_cube(header, raw)
-    assert _peak_bytes(load_cube, header, raw) < nbytes / 4
+
+    def load():
+        with pytest.raises(FormatError, match=re.escape(
+                f"payload length mismatch for {raw}: expected {nbytes} "
+                f"bytes, got {nbytes + extra}")):
+            load_cube(header, raw)
+
+    assert traced_peak(load)[0] < nbytes / 4
 
 
 def test_load_cube_short_read_is_a_length_mismatch(tmp_path, monkeypatch):
@@ -228,12 +218,8 @@ def test_save_cube_writes_f64le(tmp_path):
 def test_save_cube_writes_without_a_copy_of_the_cube(tmp_path, order):
     values = np.asarray(
         np.random.default_rng(11).standard_normal((200, 20000)), order=order)
-    tracemalloc.start()
-    try:
-        save_cube(tmp_path / "h.json", tmp_path / "p.raw", values, 200, 100)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(save_cube, tmp_path / "h.json", tmp_path / "p.raw",
+                          values, 200, 100)
     # writing the payload through tobytes held one copy of the cube
     assert peak < values.nbytes / 10
     assert (tmp_path / "p.raw").read_bytes() == np.ascontiguousarray(
@@ -307,12 +293,7 @@ def test_labels_text_is_one_int_per_line(labels):
 def test_labels_text_holds_one_block_of_line_strings():
     # one Python string per label for the whole array would take ~6 MB here
     labels = np.random.default_rng(1).integers(0, 17, size=100_000)
-    tracemalloc.start()
-    try:
-        text = labels_text(labels)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, text = traced_peak(labels_text, labels)
     assert peak < 2 * len(text) + 1_000_000
 
 

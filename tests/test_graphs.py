@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 import progsub.graphs
+from bench_utils import traced_peak
 from oracle_utils import reference_knn_heat_graph
 from progsub import (InputError, alignment_graph, assemble_fused,
                      knn_heat_graph, laplacian, nn_classify)
@@ -97,26 +96,14 @@ def test_knn_memory_stays_below_the_full_distance_matrix():
     n = 2000
     x = rng.standard_normal((3, n))
     full_bytes = n * n * 8      # one n x n float64 or int64 array
-    tracemalloc.start()
-    try:
-        knn_heat_graph(x, 10, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < full_bytes / 8
+    assert traced_peak(knn_heat_graph, x, 10, 1.0)[0] < full_bytes / 8
 
 
 def test_knn_memory_stays_bounded_when_every_column_is_a_candidate():
     # distances near 1e-12 against squared norms of 800: the rounding slack
     # admits all n - 1 columns of every row, about 1e6 pairs in all
     x = 10.0 + 1e-6 * np.random.default_rng(5).random((8, 1000))
-    tracemalloc.start()
-    try:
-        knn_heat_graph(x, 10, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 25e6
+    assert traced_peak(knn_heat_graph, x, 10, 1.0)[0] < 25e6
 
 
 def _oracle_case(case, rng):

@@ -4,7 +4,6 @@ import itertools
 import os
 import re
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +13,8 @@ from scipy import ndimage
 
 import progsub.formats
 import progsub.harness
-from bench_utils import benchmark_config, desk_file_config, small_hyper
+from bench_utils import (benchmark_config, desk_file_config, small_hyper,
+                         traced_peak)
 from oracle_utils import (reference_cv_score, reference_make_split,
                           reference_stratified_folds)
 from progsub import (AdmmConfig, HyperParams, InputError, PipelineError,
@@ -23,7 +23,7 @@ from progsub.cli import main as cli_main
 from progsub.formats import labels_text, load_labels, save_cube, save_labels
 from progsub.harness import (DEFAULT_GRID, PRESETS, ExperimentConfig,
                              _GRID_FIELDS, _apply_cell, _cv_score,
-                             _grid_cells, _stage,
+                             _fit_method, _grid_cells, _stage,
                              _stratified_folds, grid_search_cv, layer_sweep,
                              load_config, load_data, make_split,
                              parse_config_text, prepare_data, run_experiment)
@@ -275,12 +275,7 @@ def test_synthetic_without_noise_is_the_class_signatures():
 
 def test_synthetic_generation_holds_one_cube_copy():
     spec = SyntheticSpec(width=64, height=64, bands=100, n_classes=8, seed=5)
-    tracemalloc.start()
-    try:
-        cube, _, _, _ = generate_synthetic(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (cube, _, _, _) = traced_peak(generate_synthetic, spec)
     # the cube, one band row and the class map; two copies if the noise
     # were drawn for the whole cube at once
     assert peak < 1.2 * cube.nbytes
@@ -630,8 +625,9 @@ def test_grid_raw_cross_validates_one_cell(tmp_path):
 
 @pytest.mark.parametrize("method", ["raw", "pca", "lpp", "progsub"])
 def test_cv_score_is_the_separate_fold_scoring(method):
-    # a fold is scored as a run: every pixel is embedded and labeled, and oa
-    # comes from the confusion matrix of the validation pixels
+    # a fold embeds its fit and validation columns, each set on its own as
+    # the reference does, and oa comes from the confusion matrix of the
+    # validation pixels
     cfg = benchmark_config(seed=7, method=method,
                            **{"grid.dims": "2,4", "grid.folds": "3"})
     data = prepare_data(cfg)
@@ -1018,13 +1014,7 @@ def test_load_data_normalizes_bit_for_bit(tmp_path, width, height):
 def test_load_data_holds_one_cube_copy(tmp_path):
     cube = np.random.default_rng(9).random((160, 100 * 100))
     config = _file_config(tmp_path, cube, 100, 100)
-    tracemalloc.start()
-    try:
-        load_data(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * cube.nbytes
+    assert traced_peak(load_data, config)[0] <= 1.1 * cube.nbytes
 
 
 def test_run_builds_the_stream_for_the_fit_columns_only(monkeypatch):
@@ -1047,6 +1037,28 @@ def test_run_builds_the_stream_for_the_fit_columns_only(monkeypatch):
     # 60 labeled pixels and some unlabeled ones join the fit
     assert len(fits) == 1 and fits[0] > 60
     assert streams == fits
+
+
+def test_semi_supervised_fit_holds_its_training_matrix_once():
+    """A fit of 1024 pixels and their stream columns in 80 bands peaks at
+    5.17 times its fused training matrix xt: xt, the fused graph, one
+    objective buffer, the factor cache and a fine-tune's ADMM state. Holding
+    the pixel and stream blocks beside xt for the whole fit read 6.17, and
+    holding the stream alone, as a local of _fit_method, 5.67."""
+    config = ExperimentConfig.from_mapping({
+        "synthetic.width": "32", "synthetic.height": "32",
+        "synthetic.bands": "80", "synthetic.classes": "6",
+        "synthetic.separation": "3.0", "seed": "3",
+        "split.train_per_class": "10", "split.unlabeled_fraction": "1.0",
+        "run.include_unlabeled": "true", "model.dims": "5",
+        "model.max_outer": "1", "model.knn_k": "8", "model.sigma": "0.5"})
+    data = prepare_data(config)
+    fit_columns = (data.split.train_indices.size
+                   + data.split.unlabeled_indices.size)
+    assert fit_columns == 32 * 32
+    xt_bytes = 2 * fit_columns * 80 * 8
+    peak, _ = traced_peak(_fit_method, config, data, config.hyper)
+    assert peak < 5.5 * xt_bytes
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

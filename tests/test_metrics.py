@@ -1,9 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from bench_utils import traced_peak
 from progsub import (InputError, compute_metrics, confusion, nn_classify)
 from progsub.metrics import ConfusionMatrix
 
@@ -66,13 +65,7 @@ def test_nn_memory_stays_below_the_full_distance_matrix():
     test = rng.standard_normal((5, 4000))
     labels = np.arange(1, 401)
     full_bytes = 4000 * 400 * 8
-    tracemalloc.start()
-    try:
-        nn_classify(train, labels, test)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < full_bytes / 8
+    assert traced_peak(nn_classify, train, labels, test)[0] < full_bytes / 8
 
 
 def test_nn_rejects_non_finite_features():

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import progsub.pretrain
+from bench_utils import traced_peak
 from oracle_utils import (ball_quadratic_minimizer, fd_gradient_norm,
                           frob_rel_err, nonneg_quadratic_minimizer,
                           quadratic_minimizer, random_laplacian)
@@ -717,12 +717,7 @@ def test_c_ordered_solve_of_any_column_block_has_the_full_solves_bits(n, m):
 def test_c_ordered_solve_copies_nothing_but_its_result():
     lhs, rhs = _system(20, 20000, 7)
     solve_spd(lhs, rhs[:, :100])  # load what the first call loads
-    tracemalloc.start()
-    try:
-        solve_spd(lhs, rhs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(solve_spd, lhs, rhs)
     # the result alone is one rhs; a copy of rhs in or out would be two
     assert peak <= 1.1 * rhs.nbytes
 
@@ -892,8 +887,10 @@ def test_run_admm_builds_prediction_terms_once(monkeypatch, max_iters):
 
 def test_run_admm_allocates_one_input_sized_array_per_iteration():
     """The objective's residual X - T'TX is formed and squared in the buffer
-    of T'TX. Building the difference and its square as new arrays holds two
-    input-sized temporaries at once and exceeds the bound."""
+    of T'TX, which the layer terms own, so a run on terms that an earlier run
+    used allocates no input-sized array. Building the difference or its
+    square as a new array holds an input-sized temporary and exceeds the
+    bound."""
     rng = np.random.default_rng(25)
     d_in, d_out, n = 200, 20, 2000
     x = rng.random((d_in, n)) / 10.0
@@ -901,15 +898,11 @@ def test_run_admm_allocates_one_input_sized_array_per_iteration():
     cfg = AdmmConfig(max_iters=3)
     terms = LayerTerms(x, np.zeros((d_in, d_in)))
     run_admm(terms, proj0, 0.0, cfg)  # factor the systems outside the trace
-    tracemalloc.start()
-    try:
-        run_admm(terms, proj0, 0.0, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(run_admm, terms, proj0, 0.0, cfg)
     # the state and its replacements take about one x-sized block at
-    # d_out = d_in / 10 (2.04 blocks measured; the two-temporary form: 3.03)
-    assert peak < 2.5 * x.nbytes
+    # d_out = d_in / 10 (1.07 blocks measured; a new square alone: 2.07,
+    # a new difference and square: 3.04)
+    assert peak < 1.5 * x.nbytes
 
 
 # --------------------------------------------- buffered forms of the blocks
@@ -1046,21 +1039,16 @@ def _run_admm_peak(supervision):
         None if supervision == "all" else rng.random(n) < 0.1)
     cfg = AdmmConfig(max_iters=4, eps=1e-300)
     run_admm(terms, proj0, 0.1, cfg, sup)  # factor the systems untraced
-    tracemalloc.start()
-    try:
-        run_admm(terms, proj0, 0.1, cfg, sup)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(run_admm, terms, proj0, 0.1, cfg, sup)
     return peak / x.nbytes   # d_out x n column arrays, since d_out = d_in
 
 
 @pytest.mark.parametrize("supervision", [None, "partial"])
 def test_run_admm_iterations_allocate_no_column_array(supervision):
     """At 5 -> 5 over 20000 columns a run holds its state (six column
-    arrays), TX, three gaps and, pre-training, T'TX: 11.43 column arrays
-    measured (11.11 fine-tuning, at the one objective of its last iterate),
-    against 13.01 (13.11) when every block allocated its result. A block
-    that allocates its result again, the nonnegative copy or the projection
-    numerator alone, reaches 12.0 or more in one of the two runs."""
-    assert _run_admm_peak(supervision) < 11.8
+    arrays), TX and three gaps, and forms T'TX in the buffer of the layer
+    terms, which the untraced run allocated: 10.40 column arrays measured
+    pre-training (10.79 fine-tuning, at the one objective of its last
+    iterate). A block that allocates its result again, the nonnegative copy
+    or the projection numerator alone, reaches 11.0 (11.1) in both runs."""
+    assert _run_admm_peak(supervision) < 10.95

@@ -1,11 +1,11 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 import progsub.superpixels
+from bench_utils import traced_peak
 from oracle_utils import (reference_assign, reference_merge_orphans,
                           reference_slic_segment)
 from progsub import (InputError, SyntheticSpec, generate_synthetic,
@@ -210,13 +210,9 @@ def test_assignment_peak_memory_is_a_few_blocks_at_scene_shape():
     seed_r, seed_c = _seed_grid(width, height, n_segments)
     center_rc = np.stack([seed_r, seed_c]).astype(np.float64)
     center_feat = feats[:, seed_r * width + seed_c]
-    tracemalloc.start()
-    try:
-        labels = _assign(feats, tiles, width, height, center_rc,
-                         center_feat, 10.0 ** 2 * n_segments / n, side)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, labels = traced_peak(_assign, feats, tiles, width, height,
+                               center_rc, center_feat,
+                               10.0 ** 2 * n_segments / n, side)
     assert peak < labels.nbytes + 6 * 2 ** 17
 
 
@@ -318,12 +314,8 @@ def test_slic_matches_dense_reference_on_a_checkerboard():
 def test_slic_memory_is_linear_in_pixels():
     # a dense N x K distance matrix alone would take 4096 * 410 * 8 = 13 MB
     cube = np.random.default_rng(2).random((8, 64 * 64))
-    tracemalloc.start()
-    try:
-        slic_segment(cube, 64, 64, segment_count(64 * 64, 0.10))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(slic_segment, cube, 64, 64,
+                          segment_count(64 * 64, 0.10))
     assert peak < 4 * 2 ** 20
 
 
@@ -332,12 +324,8 @@ def test_slic_holds_no_centered_copy_of_the_cube():
     # features are projected from the cube itself; a centered copy of the
     # whole cube would alone take cube.nbytes (the peak was 16.8 MB here)
     cube = np.random.default_rng(3).random((64, 256 * 128))
-    tracemalloc.start()
-    try:
-        slic_segment(cube, 256, 128, segment_count(256 * 128, 0.01))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(slic_segment, cube, 256, 128,
+                          segment_count(256 * 128, 0.01))
     assert peak < cube.nbytes / 2
 
 
